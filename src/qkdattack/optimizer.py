@@ -10,9 +10,17 @@ adapt multiplicatively (x1.2 on accept, x0.5 on reject, floor 1e-12).
 Restart r draws its starting point from seed + r, so every reported number is
 reproducible bit for bit and stable under restart-count changes.
 
-All restarts advance in lockstep through stacked (restarts, n_outcomes, d, d)
-arrays; this is an implementation detail, each restart's trajectory depends
-only on its own start.
+Restarts advance in lockstep through stacked (rows, n_outcomes, d, d) arrays,
+and so do the restarts of several source weights alpha: optimize_attack hands
+the alphas it already knows it needs (the grid, then the first golden-section
+pair) to one ascent, where the restarts of each alpha form a contiguous row
+group with its own conditional-state stack.  A batch holds at most
+_MAX_BATCH_ROWS rows (a group is never split), which bounds the step's
+temporaries.  Best value, restart agreement and convergence are reduced per
+group.  Grouping is an implementation detail: the step kernels (one real GEMM
+per row group for the trace and gradient, stacked matmuls and eigh for the
+retraction) compute every row independently of the others, so each restart's
+trajectory depends only on its own start and its own alpha.
 """
 
 from __future__ import annotations
@@ -31,6 +39,9 @@ _STEP_FLOOR = 1e-12
 _EIG_FLOOR = 1e-12
 _STALL_LIMIT = 80
 _AGREE_TOL = 1e-6
+# rows per lockstep batch: wider batches amortize the per-step overhead but
+# grow the step's temporaries, and so peak memory, linearly
+_MAX_BATCH_ROWS = 128
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -80,6 +91,23 @@ def _conditional_stack(ps: PurifiedState, basis_count: int | None = None) -> np.
     return out
 
 
+def _dag(x: np.ndarray) -> np.ndarray:
+    return x.conj().swapaxes(-1, -2)
+
+
+def _real_rows(x: np.ndarray) -> np.ndarray:
+    """Complex (..., d, d) stacks as real rows: re and im of the flattened matrices interleaved."""
+    return np.ascontiguousarray(x).reshape(-1, x.shape[-1] ** 2).view(np.float64)
+
+
+def _row_groups(group: np.ndarray | None, n: int) -> list[tuple[int, int, int]]:
+    """(stack, first row, end row) of each run of rows sharing a conditional-state stack."""
+    if group is None:
+        return [(0, 0, n)]
+    cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), n]
+    return [(int(group[s]), s, e) for s, e in zip(cuts, cuts[1:])]
+
+
 def _renormalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map factor stacks (r, k, d, d) onto the completeness manifold.
 
@@ -87,21 +115,30 @@ def _renormalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     floored at 1e-12 before inversion; random factor stacks are full rank
     almost surely, so the floor only guards degenerate proposals.
     """
-    m = np.einsum("rkji,rkjl->rkil", a.conj(), a)
-    s = m.sum(axis=1)
-    w, v = np.linalg.eigh(s)
+    r, k, d = a.shape[0], a.shape[1], a.shape[-1]
+    stacked = a.reshape(r, k * d, d)
+    w, v = np.linalg.eigh(_dag(stacked) @ stacked)
     inv_sqrt = 1.0 / np.sqrt(np.clip(w, _EIG_FLOOR, None))
-    r = np.einsum("rij,rj,rlj->ril", v, inv_sqrt, v.conj())
-    a_n = np.einsum("rkij,rjl->rkil", a, r)
-    m_n = np.einsum("rkji,rkjl->rkil", a_n.conj(), a_n)
-    return a_n, m_n
+    a_n = (stacked @ ((v * inv_sqrt[:, None, :]) @ _dag(v))).reshape(a.shape)
+    return a_n, _dag(a_n) @ a_n
 
 
-def _probs(m: np.ndarray, rho_xt: np.ndarray) -> np.ndarray:
-    """p(k | x, theta) for POVM stacks, shape (r, k, 2, basis_count)."""
-    flat = rho_xt.reshape(-1, rho_xt.shape[-1], rho_xt.shape[-1])
-    p = np.einsum("rkij,cji->rkc", m, flat).real
-    return np.clip(p.reshape(m.shape[0], m.shape[1], 2, rho_xt.shape[1]), 0.0, 1.0)
+def _probs(m: np.ndarray, rho_xt: np.ndarray, group: np.ndarray | None = None) -> np.ndarray:
+    """p(k | x, theta) for POVM stacks, shape (r, k, 2, basis_count).
+
+    ``rho_xt`` is one (2, b, d, d) stack shared by all rows, or per-group
+    stacks (G, 2, b, d, d) with ``group[i]`` the stack of row i and the rows
+    of a group contiguous.  Tr(M rho) is the real dot product of M and
+    rho^dag, so each run of rows is one (rows * k, 2 d^2) @ (2 d^2, 2 b) GEMM.
+    """
+    r, k = m.shape[:2]
+    b = rho_xt.shape[-3]
+    mv = _real_rows(m)
+    rv = _real_rows(_dag(rho_xt)).reshape(-1, 2 * b, mv.shape[1])
+    p = np.empty((r * k, 2 * b))
+    for grp, s, e in _row_groups(group, r):
+        np.matmul(mv[s * k : e * k], rv[grp].T, out=p[s * k : e * k])
+    return np.clip(p.reshape(r, k, 2, b), 0.0, 1.0)
 
 
 def _objective(p: np.ndarray, key_on_basis: bool = False) -> np.ndarray:
@@ -119,23 +156,36 @@ def _objective(p: np.ndarray, key_on_basis: bool = False) -> np.ndarray:
     return h_marg - h_k_xt
 
 
-def _gradient(p: np.ndarray, rho_xt: np.ndarray, key_on_basis: bool = False) -> np.ndarray:
+def _gradient(
+    p: np.ndarray, rho_xt: np.ndarray, key_on_basis: bool = False, group: np.ndarray | None = None
+) -> np.ndarray:
     """d I / d M_k evaluated at the current probabilities.
 
     Both variants share the form (log2 p - log2 pbar) / (2 b); only the axis
-    of the marginal pbar differs.
+    of the marginal pbar differs.  ``rho_xt`` and ``group`` as in _probs; each
+    run of rows is one (rows * k, 2 b) @ (2 b, 2 d^2) GEMM on the real view.
     """
-    b = p.shape[3]
+    r, k, _, b = p.shape
+    d = rho_xt.shape[-1]
     if key_on_basis:
         pbar = p.mean(axis=3)[:, :, :, None]
     else:
         pbar = p.mean(axis=2)[:, :, None, :]
-    ratio = np.log2(np.maximum(p, 1e-18)) - np.log2(np.maximum(pbar, 1e-18))
-    return np.einsum("rkxb,xbij->rkij", ratio / (2 * b), rho_xt)
+    ratio = (np.log2(np.maximum(p, 1e-18)) - np.log2(np.maximum(pbar, 1e-18))) / (2 * b)
+    ratio = ratio.reshape(r * k, 2 * b)
+    rv = _real_rows(rho_xt).reshape(-1, 2 * b, 2 * d * d)
+    g = np.empty((r * k, 2 * d * d))
+    for grp, s, e in _row_groups(group, r):
+        np.matmul(ratio[s * k : e * k], rv[grp], out=g[s * k : e * k])
+    return g.view(np.complex128).reshape(r, k, d, d)
 
 
 class _Batch:
-    """Lockstep state of several independent local searches."""
+    """Lockstep state of several independent local searches.
+
+    ``rho_xt`` and ``group`` as in _probs: one shared conditional-state
+    stack, or one stack per contiguous row group.
+    """
 
     def __init__(
         self,
@@ -143,12 +193,14 @@ class _Batch:
         rho_xt: np.ndarray,
         step_tolerance: float,
         key_on_basis: bool = False,
+        group: np.ndarray | None = None,
     ):
         self.rho_xt = rho_xt
+        self.group = group
         self.tol = step_tolerance
         self.key_on_basis = key_on_basis
         self.a, self.m = _renormalize(factors)
-        self.p = _probs(self.m, rho_xt)
+        self.p = _probs(self.m, rho_xt, group)
         self.f = _objective(self.p, key_on_basis)
         n = factors.shape[0]
         self.step = np.full(n, _INIT_STEP)
@@ -156,17 +208,18 @@ class _Batch:
         self.active = np.ones(n, dtype=bool)
         self.converged = np.zeros(n, dtype=bool)
         self.iters = 0
+        self.row_iters = np.zeros(n, dtype=int)
 
     def step_once(self) -> None:
         idx = np.flatnonzero(self.active)
         if idx.size == 0:
             return
+        group = None if self.group is None else self.group[idx]
         a = self.a[idx]
-        g = _gradient(self.p[idx], self.rho_xt, self.key_on_basis)
-        direction = np.einsum("rkij,rkjl->rkil", a, g)
-        cand = a + self.step[idx][:, None, None, None] * direction
+        g = _gradient(self.p[idx], self.rho_xt, self.key_on_basis, group)
+        cand = a + self.step[idx][:, None, None, None] * (a @ g)
         a_n, m_n = _renormalize(cand)
-        p_n = _probs(m_n, self.rho_xt)
+        p_n = _probs(m_n, self.rho_xt, group)
         f_n = _objective(p_n, self.key_on_basis)
         improved = f_n > self.f[idx]
         # improvements below tol + 1e-7|f| do not reset the stall window,
@@ -183,6 +236,7 @@ class _Batch:
         done = idx[self.stall[idx] >= _STALL_LIMIT]
         self.converged[done] = True
         self.active[done] = False
+        self.row_iters[idx] += 1
         self.iters += 1
 
     def run(self, max_iters: int) -> None:
@@ -275,29 +329,41 @@ def _canonical_order(m: np.ndarray, p: np.ndarray, key_on_basis: bool = False) -
     return out
 
 
-def _optimize_povm_full(
-    ps: PurifiedState, n_outcomes: int, config: OptimizerConfig
-) -> tuple[np.ndarray, float, int, bool]:
-    key_on_basis = ps.protocol.key_on_basis
-    rho_xt = _conditional_stack(ps)
-    factors = np.stack(
-        [
-            _random_factors(np.random.default_rng(config.seed + r), n_outcomes, 4)
-            for r in range(config.restarts)
-        ]
+def _ascend(
+    states: list[PurifiedState], n_outcomes: int, config: OptimizerConfig
+) -> list[tuple[np.ndarray, float, int, bool]]:
+    """(best POVM, its value, agreeing restarts, converged) at each state.
+
+    Every state gets the same config.restarts seeded starts.  Their rows run
+    as one group per state in lockstep batches of at most _MAX_BATCH_ROWS
+    rows; results are reduced per group.
+    """
+    key_on_basis = states[0].protocol.key_on_basis
+    n = config.restarts
+    starts = np.stack(
+        [_random_factors(np.random.default_rng(config.seed + r), n_outcomes, 4) for r in range(n)]
     )
-    batch = _Batch(factors, rho_xt, config.step_tolerance, key_on_basis)
-    batch.run(config.max_iters)
-    best = int(np.argmax(batch.f))
-    f_best = float(batch.f[best])
-    agreeing = int(np.count_nonzero(batch.f >= f_best - _AGREE_TOL))
-    m = _canonical_order(batch.m[best], batch.p[best], key_on_basis)
-    return m, max(f_best, 0.0), agreeing, bool(batch.converged[best])
+    per_batch = max(1, _MAX_BATCH_ROWS // n)
+    results = []
+    for first in range(0, len(states), per_batch):
+        chunk = states[first : first + per_batch]
+        rho = np.stack([_conditional_stack(ps) for ps in chunk])
+        group = np.repeat(np.arange(len(chunk)), n)
+        batch = _Batch(np.tile(starts, (len(chunk), 1, 1, 1)), rho, config.step_tolerance, key_on_basis, group)
+        batch.run(config.max_iters)
+        for rows in range(0, len(chunk) * n, n):
+            f = batch.f[rows : rows + n]
+            best = rows + int(np.argmax(f))
+            f_best = float(batch.f[best])
+            agreeing = int(np.count_nonzero(f >= f_best - _AGREE_TOL))
+            m = _canonical_order(batch.m[best], batch.p[best], key_on_basis)
+            results.append((m, max(f_best, 0.0), agreeing, bool(batch.converged[best])))
+    return results
 
 
 def optimize_povm(ps: PurifiedState, n_outcomes: int, config: OptimizerConfig) -> tuple[Povm, float]:
     """Best measurement found over config.restarts independent ascents."""
-    m, f, _, _ = _optimize_povm_full(ps, n_outcomes, config)
+    m, f, _, _ = _ascend([ps], n_outcomes, config)[0]
     return Povm(m), f
 
 
@@ -306,7 +372,13 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
 
     Coarse grid over the admissible alpha interval, then golden-section
     refinement around the best grid point; the measurement is re-optimized
-    from scratch at every probed alpha.
+    from the seeded starts at every probed alpha.  Alphas known together run
+    together: the grid points share lockstep batches (at most _MAX_BATCH_ROWS
+    rows each), then the first golden-section pair shares one.  Each later
+    refinement step carries the surviving interior point and its value, so
+    it costs one new evaluation and alpha_refine_iters steps cost
+    alpha_refine_iters + 1.  Grouping changes no result: every restart's
+    trajectory depends only on its own start and alpha.
     """
     if not 0.0 <= q <= 0.5:
         raise ValueError(f"q must lie in [0, 0.5], got {q}")
@@ -314,30 +386,33 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
     n_out = protocol.povm_outcomes
     cache: dict[float, tuple[np.ndarray, float, int, bool]] = {}
 
-    def evaluate(alpha: float) -> float:
-        alpha = min(max(alpha, lo), hi)
-        if alpha not in cache:
-            ps = purified_state(protocol, q, alpha)
-            cache[alpha] = _optimize_povm_full(ps, n_out, config)
-        return cache[alpha][1]
+    def evaluate(alphas) -> list[float]:
+        alphas = [min(max(float(a), lo), hi) for a in alphas]
+        new = [a for a in dict.fromkeys(alphas) if a not in cache]
+        if new:
+            cache.update(zip(new, _ascend([purified_state(protocol, q, a) for a in new], n_out, config)))
+        return [cache[a][1] for a in alphas]
 
     if hi - lo < 1e-12:
         grid = np.array([lo])
     else:
         grid = np.linspace(lo, hi, config.alpha_grid_points)
-    values = np.array([evaluate(a) for a in grid])
-    best_i = int(np.argmax(values))
+    best_i = int(np.argmax(evaluate(grid)))
 
     if hi - lo >= 1e-12:
         a_lo = grid[max(best_i - 1, 0)]
         a_hi = grid[min(best_i + 1, len(grid) - 1)]
+        x1 = x2 = None
         for _ in range(config.alpha_refine_iters):
-            x1 = a_hi - _INVPHI * (a_hi - a_lo)
-            x2 = a_lo + _INVPHI * (a_hi - a_lo)
-            if evaluate(x1) >= evaluate(x2):
-                a_hi = x2
+            if x1 is None:
+                x1 = a_hi - _INVPHI * (a_hi - a_lo)
+            if x2 is None:
+                x2 = a_lo + _INVPHI * (a_hi - a_lo)
+            f1, f2 = evaluate([x1, x2])
+            if f1 >= f2:
+                a_hi, x1, x2 = x2, None, x1
             else:
-                a_lo = x1
+                a_lo, x1, x2 = x1, x2, None
 
     best_alpha = max(cache, key=lambda a: cache[a][1])
     m, f, agreeing, converged = cache[best_alpha]

@@ -30,8 +30,9 @@ from qkdattack.states import (
 
 C1_GRID = (0.02, 0.05, 0.08, 0.10, 0.12, 0.15, 0.20, 0.25)
 
-# default restart budget; the alpha grid is thinned since every family's
-# optimum sits at an interval endpoint refined by golden section anyway
+# default restart budget on a thinned alpha grid; golden section refines
+# around the best grid point, whether the optimum sits at an interval endpoint
+# (bb84 at q=0.10) or inside the interval (sarg04, alpha* ~ 0.76 at q=0.10)
 ATTACK_CONFIG = OptimizerConfig(restarts=32, alpha_grid_points=15, alpha_refine_iters=3)
 THRESHOLD_CONFIG = OptimizerConfig(restarts=12, alpha_grid_points=15, alpha_refine_iters=3)
 

@@ -176,3 +176,88 @@ def test_canonical_labels_support_bit_guessing(light_config):
         if ((k >> x) & 1) == t
     )
     assert acc > 0.55
+
+
+def _einsum_probs(m, rho):
+    # reference: the pre-GEMM formula, one shared (2, b, d, d) stack
+    flat = rho.reshape(-1, 4, 4)
+    p = np.einsum("rkij,cji->rkc", m, flat).real
+    return np.clip(p.reshape(m.shape[0], m.shape[1], 2, rho.shape[1]), 0.0, 1.0)
+
+
+def _einsum_gradient(p, rho, key_on_basis):
+    b = p.shape[3]
+    pbar = p.mean(axis=3)[:, :, :, None] if key_on_basis else p.mean(axis=2)[:, :, None, :]
+    ratio = np.log2(np.maximum(p, 1e-18)) - np.log2(np.maximum(pbar, 1e-18))
+    return np.einsum("rkxb,xbij->rkij", ratio / (2 * b), rho)
+
+
+def test_kernels_match_einsum_on_shared_and_grouped_stacks():
+    group = np.array([0, 0, 1, 1, 1, 2])
+    m = np.stack([random_povm(4, 4, seed=30 + r).elements for r in range(group.size)])
+    for proto in (BB84, SARG04, SIX_STATE):
+        lo, hi = alpha_range(proto, 0.1)
+        rhos = np.stack([op._conditional_stack(purified_state(proto, 0.1, a)) for a in (lo, (lo + hi) / 2, hi)])
+        kob = proto.key_on_basis
+        p_shared = op._probs(m, rhos[1])
+        assert np.max(np.abs(p_shared - _einsum_probs(m, rhos[1]))) <= 1e-14
+        g_shared = op._gradient(p_shared, rhos[1], kob)
+        assert np.max(np.abs(g_shared - _einsum_gradient(p_shared, rhos[1], kob))) <= 1e-14
+        p = op._probs(m, rhos, group)
+        g = op._gradient(p, rhos, kob, group)
+        for i, grp in enumerate(group):
+            assert np.max(np.abs(p[i] - _einsum_probs(m[i : i + 1], rhos[grp])[0])) <= 1e-14
+            assert np.max(np.abs(g[i] - _einsum_gradient(p[i : i + 1], rhos[grp], kob)[0])) <= 1e-14
+
+
+@pytest.mark.parametrize("proto", [BB84, SARG04], ids=lambda p: p.name)
+def test_row_trajectory_independent_of_batch(proto):
+    # the same seeded restarts alone, among 32, and as the middle group of a
+    # three-alpha batch must follow bit-identical trajectories
+    n, iters, kob = 32, 300, proto.key_on_basis
+    lo, hi = alpha_range(proto, 0.1)
+    rhos = np.stack([op._conditional_stack(purified_state(proto, 0.1, a)) for a in (lo, (lo + hi) / 2, hi)])
+    starts = np.stack([op._random_factors(np.random.default_rng(7 + r), 4, 4) for r in range(n)])
+    alone = [op._Batch(starts[r : r + 1], rhos[1], 1e-9, kob) for r in range(n)]
+    for batch in alone:
+        batch.run(iters)
+    among = op._Batch(starts, rhos[1], 1e-9, kob)
+    among.run(iters)
+    multi = op._Batch(np.tile(starts, (3, 1, 1, 1)), rhos, 1e-9, kob, np.repeat(np.arange(3), n))
+    multi.run(iters)
+    mid = slice(n, 2 * n)
+    for attr in ("f", "m", "converged", "row_iters"):
+        single = np.stack([getattr(batch, attr)[0] for batch in alone])
+        assert np.array_equal(single, getattr(among, attr)), attr
+        assert np.array_equal(single, getattr(multi, attr)[mid]), attr
+    assert among.iters == multi.row_iters[mid].max() == max(batch.iters for batch in alone)
+
+
+@pytest.mark.parametrize("proto", [BB84, SARG04], ids=lambda p: p.name)
+def test_grid_batching_changes_no_result(proto, light_config, monkeypatch):
+    batched = optimize_attack(proto, 0.1, light_config)
+    monkeypatch.setattr(op, "_MAX_BATCH_ROWS", 1)  # one alpha per batch
+    single = optimize_attack(proto, 0.1, light_config)
+    assert batched.i_ae == single.i_ae
+    assert batched.best_alpha == single.best_alpha
+    assert batched.restarts_agreeing == single.restarts_agreeing
+    assert batched.converged == single.converged
+    assert np.array_equal(batched.best_povm.elements, single.best_povm.elements)
+
+
+@pytest.mark.parametrize("proto", [BB84, SARG04], ids=lambda p: p.name)
+def test_golden_section_evaluates_each_alpha_once(proto, monkeypatch):
+    # grid 15 plus 3 refinement steps: the first step evaluates its pair, each
+    # later step carries one interior point and evaluates one new alpha
+    seen = []
+
+    def recording(protocol, q, alpha):
+        seen.append(alpha)
+        return purified_state(protocol, q, alpha)
+
+    monkeypatch.setattr(op, "purified_state", recording)
+    cfg = OptimizerConfig(restarts=2, max_iters=100, alpha_grid_points=15, alpha_refine_iters=3)
+    optimize_attack(proto, 0.1, cfg)
+    alphas = np.sort(seen)
+    assert len(alphas) <= 19
+    assert np.min(np.diff(alphas)) > 1e-12
