@@ -18,9 +18,9 @@ group with its own conditional-state stack.  A batch holds at most
 _MAX_BATCH_ROWS rows (a group is never split), which bounds the step's
 temporaries.  Best value, restart agreement and convergence are reduced per
 group.  Grouping is an implementation detail: the step kernels (one real GEMM
-per row group for the trace and gradient, stacked matmuls and eigh for the
-retraction) compute every row independently of the others, so each restart's
-trajectory depends only on its own start and its own alpha.
+per row group for the probabilities and the gradient, stacked matmuls and
+eigh for the retraction) compute every row independently of the others, so
+each restart's trajectory depends only on its own start and its own alpha.
 """
 
 from __future__ import annotations
@@ -376,9 +376,9 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
     together: the grid points share lockstep batches (at most _MAX_BATCH_ROWS
     rows each), then the first golden-section pair shares one.  Each later
     refinement step carries the surviving interior point and its value, so
-    it costs one new evaluation and alpha_refine_iters steps cost
-    alpha_refine_iters + 1.  Grouping changes no result: every restart's
-    trajectory depends only on its own start and alpha.
+    alpha_refine_iters steps cost at most alpha_refine_iters + 1
+    evaluations.  Grouping changes no result: every restart's trajectory
+    depends only on its own start and alpha.
     """
     if not 0.0 <= q <= 0.5:
         raise ValueError(f"q must lie in [0, 0.5], got {q}")
