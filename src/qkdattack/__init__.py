@@ -24,11 +24,10 @@ from .keyrate import (
     reference_thresholds,
     tabulate_curve,
 )
-from .linalg import TOL, Tolerances, dagger, herm_eig, inv_sqrt_psd, kron, partial_trace
+from .linalg import TOL, Tolerances, dagger, partial_trace
 from .optimizer import (
     AttackResult,
     OptimizerConfig,
-    local_search_step,
     optimize_attack,
     optimize_povm,
     random_povm,
@@ -84,13 +83,9 @@ __all__ = [
     "empirical_stats",
     "eve_conditional_state",
     "find_threshold",
-    "herm_eig",
-    "inv_sqrt_psd",
     "joint_distribution",
     "key_rate",
-    "kron",
     "lambda_fn",
-    "local_search_step",
     "mutual_info_ae",
     "optimize_attack",
     "optimize_povm",

@@ -26,13 +26,7 @@ from .information import binary_entropy
 from .optimizer import OptimizerConfig, optimize_attack
 from .simulator import empirical_stats, joint_distribution, sample_rounds
 from .states import PROTOCOLS, Protocol, purified_state
-from .keyrate import (
-    bb84_closed_form_iae,
-    find_threshold,
-    key_rate,
-    reference_thresholds,
-    tabulate_curve,
-)
+from .keyrate import MIN_TOLERANCE, bb84_closed_form_iae, find_threshold, key_rate, tabulate_curve
 
 _FMT = "%.10g"
 
@@ -112,6 +106,8 @@ def cmd_curve(
 
 def cmd_threshold(protocol: Protocol, tolerance: float, config: OptimizerConfig, out_path: str) -> dict:
     """JSON report of the zero-crossing of the key rate."""
+    if not tolerance >= MIN_TOLERANCE:  # also rejects NaN
+        raise UsageError(f"tolerance {tolerance} below the supported resolution 1e-4")
     t0 = time.time()
     try:
         rep = find_threshold(protocol, tolerance, config)
@@ -136,8 +132,7 @@ def cmd_attack(protocol: Protocol, q: float, config: OptimizerConfig, out_path: 
         raise UsageError(f"q must lie in [0, 0.5], got {q}")
     t0 = time.time()
     result = optimize_attack(protocol, q, config)
-    robust = 4 * result.restarts_agreeing >= config.restarts
-    if not robust and not result.converged:
+    if not result.robust and not result.converged:
         raise NumericalFailure(
             f"only {result.restarts_agreeing}/{config.restarts} restarts agree and the best did not converge"
         )
@@ -150,7 +145,7 @@ def cmd_attack(protocol: Protocol, q: float, config: OptimizerConfig, out_path: 
         "best_alpha": result.best_alpha,
         "restarts_agreeing": result.restarts_agreeing,
         "converged": result.converged,
-        "robust": robust,
+        "robust": result.robust,
         "povm_elements": [
             {"real": m.real.tolist(), "imag": m.imag.tolist()} for m in result.best_povm.elements
         ],

@@ -12,11 +12,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .information import binary_entropy, lambda_fn
-from .optimizer import AttackResult, OptimizerConfig, optimize_attack
+from .optimizer import OptimizerConfig, optimize_attack
 from .states import Protocol
 
 _BRACKET = (0.05, 0.30)
 _MONOTONE_SLACK = 1e-4
+# finest supported bisection tolerance in q
+MIN_TOLERANCE = 1e-4
 
 _REFERENCES = {
     "bb84": {"collective": 0.11, "individual": 0.146, "memoryless": 0.154},
@@ -65,10 +67,6 @@ def key_rate(q: float, i_ae: float) -> float:
     return 1.0 - binary_entropy(q) - i_ae
 
 
-def _robust(result: AttackResult, config: OptimizerConfig) -> bool:
-    return 4 * result.restarts_agreeing >= config.restarts
-
-
 def tabulate_curve(
     protocol: Protocol, q_grid: np.ndarray | list[float], config: OptimizerConfig
 ) -> list[CurvePoint]:
@@ -89,7 +87,7 @@ def tabulate_curve(
                 i_ae=result.i_ae,
                 rate=i_ab - result.i_ae,
                 alpha=result.best_alpha,
-                robust=_robust(result, config),
+                robust=result.robust,
             )
         )
     return points
@@ -109,7 +107,7 @@ def find_threshold(
     rate, so a probe that exceeds an earlier, smaller-q rate by more than
     1e-4 is re-run once with four times the restarts.
     """
-    if tolerance < 1e-4:
+    if not tolerance >= MIN_TOLERANCE:  # also rejects NaN
         raise ValueError(f"tolerance {tolerance} below the supported resolution 1e-4")
 
     rates: dict[float, float] = {}

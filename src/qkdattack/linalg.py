@@ -18,8 +18,6 @@ class Tolerances:
 
     hermiticity: float = 1e-10
     psd: float = 1e-9
-    reconstruction: float = 1e-9
-    unit_trace: float = 1e-12
     completeness: float = 1e-9
     probability_floor: float = 1e-14
 
@@ -41,11 +39,6 @@ def is_psd(a: np.ndarray, tol: float = TOL.psd) -> bool:
     if not is_hermitian(a):
         return False
     return bool(np.linalg.eigvalsh(a)[0] >= -tol)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, row-major subsystem ordering."""
-    return np.kron(a, b)
 
 
 def partial_trace(rho: np.ndarray, dims: list[int], keep: set[int] | list[int]) -> np.ndarray:
@@ -76,27 +69,3 @@ def partial_trace(rho: np.ndarray, dims: list[int], keep: set[int] | list[int]) 
     d_keep = prod(dims[k] for k in keep)
     return t.reshape(d_keep, d_keep)
 
-
-def herm_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues descending, eigenvectors as matching columns).
-    """
-    if not is_hermitian(a):
-        raise ValueError("herm_eig: input is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(a)
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
-
-
-def inv_sqrt_psd(a: np.ndarray, epsilon: float = 1e-10) -> np.ndarray:
-    """Inverse square root of a PSD matrix, pseudo-inverse convention.
-
-    Eigenvalues below ``epsilon`` are treated as zero, so R @ a @ R is the
-    projector onto the support of ``a``.
-    """
-    w, v = herm_eig(a)
-    if w[-1] < -1e-8:
-        raise ValueError(f"inv_sqrt_psd: negative eigenvalue {w[-1]:.3e}")
-    inv = np.where(w > epsilon, 1.0 / np.sqrt(np.maximum(w, epsilon)), 0.0)
-    return (v * inv) @ dagger(v)

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .information import Povm, lambda_fn
+from .information import Povm
 from .states import Protocol, PurifiedState, alpha_range, eve_conditional_state, purified_state
 
 _INIT_STEP = 0.1
@@ -70,6 +70,8 @@ class AttackResult:
     best_povm: Povm
     restarts_agreeing: int
     converged: bool
+    # a quarter of the restarts reaching the best value marks a consensus optimum
+    robust: bool
 
 
 def _lam(t: np.ndarray) -> np.ndarray:
@@ -77,13 +79,13 @@ def _lam(t: np.ndarray) -> np.ndarray:
     return np.where(t > 1e-14, -t * np.log2(np.maximum(t, 1e-300)), 0.0)
 
 
-def _conditional_stack(ps: PurifiedState, basis_count: int | None = None) -> np.ndarray:
-    """Adversary states rho_E^(x,theta) stacked as (2, basis_count, d, d).
+def _conditional_stack(ps: PurifiedState) -> np.ndarray:
+    """Adversary states rho_E^(x,theta) stacked as (2, b, d, d).
 
-    Defaults to the protocol's attack basis count, the set of bases entering
-    the adversary's estimator.
+    b is the protocol's attack basis count, the set of bases entering the
+    adversary's estimator.
     """
-    b = ps.protocol.attack_basis_count if basis_count is None else basis_count
+    b = ps.protocol.attack_basis_count
     out = np.empty((2, b, 4, 4), dtype=complex)
     for x in (0, 1):
         for theta in range(b):
@@ -100,11 +102,9 @@ def _real_rows(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x).reshape(-1, x.shape[-1] ** 2).view(np.float64)
 
 
-def _row_groups(group: np.ndarray | None, n: int) -> list[tuple[int, int, int]]:
+def _row_groups(group: np.ndarray) -> list[tuple[int, int, int]]:
     """(stack, first row, end row) of each run of rows sharing a conditional-state stack."""
-    if group is None:
-        return [(0, 0, n)]
-    cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), n]
+    cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), group.size]
     return [(int(group[s]), s, e) for s, e in zip(cuts, cuts[1:])]
 
 
@@ -123,25 +123,25 @@ def _renormalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a_n, _dag(a_n) @ a_n
 
 
-def _probs(m: np.ndarray, rho_xt: np.ndarray, group: np.ndarray | None = None) -> np.ndarray:
+def _probs(m: np.ndarray, rho_xt: np.ndarray, group: np.ndarray) -> np.ndarray:
     """p(k | x, theta) for POVM stacks, shape (r, k, 2, basis_count).
 
-    ``rho_xt`` is one (2, b, d, d) stack shared by all rows, or per-group
-    stacks (G, 2, b, d, d) with ``group[i]`` the stack of row i and the rows
-    of a group contiguous.  Tr(M rho) is the real dot product of M and
-    rho^dag, so each run of rows is one (rows * k, 2 d^2) @ (2 d^2, 2 b) GEMM.
+    ``rho_xt`` holds per-group conditional-state stacks (G, 2, b, d, d) and
+    ``group[i]`` is the stack of row i; the rows of a group are contiguous.
+    Tr(M rho) is the real dot product of M and rho^dag, so each run of rows
+    is one (rows * k, 2 d^2) @ (2 d^2, 2 b) GEMM.
     """
     r, k = m.shape[:2]
     b = rho_xt.shape[-3]
     mv = _real_rows(m)
     rv = _real_rows(_dag(rho_xt)).reshape(-1, 2 * b, mv.shape[1])
     p = np.empty((r * k, 2 * b))
-    for grp, s, e in _row_groups(group, r):
+    for grp, s, e in _row_groups(group):
         np.matmul(mv[s * k : e * k], rv[grp].T, out=p[s * k : e * k])
     return np.clip(p.reshape(r, k, 2, b), 0.0, 1.0)
 
 
-def _objective(p: np.ndarray, key_on_basis: bool = False) -> np.ndarray:
+def _objective(p: np.ndarray, key_on_basis: bool) -> np.ndarray:
     """Adversary information per restart from probability stacks (r, k, 2, b).
 
     Marginalizes over the key variable: the bit axis for key_on_basis
@@ -156,9 +156,7 @@ def _objective(p: np.ndarray, key_on_basis: bool = False) -> np.ndarray:
     return h_marg - h_k_xt
 
 
-def _gradient(
-    p: np.ndarray, rho_xt: np.ndarray, key_on_basis: bool = False, group: np.ndarray | None = None
-) -> np.ndarray:
+def _gradient(p: np.ndarray, rho_xt: np.ndarray, group: np.ndarray, key_on_basis: bool) -> np.ndarray:
     """d I / d M_k evaluated at the current probabilities.
 
     Both variants share the form (log2 p - log2 pbar) / (2 b); only the axis
@@ -175,7 +173,7 @@ def _gradient(
     ratio = ratio.reshape(r * k, 2 * b)
     rv = _real_rows(rho_xt).reshape(-1, 2 * b, 2 * d * d)
     g = np.empty((r * k, 2 * d * d))
-    for grp, s, e in _row_groups(group, r):
+    for grp, s, e in _row_groups(group):
         np.matmul(ratio[s * k : e * k], rv[grp], out=g[s * k : e * k])
     return g.view(np.complex128).reshape(r, k, d, d)
 
@@ -183,17 +181,17 @@ def _gradient(
 class _Batch:
     """Lockstep state of several independent local searches.
 
-    ``rho_xt`` and ``group`` as in _probs: one shared conditional-state
-    stack, or one stack per contiguous row group.
+    ``rho_xt`` and ``group`` as in _probs: one conditional-state stack per
+    contiguous row group.
     """
 
     def __init__(
         self,
         factors: np.ndarray,
         rho_xt: np.ndarray,
+        group: np.ndarray,
         step_tolerance: float,
-        key_on_basis: bool = False,
-        group: np.ndarray | None = None,
+        key_on_basis: bool,
     ):
         self.rho_xt = rho_xt
         self.group = group
@@ -214,9 +212,9 @@ class _Batch:
         idx = np.flatnonzero(self.active)
         if idx.size == 0:
             return
-        group = None if self.group is None else self.group[idx]
+        group = self.group[idx]
         a = self.a[idx]
-        g = _gradient(self.p[idx], self.rho_xt, self.key_on_basis, group)
+        g = _gradient(self.p[idx], self.rho_xt, group, self.key_on_basis)
         cand = a + self.step[idx][:, None, None, None] * (a @ g)
         a_n, m_n = _renormalize(cand)
         p_n = _probs(m_n, self.rho_xt, group)
@@ -244,17 +242,6 @@ class _Batch:
             self.step_once()
 
 
-@dataclass
-class SearchState:
-    """Mutable state threaded through local_search_step calls."""
-
-    step_size: float = _INIT_STEP
-    objective: float = 0.0
-    iteration: int = 0
-    converged: bool = False
-    _batch: _Batch | None = field(default=None, repr=False)
-
-
 def _random_factors(rng: np.random.Generator, n_outcomes: int, dim: int) -> np.ndarray:
     return rng.standard_normal((n_outcomes, dim, dim)) + 1j * rng.standard_normal((n_outcomes, dim, dim))
 
@@ -269,33 +256,7 @@ def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
     return Povm(m[0])
 
 
-def _factor_of_povm(povm: Povm) -> np.ndarray:
-    """Hermitian square roots of the elements, a valid factor stack."""
-    w, v = np.linalg.eigh(povm.elements)
-    w = np.clip(w, 0.0, None)
-    return np.einsum("kij,kj,klj->kil", v, np.sqrt(w), v.conj())
-
-
-def local_search_step(povm: Povm, ps: PurifiedState, state: SearchState) -> tuple[Povm, float]:
-    """One accept/reject ascent iteration; updates ``state`` in place."""
-    if state._batch is None:
-        state._batch = _Batch(
-            _factor_of_povm(povm)[None],
-            _conditional_stack(ps),
-            1e-9,
-            ps.protocol.key_on_basis,
-        )
-        state.objective = float(state._batch.f[0])
-    batch = state._batch
-    batch.step_once()
-    state.step_size = float(batch.step[0])
-    state.objective = float(batch.f[0])
-    state.iteration = batch.iters
-    state.converged = bool(batch.converged[0])
-    return Povm(batch.m[0].copy()), state.objective
-
-
-def _canonical_order(m: np.ndarray, p: np.ndarray, key_on_basis: bool = False) -> np.ndarray:
+def _canonical_order(m: np.ndarray, p: np.ndarray, key_on_basis: bool) -> np.ndarray:
     """Relabel outcomes so bit r of index k is the guess for revealed value r.
 
     Bit theta of k guesses the key bit given announced basis theta; in the
@@ -349,7 +310,7 @@ def _ascend(
         chunk = states[first : first + per_batch]
         rho = np.stack([_conditional_stack(ps) for ps in chunk])
         group = np.repeat(np.arange(len(chunk)), n)
-        batch = _Batch(np.tile(starts, (len(chunk), 1, 1, 1)), rho, config.step_tolerance, key_on_basis, group)
+        batch = _Batch(np.tile(starts, (len(chunk), 1, 1, 1)), rho, group, config.step_tolerance, key_on_basis)
         batch.run(config.max_iters)
         for rows in range(0, len(chunk) * n, n):
             f = batch.f[rows : rows + n]
@@ -424,4 +385,5 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
         best_povm=Povm(m),
         restarts_agreeing=agreeing,
         converged=converged,
+        robust=4 * agreeing >= config.restarts,
     )

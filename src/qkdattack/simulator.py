@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .information import Povm
-from .linalg import kron
 from .states import Protocol, PurifiedState, bob_bit_projector, bob_eve_conditional_state
 
 ROUND_DTYPE = np.dtype(
@@ -82,7 +81,7 @@ def joint_distribution(ps: PurifiedState, povm: Povm) -> JointDistribution:
         for theta in range(b):
             rho_be = bob_eve_conditional_state(ps, x, theta)
             for y in (0, 1):
-                ops = kron(bob_bit_projector(protocol, y, theta)[None], povm.elements)
+                ops = np.kron(bob_bit_projector(protocol, y, theta)[None], povm.elements)
                 p[x, theta, y] = np.real(np.einsum("kij,ji->k", ops, rho_be))
     p = np.clip(p, 0.0, None) / (2 * b)
     return JointDistribution(p, protocol)

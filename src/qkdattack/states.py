@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL, dagger, is_psd, kron, partial_trace
+from .linalg import TOL, is_psd, partial_trace
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,19 @@ class Protocol:
     choice does not change the value.  ``key_on_basis`` marks the encoding
     where the secret bit is the basis choice and the prepared bit value is
     the revealed side information.
+
+    The source family is data, affine in the error rate q and the free
+    weight alpha.  ``bell_weights`` holds one row (c0, c_q, c_alpha) per
+    Bell weight, in the order phi+, phi-, psi+, psi-; the weight at
+    (q, alpha) is c0 + c_q q + c_alpha alpha.  ``alpha_bounds`` is
+    ((lo0, lo_q), (hi0, hi_q)): alpha ranges over [lo0 + lo_q q, hi0 + hi_q q]
+    clipped to [0, 1].
     """
 
     name: str
     basis_count: int
+    bell_weights: tuple[tuple[float, float, float], ...]
+    alpha_bounds: tuple[tuple[float, float], tuple[float, float]]
     attack_basis_count: int = 2
     key_on_basis: bool = False
 
@@ -47,9 +56,26 @@ class Protocol:
         return 2**self.attack_basis_count
 
 
-BB84 = Protocol("bb84", 2)
-SIX_STATE = Protocol("sixstate", 3)
-SARG04 = Protocol("sarg04", 2, key_on_basis=True)
+BB84 = Protocol(
+    "bb84",
+    2,
+    bell_weights=((0.0, 0.0, 1.0), (1.0, -1.0, -1.0), (1.0, -1.0, -1.0), (-1.0, 2.0, 1.0)),
+    alpha_bounds=((1.0, -2.0), (1.0, -1.0)),
+)
+# the three-basis constraints fix every weight, so alpha enters with coefficient 0
+SIX_STATE = Protocol(
+    "sixstate",
+    3,
+    bell_weights=((1.0, -1.5, 0.0), (0.0, 0.5, 0.0), (0.0, 0.5, 0.0), (0.0, 0.5, 0.0)),
+    alpha_bounds=((1.0, -1.5), (1.0, -1.5)),
+)
+SARG04 = Protocol(
+    "sarg04",
+    2,
+    bell_weights=((0.0, 0.0, 1.0), (1.0, -1.0, -1.0), (1.0, -1.5, -1.0), (-1.0, 2.5, 1.0)),
+    alpha_bounds=((1.0, -2.5), (1.0, -1.5)),
+    key_on_basis=True,
+)
 
 PROTOCOLS = {p.name: p for p in (BB84, SIX_STATE, SARG04)}
 
@@ -149,15 +175,8 @@ def alpha_range(protocol: Protocol, q: float) -> tuple[float, float]:
     """Admissible range of the free Bell weight alpha at error rate q."""
     if not 0.0 <= q <= 0.5:
         raise ValueError(f"q={q} outside [0, 0.5]")
-    if protocol.name == "bb84":
-        lo, hi = 1.0 - 2.0 * q, 1.0 - q
-    elif protocol.name == "sixstate":
-        lo = hi = 1.0 - 1.5 * q
-    elif protocol.name == "sarg04":
-        lo, hi = 1.0 - 2.5 * q, 1.0 - 1.5 * q
-    else:
-        raise ValueError(f"unknown protocol {protocol.name}")
-    lo, hi = max(lo, 0.0), min(hi, 1.0)
+    (lo0, lo_q), (hi0, hi_q) = protocol.alpha_bounds
+    lo, hi = max(lo0 + lo_q * q, 0.0), min(hi0 + hi_q * q, 1.0)
     if lo > hi + 1e-12:
         raise ValueError(f"empty alpha range for {protocol.name} at q={q}")
     return lo, hi
@@ -170,12 +189,8 @@ def rho_ab(protocol: Protocol, q: float, alpha: float) -> tuple[np.ndarray, Bell
         raise ValueError(
             f"alpha={alpha} outside [{lo}, {hi}] for {protocol.name} at q={q}"
         )
-    if protocol.name == "bb84":
-        params = BellDiagonalParams(protocol, q, alpha, 1 - q - alpha, 1 - q - alpha, 2 * q - 1 + alpha)
-    elif protocol.name == "sixstate":
-        params = BellDiagonalParams(protocol, q, 1 - 1.5 * q, 0.5 * q, 0.5 * q, 0.5 * q)
-    else:
-        params = BellDiagonalParams(protocol, q, alpha, 1 - q - alpha, 1 - 1.5 * q - alpha, 2.5 * q - 1 + alpha)
+    weights = [c0 + c_q * q + c_alpha * alpha for c0, c_q, c_alpha in protocol.bell_weights]
+    params = BellDiagonalParams(protocol, q, *weights)
     bell = bell_basis()
     rho = np.zeros((4, 4), dtype=complex)
     for w, vec in zip(params.weights, bell):
@@ -195,7 +210,7 @@ def purify(params: BellDiagonalParams) -> PurifiedState:
     psi = np.zeros(16, dtype=complex)
     for i, w in enumerate(params.weights):
         if w > 0:
-            psi += np.sqrt(w) * kron(bell[i], eye4[i])
+            psi += np.sqrt(w) * np.kron(bell[i], eye4[i])
     norm = float(np.real(np.vdot(psi, psi)))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"purification norm {norm} != 1")
@@ -215,7 +230,7 @@ def purified_state(protocol: Protocol, q: float, alpha: float) -> PurifiedState:
 
 def _conditioned(ps: PurifiedState, x: int, theta: int, keep: list[int]) -> tuple[np.ndarray, float]:
     proj = basis_projector(ps.protocol, x, theta)
-    op = kron(kron(proj, np.eye(2, dtype=complex)), np.eye(4, dtype=complex))
+    op = np.kron(np.kron(proj, np.eye(2, dtype=complex)), np.eye(4, dtype=complex))
     rho_abe = np.outer(ps.psi, ps.psi.conj())
     unnorm = partial_trace(op @ rho_abe, [2, 2, 4], keep=keep)
     p = float(np.real(np.trace(unnorm)))
@@ -246,6 +261,6 @@ def qber_in_basis(rho: np.ndarray, protocol: Protocol, theta: int) -> float:
         raise ValueError("qber_in_basis: state is not PSD within tolerance")
     err = 0.0
     for x in (0, 1):
-        op = kron(basis_projector(protocol, x, theta), bob_bit_projector(protocol, 1 - x, theta))
+        op = np.kron(basis_projector(protocol, x, theta), bob_bit_projector(protocol, 1 - x, theta))
         err += float(np.real(np.trace(rho @ op)))
     return err

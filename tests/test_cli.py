@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qkdattack import keyrate
 from qkdattack.cli import main
 from qkdattack.information import Povm
 from qkdattack.keyrate import bb84_closed_form_iae
@@ -122,6 +123,18 @@ def test_simulate_rejects_small_n(tmp_path):
     rc = main(["simulate", "--protocol", "bb84", "--q", "0.1", "--n-rounds", "500",
                "--out", str(tmp_path / "x.json")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "1e-5"])
+def test_threshold_rejects_bad_tolerance(tmp_path, monkeypatch, tolerance):
+    def no_probe(*args):
+        raise AssertionError("a probe ran before the tolerance was checked")
+
+    monkeypatch.setattr(keyrate, "optimize_attack", no_probe)
+    out = tmp_path / "t.json"
+    rc = main(["threshold", "--protocol", "sixstate", "--tolerance", tolerance, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
 
 
 def test_threshold_deterministic_reruns(tmp_path):

@@ -92,8 +92,9 @@ def test_tabulate_curve_bb84(light_config):
 
 
 def test_find_threshold_tolerance_floor(light_config):
-    with pytest.raises(ValueError, match="1e-4"):
-        find_threshold(BB84, 1e-5, light_config)
+    for tolerance in (1e-5, float("nan")):
+        with pytest.raises(ValueError, match="1e-4"):
+            find_threshold(BB84, tolerance, light_config)
 
 
 def test_find_threshold_sixstate(light_config):

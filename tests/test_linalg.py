@@ -1,17 +1,7 @@
 import numpy as np
 import pytest
 
-from qkdattack.linalg import (
-    TOL,
-    Tolerances,
-    dagger,
-    herm_eig,
-    inv_sqrt_psd,
-    is_hermitian,
-    is_psd,
-    kron,
-    partial_trace,
-)
+from qkdattack.linalg import TOL, Tolerances, dagger, is_hermitian, is_psd, partial_trace
 
 
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -49,18 +39,11 @@ def test_hermitian_and_psd_checks():
     assert not is_psd(h - 10 * np.eye(4))
 
 
-def test_kron_matches_numpy():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((2, 2))
-    b = rng.standard_normal((3, 3))
-    assert np.allclose(kron(a, b), np.kron(a, b))
-
-
 def test_partial_trace_product_state():
     rng = np.random.default_rng(3)
     rho_a = random_density(rng, 2)
     rho_b = random_density(rng, 3)
-    rho = kron(rho_a, rho_b)
+    rho = np.kron(rho_a, rho_b)
     assert np.allclose(partial_trace(rho, [2, 3], keep=[0]), rho_a, atol=1e-12)
     assert np.allclose(partial_trace(rho, [2, 3], keep=[1]), rho_b, atol=1e-12)
 
@@ -68,8 +51,8 @@ def test_partial_trace_product_state():
 def test_partial_trace_three_party():
     rng = np.random.default_rng(4)
     parts = [random_density(rng, d) for d in (2, 2, 4)]
-    rho = kron(kron(parts[0], parts[1]), parts[2])
-    assert np.allclose(partial_trace(rho, [2, 2, 4], keep=[1, 2]), kron(parts[1], parts[2]), atol=1e-12)
+    rho = np.kron(np.kron(parts[0], parts[1]), parts[2])
+    assert np.allclose(partial_trace(rho, [2, 2, 4], keep=[1, 2]), np.kron(parts[1], parts[2]), atol=1e-12)
     # keeping everything is the identity operation
     assert np.allclose(partial_trace(rho, [2, 2, 4], keep=[0, 1, 2]), rho)
     # full trace preserved for any kept subset
@@ -93,41 +76,6 @@ def test_partial_trace_dimension_error():
         partial_trace(np.eye(4), [2, 2], keep=[2])
 
 
-def test_herm_eig_reconstruction_and_order():
-    rng = np.random.default_rng(5)
-    for d in (2, 4, 8):
-        h = random_hermitian(rng, d)
-        w, v = herm_eig(h)
-        assert np.all(np.diff(w) <= 1e-12)
-        assert np.allclose(v @ np.diag(w) @ v.conj().T, h, atol=1e-9)
-        assert np.allclose(v.conj().T @ v, np.eye(d), atol=1e-10)
-
-
-def test_herm_eig_rejects_non_hermitian():
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        herm_eig(a)
-
-
-def test_inv_sqrt_psd_positive_definite():
-    rng = np.random.default_rng(6)
-    rho = random_density(rng, 4) + 0.1 * np.eye(4)
-    s = inv_sqrt_psd(rho)
-    assert np.allclose(s @ rho @ s, np.eye(4), atol=1e-8)
-
-
-def test_inv_sqrt_psd_singular_uses_pseudo_inverse():
-    p = np.diag([1.0, 0.0])
-    s = inv_sqrt_psd(p)
-    # support piece inverted, kernel piece left at zero
-    assert np.allclose(s, np.diag([1.0, 0.0]), atol=1e-10)
-
-
-def test_inv_sqrt_psd_rejects_negative():
-    with pytest.raises(ValueError):
-        inv_sqrt_psd(np.diag([1.0, -1.0]))
-
-
 def test_tolerances_is_dataclass_instance():
     assert isinstance(TOL, Tolerances)
-    assert TOL.probability_floor < TOL.unit_trace
+    assert TOL.probability_floor < TOL.hermiticity

@@ -7,8 +7,6 @@ from qkdattack.keyrate import bb84_closed_form_iae
 from qkdattack.optimizer import (
     AttackResult,
     OptimizerConfig,
-    SearchState,
-    local_search_step,
     optimize_attack,
     optimize_povm,
     random_povm,
@@ -43,31 +41,36 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
     for proto, key_on_basis in ((BB84, False), (SARG04, True)):
         ps = purified_state(proto, 0.1, sum(alpha_range(proto, 0.1)) / 2)
-        rho_xt = op._conditional_stack(ps)
+        rho_xt, group = op._conditional_stack(ps)[None], np.zeros(1, dtype=int)
         m = random_povm(4, 4, seed=5).elements[None]
         h = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
         h = (h + h.conj().transpose(0, 2, 1)) / 2
-        g = op._gradient(op._probs(m, rho_xt), rho_xt, key_on_basis)
+        g = op._gradient(op._probs(m, rho_xt, group), rho_xt, group, key_on_basis)
         analytic = float(np.einsum("rkij,kji->", g, h).real)
         eps = 1e-6
-        f_plus = op._objective(op._probs(m + eps * h[None], rho_xt), key_on_basis)[0]
-        f_minus = op._objective(op._probs(m - eps * h[None], rho_xt), key_on_basis)[0]
+        f_plus = op._objective(op._probs(m + eps * h[None], rho_xt, group), key_on_basis)[0]
+        f_minus = op._objective(op._probs(m - eps * h[None], rho_xt, group), key_on_basis)[0]
         numeric = (f_plus - f_minus) / (2 * eps)
         assert analytic == pytest.approx(numeric, abs=2e-6)
 
 
 def test_local_search_monotone_and_complete():
-    ps = purified_state(BB84, 0.1, 0.8)
-    povm = random_povm(4, 4, seed=9)
-    state = SearchState()
-    trace = []
-    for _ in range(120):
-        povm, f = local_search_step(povm, ps, state)
-        trace.append(f)
-        assert np.max(np.abs(povm.elements.sum(axis=0) - np.eye(4))) < 1e-9
-    assert all(b >= a for a, b in zip(trace, trace[1:]))
-    assert trace[-1] > trace[0]
-    assert state.iteration == 120
+    # every row of a lockstep batch is its own accept/reject ascent: two
+    # alphas, two seeded restarts each
+    rho = np.stack([op._conditional_stack(purified_state(BB84, 0.1, a)) for a in (0.8, 0.85)])
+    group = np.array([0, 0, 1, 1])
+    factors = np.stack([op._random_factors(np.random.default_rng(9 + r), 4, 4) for r in range(group.size)])
+    batch = op._Batch(factors, rho, group, 1e-9, False)
+    trace = [batch.f.copy()]
+    for step in range(1, 121):
+        batch.step_once()
+        trace.append(batch.f.copy())
+        assert np.max(np.abs(batch.m.sum(axis=1) - np.eye(4))) < 1e-9
+        assert batch.iters == step
+    trace = np.array(trace)
+    assert np.all(np.diff(trace, axis=0) >= 0)
+    assert np.all(trace[-1] > trace[0])
+    assert np.array_equal(batch.row_iters, np.full(group.size, 120))
 
 
 def test_optimize_povm_zero_noise():
@@ -109,9 +112,9 @@ def test_restart_calibration_bb84():
     # point near 0.2567); the multi-start maximum is what ships
     ps = purified_state(BB84, 0.1, 0.8)
     target = bb84_closed_form_iae(0.1)
-    rho = op._conditional_stack(ps)
+    rho = op._conditional_stack(ps)[None]
     factors = np.stack([op._random_factors(np.random.default_rng(7 + r), 4, 4) for r in range(32)])
-    batch = op._Batch(factors, rho, 1e-9)
+    batch = op._Batch(factors, rho, np.zeros(32, dtype=int), 1e-9, False)
     batch.run(2000)
     hits = int(np.sum(np.abs(batch.f - target) <= 1e-4))
     assert hits >= 19  # 6/10 of restarts, with margin below the measured 70%
@@ -127,6 +130,7 @@ def test_optimize_attack_result_invariants(light_config):
     assert 1 <= result.restarts_agreeing <= light_config.restarts
     assert result.best_povm.n_outcomes == 4
     assert result.converged
+    assert result.robust == (4 * result.restarts_agreeing >= light_config.restarts)
 
 
 def test_optimize_attack_matches_closed_form(light_config):
@@ -193,18 +197,18 @@ def _einsum_gradient(p, rho, key_on_basis):
 
 
 def test_kernels_match_einsum_on_shared_and_grouped_stacks():
-    group = np.array([0, 0, 1, 1, 1, 2])
+    group, shared = np.array([0, 0, 1, 1, 1, 2]), np.zeros(6, dtype=int)
     m = np.stack([random_povm(4, 4, seed=30 + r).elements for r in range(group.size)])
     for proto in (BB84, SARG04, SIX_STATE):
         lo, hi = alpha_range(proto, 0.1)
         rhos = np.stack([op._conditional_stack(purified_state(proto, 0.1, a)) for a in (lo, (lo + hi) / 2, hi)])
         kob = proto.key_on_basis
-        p_shared = op._probs(m, rhos[1])
+        p_shared = op._probs(m, rhos[1:2], shared)
         assert np.max(np.abs(p_shared - _einsum_probs(m, rhos[1]))) <= 1e-14
-        g_shared = op._gradient(p_shared, rhos[1], kob)
+        g_shared = op._gradient(p_shared, rhos[1:2], shared, kob)
         assert np.max(np.abs(g_shared - _einsum_gradient(p_shared, rhos[1], kob))) <= 1e-14
         p = op._probs(m, rhos, group)
-        g = op._gradient(p, rhos, kob, group)
+        g = op._gradient(p, rhos, group, kob)
         for i, grp in enumerate(group):
             assert np.max(np.abs(p[i] - _einsum_probs(m[i : i + 1], rhos[grp])[0])) <= 1e-14
             assert np.max(np.abs(g[i] - _einsum_gradient(p[i : i + 1], rhos[grp], kob)[0])) <= 1e-14
@@ -218,12 +222,12 @@ def test_row_trajectory_independent_of_batch(proto):
     lo, hi = alpha_range(proto, 0.1)
     rhos = np.stack([op._conditional_stack(purified_state(proto, 0.1, a)) for a in (lo, (lo + hi) / 2, hi)])
     starts = np.stack([op._random_factors(np.random.default_rng(7 + r), 4, 4) for r in range(n)])
-    alone = [op._Batch(starts[r : r + 1], rhos[1], 1e-9, kob) for r in range(n)]
+    alone = [op._Batch(starts[r : r + 1], rhos[1:2], np.zeros(1, dtype=int), 1e-9, kob) for r in range(n)]
     for batch in alone:
         batch.run(iters)
-    among = op._Batch(starts, rhos[1], 1e-9, kob)
+    among = op._Batch(starts, rhos[1:2], np.zeros(n, dtype=int), 1e-9, kob)
     among.run(iters)
-    multi = op._Batch(np.tile(starts, (3, 1, 1, 1)), rhos, 1e-9, kob, np.repeat(np.arange(3), n))
+    multi = op._Batch(np.tile(starts, (3, 1, 1, 1)), rhos, np.repeat(np.arange(3), n), 1e-9, kob)
     multi.run(iters)
     mid = slice(n, 2 * n)
     for attr in ("f", "m", "converged", "row_iters"):

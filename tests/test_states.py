@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qkdattack.linalg import is_psd, kron, partial_trace
+from qkdattack.linalg import is_psd, partial_trace
 from qkdattack.states import (
     BB84,
     PROTOCOLS,
@@ -43,10 +43,10 @@ def test_bell_basis_bit_flip_action():
     b = bell_basis()
     phi_plus, phi_minus, psi_plus, psi_minus = b
     # X on one side maps the phi pair onto the psi pair
-    assert np.allclose(kron(X, EYE2) @ phi_plus, psi_plus)
-    assert np.allclose(kron(X, EYE2) @ phi_minus, -psi_minus)
+    assert np.allclose(np.kron(X, EYE2) @ phi_plus, psi_plus)
+    assert np.allclose(np.kron(X, EYE2) @ phi_minus, -psi_minus)
     # X on both sides leaves phi+ invariant
-    assert np.allclose(kron(X, X) @ phi_plus, phi_plus)
+    assert np.allclose(np.kron(X, X) @ phi_plus, phi_plus)
 
 
 def test_basis_projectors():
@@ -79,6 +79,27 @@ def test_alpha_range_families():
     assert alpha_range(SARG04, 0.1) == (0.75, 0.85)
     with pytest.raises(ValueError, match="outside"):
         alpha_range(BB84, 0.6)
+
+
+def _literal_family(name, q, alpha):
+    # the family formulas as written before protocols became data
+    if name == "bb84":
+        return (1.0 - 2.0 * q, 1.0 - q), (alpha, 1 - q - alpha, 1 - q - alpha, 2 * q - 1 + alpha)
+    if name == "sixstate":
+        return (1.0 - 1.5 * q, 1.0 - 1.5 * q), (1 - 1.5 * q, 0.5 * q, 0.5 * q, 0.5 * q)
+    return (1.0 - 2.5 * q, 1.0 - 1.5 * q), (alpha, 1 - q - alpha, 1 - 1.5 * q - alpha, 2.5 * q - 1 + alpha)
+
+
+@pytest.mark.parametrize("proto", PROTOCOLS.values(), ids=lambda p: p.name)
+def test_protocol_data_matches_literal_formulas(proto):
+    rng = np.random.default_rng(1106)
+    for q in rng.uniform(0.0, 0.5, 500).tolist():
+        (lo, hi), _ = _literal_family(proto.name, q, 0.0)
+        lo, hi = max(lo, 0.0), min(hi, 1.0)
+        assert alpha_range(proto, q) == (lo, hi)
+        for alpha in rng.uniform(lo, hi, 4).tolist():
+            _, params = rho_ab(proto, q, alpha)
+            assert tuple(params.weights.tolist()) == _literal_family(proto.name, q, alpha)[1]
 
 
 def test_rho_ab_weight_families():
@@ -167,7 +188,7 @@ def test_purify_round_trip_random_draws():
 def test_purify_pure_weight():
     _, params = rho_ab(BB84, 0.0, 1.0)
     ps = purify(params)
-    expected = kron(bell_basis()[0], np.eye(4)[0])
+    expected = np.kron(bell_basis()[0], np.eye(4)[0])
     assert np.allclose(ps.psi, expected, atol=1e-12)
 
 
@@ -176,7 +197,7 @@ def test_purify_sixstate_coefficients():
     ps = purify(params)
     bell = bell_basis()
     eye4 = np.eye(4)
-    amps = [np.vdot(kron(bell[i], eye4[i]), ps.psi) for i in range(4)]
+    amps = [np.vdot(np.kron(bell[i], eye4[i]), ps.psi) for i in range(4)]
     assert np.allclose(amps, [np.sqrt(0.85)] + [np.sqrt(0.05)] * 3, atol=1e-12)
 
 
@@ -234,5 +255,5 @@ def test_bob_eve_conditional_state():
             assert np.max(np.abs(partial_trace(rho_be, [2, 4], keep=[1]) - rho_e)) < 1e-10
     # receiver error probability in the computational basis equals q
     rho_be = bob_eve_conditional_state(ps, 0, 0)
-    flip = kron(bob_bit_projector(BB84, 1, 0), np.eye(4))
+    flip = np.kron(bob_bit_projector(BB84, 1, 0), np.eye(4))
     assert abs(np.real(np.trace(rho_be @ flip)) - 0.1) < 1e-12
