@@ -247,10 +247,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     protocol = PROTOCOLS[args.protocol]
-    config = OptimizerConfig(
-        restarts=args.restarts, seed=args.seed, alpha_grid_points=args.alpha_grid_points
-    )
     try:
+        config = OptimizerConfig(
+            restarts=args.restarts, seed=args.seed, alpha_grid_points=args.alpha_grid_points
+        )
         if args.command == "curve":
             points = cmd_curve(protocol, args.q_min, args.q_max, args.steps, config, args.out)
             print(f"wrote {len(points)} rows to {args.out}")

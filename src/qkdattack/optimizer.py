@@ -14,19 +14,29 @@ Restarts advance in lockstep through stacked (rows, n_outcomes, d, d) arrays,
 and so do the restarts of several source weights alpha: optimize_attack hands
 the alphas it already knows it needs (the grid, then the first golden-section
 pair) to one ascent, where the restarts of each alpha form a contiguous row
-group with its own conditional-state stack.  A batch holds at most
-_MAX_BATCH_ROWS rows (a group is never split), which bounds the step's
-temporaries.  Best value, restart agreement and convergence are reduced per
-group.  Grouping is an implementation detail: the step kernels (one real GEMM
+group with its own conditional-state stack.  The step kernels (one real GEMM
 per row group for the probabilities and the gradient, stacked matmuls and
 eigh for the retraction) compute every row independently of the others, so
 each restart's trajectory depends only on its own start and its own alpha.
+
+That independence lets one ascent split its rows over processes.  The rows
+are cut into contiguous shards of at most _MAX_BATCH_ROWS rows, which bounds
+each process's step temporaries; a shard may cut through a group.  The shard
+count is a multiple of the processes used: one per CPU in the process's
+affinity mask, but only as many as leave every shard _MIN_SHARD_ROWS rows.  The
+calling process runs its share of the shards itself and a forked worker pool
+runs the rest; best value, restart agreement and convergence are then
+reduced per group over the reassembled rows.  Results are therefore the same
+bits for any CPU count, and a one-CPU mask (``taskset -c 0``) runs
+everything in the calling process.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +49,13 @@ _STEP_FLOOR = 1e-12
 _EIG_FLOOR = 1e-12
 _STALL_LIMIT = 80
 _AGREE_TOL = 1e-6
-# rows per lockstep batch: wider batches amortize the per-step overhead but
-# grow the step's temporaries, and so peak memory, linearly
+# rows per shard, and so per lockstep batch in one process: wider batches
+# amortize the per-step overhead but grow the step's temporaries, and so the
+# process's peak memory, linearly
 _MAX_BATCH_ROWS = 128
+# fewest rows worth a process: a step costs a fixed ~0.2 ms plus ~14 us per
+# row, so a smaller shard would spend most of its time on the fixed part
+_MIN_SHARD_ROWS = 16
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -59,6 +73,10 @@ class OptimizerConfig:
             raise ValueError("restarts, max_iters and alpha_grid_points must be positive")
         if self.step_tolerance <= 0:
             raise ValueError("step_tolerance must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.alpha_refine_iters < 0:
+            raise ValueError(f"alpha_refine_iters must be non-negative, got {self.alpha_refine_iters}")
 
 
 @dataclass
@@ -290,35 +308,104 @@ def _canonical_order(m: np.ndarray, p: np.ndarray, key_on_basis: bool) -> np.nda
     return out
 
 
+def _process_count() -> int:
+    """Processes one ascent may use: the CPUs in this process's affinity mask.
+
+    1 where the platform has no affinity mask or cannot fork, and in a
+    daemonic multiprocessing worker (a ``multiprocessing.Pool`` worker, say),
+    which may not start processes of its own.
+    """
+    mp = sys.modules.get("multiprocessing")
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")) or (mp and mp.current_process().daemon):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+_POOL = None
+
+
+def _pool():
+    """The module's worker pool, built on first use with one worker per extra CPU.
+
+    Workers are forked, not spawned: they inherit the loaded modules, and a
+    script that calls the library needs no ``__main__`` guard.  The workers
+    run only _run_shard.
+    """
+    global _POOL
+    if _POOL is None:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        _POOL = ProcessPoolExecutor(_process_count() - 1, mp_context=multiprocessing.get_context("fork"))
+    return _POOL
+
+
+def _shards(rows: int, processes: int) -> tuple[int, list[tuple[int, int]]]:
+    """(processes used, contiguous (start, end) row shards) for one ascent.
+
+    Every shard holds at most _MAX_BATCH_ROWS rows and at least
+    _MIN_SHARD_ROWS (or all rows of a smaller call).  The shard count is a
+    multiple of the processes used, and shard j runs on process j % used,
+    the calling process being process 0.
+    """
+    used = max(1, min(processes, rows // _MIN_SHARD_ROWS))
+    count = used * -(-rows // (used * _MAX_BATCH_ROWS))
+    cuts = [rows * j // count for j in range(count + 1)]
+    return used, list(zip(cuts, cuts[1:]))
+
+
+def _run_shard(
+    factors: np.ndarray,
+    rho_xt: np.ndarray,
+    group: np.ndarray,
+    step_tolerance: float,
+    key_on_basis: bool,
+    max_iters: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(f, m, p, converged) of every row after one lockstep ascent."""
+    batch = _Batch(factors, rho_xt, group, step_tolerance, key_on_basis)
+    batch.run(max_iters)
+    return batch.f, batch.m, batch.p, batch.converged
+
+
 def _ascend(
     states: list[PurifiedState], n_outcomes: int, config: OptimizerConfig
 ) -> list[tuple[np.ndarray, float, int, bool]]:
     """(best POVM, its value, agreeing restarts, converged) at each state.
 
-    Every state gets the same config.restarts seeded starts.  Their rows run
-    as one group per state in lockstep batches of at most _MAX_BATCH_ROWS
-    rows; results are reduced per group.
+    Every state gets the same config.restarts seeded starts, as one row
+    group per state.  The rows run as shards (see _shards) in this process
+    and in the worker pool; results are reduced per group.
     """
     key_on_basis = states[0].protocol.key_on_basis
     n = config.restarts
     starts = np.stack(
         [_random_factors(np.random.default_rng(config.seed + r), n_outcomes, 4) for r in range(n)]
     )
-    per_batch = max(1, _MAX_BATCH_ROWS // n)
+    rho = np.stack([_conditional_stack(ps) for ps in states])
+    group = np.repeat(np.arange(len(states)), n)
+    used, shards = _shards(group.size, _process_count())
+
+    def shard_args(j: int) -> tuple:
+        s, e = shards[j]
+        first, last = group[s], group[e - 1]
+        factors, rho_xt = starts[np.arange(s, e) % n], rho[first : last + 1]
+        return factors, rho_xt, group[s:e] - first, config.step_tolerance, key_on_basis, config.max_iters
+
+    # submit the workers' shards first, so that they run while this process runs its own
+    futures = {j: _pool().submit(_run_shard, *shard_args(j)) for j in range(len(shards)) if j % used}
+    own = {j: _run_shard(*shard_args(j)) for j in range(0, len(shards), used)}
+    parts = [own[j] if j in own else futures[j].result() for j in range(len(shards))]
+    f, m, p, converged = (np.concatenate(a) for a in zip(*parts))
+
     results = []
-    for first in range(0, len(states), per_batch):
-        chunk = states[first : first + per_batch]
-        rho = np.stack([_conditional_stack(ps) for ps in chunk])
-        group = np.repeat(np.arange(len(chunk)), n)
-        batch = _Batch(np.tile(starts, (len(chunk), 1, 1, 1)), rho, group, config.step_tolerance, key_on_basis)
-        batch.run(config.max_iters)
-        for rows in range(0, len(chunk) * n, n):
-            f = batch.f[rows : rows + n]
-            best = rows + int(np.argmax(f))
-            f_best = float(batch.f[best])
-            agreeing = int(np.count_nonzero(f >= f_best - _AGREE_TOL))
-            m = _canonical_order(batch.m[best], batch.p[best], key_on_basis)
-            results.append((m, max(f_best, 0.0), agreeing, bool(batch.converged[best])))
+    for rows in range(0, group.size, n):
+        f_group = f[rows : rows + n]
+        best = rows + int(np.argmax(f_group))
+        f_best = float(f[best])
+        agreeing = int(np.count_nonzero(f_group >= f_best - _AGREE_TOL))
+        m_best = _canonical_order(m[best], p[best], key_on_basis)
+        results.append((m_best, max(f_best, 0.0), agreeing, bool(converged[best])))
     return results
 
 
@@ -334,12 +421,12 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
     Coarse grid over the admissible alpha interval, then golden-section
     refinement around the best grid point; the measurement is re-optimized
     from the seeded starts at every probed alpha.  Alphas known together run
-    together: the grid points share lockstep batches (at most _MAX_BATCH_ROWS
-    rows each), then the first golden-section pair shares one.  Each later
+    together: the grid points share one ascent, sharded over the available
+    CPUs, then the first golden-section pair shares one.  Each later
     refinement step carries the surviving interior point and its value, so
     alpha_refine_iters steps cost at most alpha_refine_iters + 1
-    evaluations.  Grouping changes no result: every restart's trajectory
-    depends only on its own start and alpha.
+    evaluations.  Grouping and sharding change no result: every restart's
+    trajectory depends only on its own start and alpha.
     """
     if not 0.0 <= q <= 0.5:
         raise ValueError(f"q must lie in [0, 0.5], got {q}")

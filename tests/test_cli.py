@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qkdattack import keyrate
+from qkdattack import cli, keyrate
 from qkdattack.cli import main
 from qkdattack.information import Povm
 from qkdattack.keyrate import bb84_closed_form_iae
@@ -123,6 +123,22 @@ def test_simulate_rejects_small_n(tmp_path):
     rc = main(["simulate", "--protocol", "bb84", "--q", "0.1", "--n-rounds", "500",
                "--out", str(tmp_path / "x.json")])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "option", [["--restarts", "0"], ["--alpha-grid-points", "0"], ["--seed", "-1"]], ids=lambda o: " ".join(o)
+)
+def test_attack_rejects_bad_config(tmp_path, monkeypatch, capsys, option):
+    def no_ascent(*args):
+        raise AssertionError("an ascent ran before the config was checked")
+
+    monkeypatch.setattr(cli, "optimize_attack", no_ascent)
+    out = tmp_path / "x.json"
+    rc = main(["attack", "--protocol", "bb84", "--q", "0.1", "--out", str(out)] + option)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "1e-5"])

@@ -1,3 +1,7 @@
+import itertools
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -19,6 +23,11 @@ def test_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(step_tolerance=0.0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        OptimizerConfig(seed=-1)
+    with pytest.raises(ValueError, match="alpha_refine_iters must be non-negative"):
+        OptimizerConfig(alpha_refine_iters=-1)
+    assert OptimizerConfig(seed=0, alpha_refine_iters=0).alpha_refine_iters == 0
     cfg = OptimizerConfig()
     assert cfg.restarts == 32 and cfg.alpha_grid_points == 41
 
@@ -265,3 +274,84 @@ def test_golden_section_evaluates_each_alpha_once(proto, monkeypatch):
     alphas = np.sort(seen)
     assert len(alphas) <= 19
     assert np.min(np.diff(alphas)) > 1e-12
+
+
+def _alone_and_shared(monkeypatch, run):
+    """run() in one process, then in two: this one and a forked worker."""
+    monkeypatch.setattr(op, "_process_count", lambda: 1)
+    alone = run()
+    handed, real = [], op._pool
+    monkeypatch.setattr(op, "_pool", lambda: handed.append(real()) or handed[-1])
+    monkeypatch.setattr(op, "_process_count", lambda: 2)
+    shared = run()
+    assert handed, "no shard was submitted to the worker pool"
+    assert handed[0].submit(os.getpid).result(timeout=120) != os.getpid()
+    return alone, shared
+
+
+def test_shard_layout():
+    row_counts = [1, 4, 15, 16, 31, 32, 36, 72, 129, 257, 480, 1000]
+    for rows, processes in itertools.product(row_counts, [1, 2, 3, 8]):
+        used, shards = op._shards(rows, processes)
+        assert 1 <= used <= processes
+        assert len(shards) % used == 0
+        assert shards[0][0] == 0 and shards[-1][1] == rows
+        assert all(e == s for (_, e), (s, _) in zip(shards, shards[1:]))
+        sizes = [e - s for s, e in shards]
+        assert max(sizes) <= op._MAX_BATCH_ROWS
+        assert min(sizes) >= min(rows, op._MIN_SHARD_ROWS)
+
+
+@pytest.mark.parametrize("proto", [BB84, SARG04], ids=lambda p: p.name)
+def test_sharding_changes_no_attack_result(proto, light_config, monkeypatch):
+    alone, shared = _alone_and_shared(monkeypatch, lambda: optimize_attack(proto, 0.1, light_config))
+    assert shared.i_ae == alone.i_ae
+    assert shared.best_alpha == alone.best_alpha
+    assert shared.restarts_agreeing == alone.restarts_agreeing
+    assert shared.converged == alone.converged
+    assert np.array_equal(shared.best_povm.elements, alone.best_povm.elements)
+
+
+def test_sharding_changes_no_povm_result(monkeypatch):
+    # 32 restarts of one state: with two processes the group is cut in half
+    ps, cfg = purified_state(BB84, 0.1, 0.8), OptimizerConfig(restarts=32, max_iters=600)
+    alone, shared = _alone_and_shared(monkeypatch, lambda: optimize_povm(ps, 4, cfg))
+    assert shared[1] == alone[1]
+    assert np.array_equal(shared[0].elements, alone[0].elements)
+
+
+def test_group_straddling_a_shard_boundary(monkeypatch):
+    # three alphas of 12 restarts: the two shards meet at row 18, inside the middle group
+    cfg = OptimizerConfig(restarts=12, max_iters=600)
+    lo, hi = alpha_range(SARG04, 0.1)
+    states = [purified_state(SARG04, 0.1, a) for a in (lo, (lo + hi) / 2, hi)]
+    assert op._shards(36, 2) == (2, [(0, 18), (18, 36)])
+    alone, shared = _alone_and_shared(monkeypatch, lambda: op._ascend(states, 4, cfg))
+    for (m_a, f_a, agree_a, conv_a), (m_s, f_s, agree_s, conv_s) in zip(alone, shared):
+        assert (f_s, agree_s, conv_s) == (f_a, agree_a, conv_a)
+        assert np.array_equal(m_s, m_a)
+
+
+def test_small_call_builds_no_pool(monkeypatch):
+    def no_pool():
+        raise AssertionError("a call below the minimum shard size built the worker pool")
+
+    monkeypatch.setattr(op, "_process_count", lambda: 2)
+    monkeypatch.setattr(op, "_pool", no_pool)
+    assert op._shards(4, 2) == (1, [(0, 4)])
+    # the benchmark's warm-up: two alphas of two restarts
+    cfg = OptimizerConfig(restarts=2, alpha_grid_points=2, alpha_refine_iters=0, max_iters=20)
+    assert optimize_attack(BB84, 0.1, cfg).i_ae > 0
+
+
+def _povm_value(seed: int) -> float:
+    cfg = OptimizerConfig(restarts=32, max_iters=50, seed=seed)
+    return optimize_povm(purified_state(BB84, 0.1, 0.8), 4, cfg)[1]
+
+
+def test_ascent_in_a_daemonic_worker(monkeypatch):
+    # multiprocessing.Pool workers are daemonic and may not start processes,
+    # so a 32-row ascent, which two CPUs would shard, stays in the worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(_povm_value, (7,)).get(timeout=120) == _povm_value(7)

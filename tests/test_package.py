@@ -1,4 +1,7 @@
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import qkdattack
@@ -38,3 +41,27 @@ def test_modules_use_every_name_they_import():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+_IMPORT_PROBE = """
+import json, os, sys
+import qkdattack.cli
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children = True
+except ChildProcessError:
+    children = False
+loaded = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
+print(json.dumps({"loaded": loaded, "children": children}))
+"""
+
+
+def test_cli_import_loads_no_process_machinery():
+    # the worker pool and its modules come with the first sharded ascent, not with the import
+    src = str(PACKAGE_DIR.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env={"PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"loaded": [], "children": False}
