@@ -1,7 +1,12 @@
 """Multi-start search for the adversary's optimal measurement.
 
-The objective (I(X : K, Theta), or I(Theta : K, X) when the key bit is the
-basis choice) is not concave in the POVM, so a single ascent
+The adversary measures at once and learns the side information only at
+sifting, so the objective is I(Key : K, Side): the information her outcome K
+and the revealed side value carry about the key.  The protocol decides which
+of the sender's bit x and basis theta is the key (x for bb84 and sixstate,
+theta for sarg04, which reveals x); _conditional_stack lays the conditional
+states out in (key, side) order, and every kernel after it is written once
+in those terms.  The objective is not concave in the POVM, so a single ascent
 can stall in a local maximum.  Each restart parameterizes the measurement by
 factors A_k with M_k = A_k^dag A_k (PSD by construction), takes a gradient
 step on the factors, renormalizes with the S^(-1/2) sandwich where
@@ -48,6 +53,8 @@ _INIT_STEP = 0.1
 _STEP_FLOOR = 1e-12
 _EIG_FLOOR = 1e-12
 _STALL_LIMIT = 80
+# improvements below this (plus 1e-7 |f|) do not reset a restart's stall window
+_STEP_TOLERANCE = 1e-9
 _AGREE_TOL = 1e-6
 # rows per shard, and so per lockstep batch in one process: wider batches
 # amortize the per-step overhead but grow the step's temporaries, and so the
@@ -63,7 +70,6 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 class OptimizerConfig:
     restarts: int = 32
     max_iters: int = 2000
-    step_tolerance: float = 1e-9
     seed: int = 7
     alpha_grid_points: int = 41
     alpha_refine_iters: int = 3
@@ -71,8 +77,6 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.restarts < 1 or self.max_iters < 1 or self.alpha_grid_points < 1:
             raise ValueError("restarts, max_iters and alpha_grid_points must be positive")
-        if self.step_tolerance <= 0:
-            raise ValueError("step_tolerance must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.alpha_refine_iters < 0:
@@ -98,17 +102,19 @@ def _lam(t: np.ndarray) -> np.ndarray:
 
 
 def _conditional_stack(ps: PurifiedState) -> np.ndarray:
-    """Adversary states rho_E^(x,theta) stacked as (2, b, d, d).
+    """Adversary states rho_E^(x,theta) stacked in (key, side, d, d) order.
 
-    b is the protocol's attack basis count, the set of bases entering the
-    adversary's estimator.
+    That is (x, theta) for a bit-keyed protocol and (theta, x) for a
+    basis-keyed one; theta runs over the protocol's attack bases, the bases
+    entering the adversary's estimator.  This is the one place the optimizer
+    reads ``key_on_basis``.
     """
     b = ps.protocol.attack_basis_count
     out = np.empty((2, b, 4, 4), dtype=complex)
     for x in (0, 1):
         for theta in range(b):
             out[x, theta], _ = eve_conditional_state(ps, x, theta)
-    return out
+    return out.transpose(1, 0, 2, 3) if ps.protocol.key_on_basis else out
 
 
 def _dag(x: np.ndarray) -> np.ndarray:
@@ -142,54 +148,60 @@ def _renormalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _probs(m: np.ndarray, rho_xt: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """p(k | x, theta) for POVM stacks, shape (r, k, 2, basis_count).
+    """p[r, k, key, side] = p(k | key, side) for POVM stacks m (r, k, d, d).
 
-    ``rho_xt`` holds per-group conditional-state stacks (G, 2, b, d, d) and
-    ``group[i]`` is the stack of row i; the rows of a group are contiguous.
-    Tr(M rho) is the real dot product of M and rho^dag, so each run of rows
-    is one (rows * k, 2 d^2) @ (2 d^2, 2 b) GEMM.
+    ``rho_xt`` holds per-group conditional-state stacks (G, key, side, d, d)
+    from _conditional_stack and ``group[i]`` is the stack of row i; the rows
+    of a group are contiguous.  Tr(M rho) is the real dot product of M and
+    rho^dag, so each run of rows is one (rows * k, 2 d^2) @ (2 d^2, key * side)
+    GEMM.
     """
     r, k = m.shape[:2]
-    b = rho_xt.shape[-3]
+    n_key, n_side = rho_xt.shape[-4:-2]
     mv = _real_rows(m)
-    rv = _real_rows(_dag(rho_xt)).reshape(-1, 2 * b, mv.shape[1])
-    p = np.empty((r * k, 2 * b))
+    rv = _real_rows(_dag(rho_xt)).reshape(-1, n_key * n_side, mv.shape[1])
+    p = np.empty((r * k, n_key * n_side))
     for grp, s, e in _row_groups(group):
         np.matmul(mv[s * k : e * k], rv[grp].T, out=p[s * k : e * k])
-    return np.clip(p.reshape(r, k, 2, b), 0.0, 1.0)
+    return np.clip(p.reshape(r, k, n_key, n_side), 0.0, 1.0)
 
 
-def _objective(p: np.ndarray, key_on_basis: bool) -> np.ndarray:
-    """Adversary information per restart from probability stacks (r, k, 2, b).
+def _key_marginal(p: np.ndarray) -> np.ndarray:
+    """p(k | side) from stacks p[r, k, key, side]: the mean over the key axis.
 
-    Marginalizes over the key variable: the bit axis for key_on_basis
-    (I(Theta : K, X)), the basis axis otherwise (I(X : K, Theta)).
+    Summed slice by slice: numpy's reduction over this middle axis of small
+    stacks costs about three times as much for the same bits.
     """
-    b = p.shape[3]
-    h_k_xt = _lam(p).sum(axis=(1, 2, 3)) / (2 * b)
-    if key_on_basis:
-        h_marg = _lam(p.mean(axis=3)).sum(axis=(1, 2)) / 2
-    else:
-        h_marg = _lam(p.mean(axis=2)).sum(axis=(1, 2)) / b
-    return h_marg - h_k_xt
+    n_key = p.shape[2]
+    return sum(p[:, :, i] for i in range(n_key)) / n_key
 
 
-def _gradient(p: np.ndarray, rho_xt: np.ndarray, group: np.ndarray, key_on_basis: bool) -> np.ndarray:
-    """d I / d M_k evaluated at the current probabilities.
+def _objective(p: np.ndarray) -> np.ndarray:
+    """I(Key : K, Side) per restart from probability stacks p[r, k, key, side].
 
-    Both variants share the form (log2 p - log2 pbar) / (2 b); only the axis
-    of the marginal pbar differs.  ``rho_xt`` and ``group`` as in _probs; each
-    run of rows is one (rows * k, 2 b) @ (2 b, 2 d^2) GEMM on the real view.
+    Key and side values are uniform and independent, so the information is
+    H(K | Side) - H(K | Key, Side); the first term marginalizes the key axis.
     """
-    r, k, _, b = p.shape
-    d = rho_xt.shape[-1]
-    if key_on_basis:
-        pbar = p.mean(axis=3)[:, :, :, None]
-    else:
-        pbar = p.mean(axis=2)[:, :, None, :]
-    ratio = (np.log2(np.maximum(p, 1e-18)) - np.log2(np.maximum(pbar, 1e-18))) / (2 * b)
-    ratio = ratio.reshape(r * k, 2 * b)
-    rv = _real_rows(rho_xt).reshape(-1, 2 * b, 2 * d * d)
+    n_key, n_side = p.shape[2:]
+    h_k_key_side = _lam(p).sum(axis=(1, 2, 3)) / (n_key * n_side)
+    h_marg = _lam(_key_marginal(p)).sum(axis=(1, 2)) / n_side
+    return h_marg - h_k_key_side
+
+
+def _gradient(p: np.ndarray, rho_xt: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """d I / d M_k evaluated at the current probabilities p[r, k, key, side].
+
+    The derivative is sum over (key, side) of (log2 p - log2 pbar) rho / n,
+    with pbar the key-marginal of p and n the number of (key, side) cells.
+    ``rho_xt`` and ``group`` as in _probs; each run of rows is one
+    (rows * k, n) @ (n, 2 d^2) GEMM on the real view.
+    """
+    r, k, n_key, n_side = p.shape
+    n, d = n_key * n_side, rho_xt.shape[-1]
+    pbar = _key_marginal(p)[:, :, None, :]
+    ratio = (np.log2(np.maximum(p, 1e-18)) - np.log2(np.maximum(pbar, 1e-18))) / n
+    ratio = ratio.reshape(r * k, n)
+    rv = _real_rows(rho_xt).reshape(-1, n, 2 * d * d)
     g = np.empty((r * k, 2 * d * d))
     for grp, s, e in _row_groups(group):
         np.matmul(ratio[s * k : e * k], rv[grp], out=g[s * k : e * k])
@@ -203,21 +215,12 @@ class _Batch:
     contiguous row group.
     """
 
-    def __init__(
-        self,
-        factors: np.ndarray,
-        rho_xt: np.ndarray,
-        group: np.ndarray,
-        step_tolerance: float,
-        key_on_basis: bool,
-    ):
+    def __init__(self, factors: np.ndarray, rho_xt: np.ndarray, group: np.ndarray):
         self.rho_xt = rho_xt
         self.group = group
-        self.tol = step_tolerance
-        self.key_on_basis = key_on_basis
         self.a, self.m = _renormalize(factors)
         self.p = _probs(self.m, rho_xt, group)
-        self.f = _objective(self.p, key_on_basis)
+        self.f = _objective(self.p)
         n = factors.shape[0]
         self.step = np.full(n, _INIT_STEP)
         self.stall = np.zeros(n, dtype=int)
@@ -232,15 +235,15 @@ class _Batch:
             return
         group = self.group[idx]
         a = self.a[idx]
-        g = _gradient(self.p[idx], self.rho_xt, group, self.key_on_basis)
+        g = _gradient(self.p[idx], self.rho_xt, group)
         cand = a + self.step[idx][:, None, None, None] * (a @ g)
         a_n, m_n = _renormalize(cand)
         p_n = _probs(m_n, self.rho_xt, group)
-        f_n = _objective(p_n, self.key_on_basis)
+        f_n = _objective(p_n)
         improved = f_n > self.f[idx]
-        # improvements below tol + 1e-7|f| do not reset the stall window,
-        # otherwise asymptotic creep keeps slow restarts alive to max_iters
-        significant = f_n > self.f[idx] + self.tol + 1e-7 * np.abs(f_n)
+        # small improvements do not reset the stall window, otherwise
+        # asymptotic creep keeps slow restarts alive to max_iters
+        significant = f_n > self.f[idx] + _STEP_TOLERANCE + 1e-7 * np.abs(f_n)
         up = idx[improved]
         self.a[up], self.m[up] = a_n[improved], m_n[improved]
         self.p[up], self.f[up] = p_n[improved], f_n[improved]
@@ -274,30 +277,27 @@ def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
     return Povm(m[0])
 
 
-def _canonical_order(m: np.ndarray, p: np.ndarray, key_on_basis: bool) -> np.ndarray:
-    """Relabel outcomes so bit r of index k is the guess for revealed value r.
+def _canonical_order(m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Relabel outcomes so bit s of index k guesses the key given side value s.
 
-    Bit theta of k guesses the key bit given announced basis theta; in the
-    key_on_basis convention bit x of k guesses the basis given revealed bit x.
-    The objective is invariant under outcome permutations, so the optimizer
-    returns labels in arbitrary order.  The relabeling maximizes the expected
-    guess accuracy over all bijections; a per-outcome argmax is not enough
-    because optimal measurements carry exact posterior ties (an outcome can
-    be informative in one basis and uniform in the other), which must be
-    broken jointly to keep the labeling a bijection.
+    ``p`` is p[k, key, side] as from _probs; with a bit-keyed protocol bit
+    theta of k guesses x given basis theta, with a basis-keyed one bit x of k
+    guesses theta given the revealed bit x.  The objective is invariant under
+    outcome permutations, so the optimizer returns labels in arbitrary
+    order.  The relabeling maximizes the expected guess accuracy over all
+    bijections; a per-outcome argmax is not enough because optimal
+    measurements carry exact posterior ties (an outcome can be informative
+    in one side value and uniform in the other), which must be broken
+    jointly to keep the labeling a bijection.
     """
-    n, b = p.shape[0], p.shape[2]
-    reveal = 2 if key_on_basis else b
-    if n != 2**reveal or n > 8:
+    n, n_side = p.shape[0], p.shape[2]
+    if n != 2**n_side:
         return m
     # score[k, s]: guess-accuracy mass if outcome k is relabeled to slot s
-    bits = (np.arange(n)[:, None] >> np.arange(reveal)[None, :]) & 1
+    bits = (np.arange(n)[:, None] >> np.arange(n_side)[None, :]) & 1
     score = np.zeros((n, n))
     for s in range(n):
-        if key_on_basis:
-            score[:, s] = sum(p[:, x, bits[s, x]] for x in range(2))
-        else:
-            score[:, s] = sum(p[:, bits[s, t], t] for t in range(b))
+        score[:, s] = sum(p[:, bits[s, t], t] for t in range(n_side))
     best_perm, best_val = None, -np.inf
     for perm in itertools.permutations(range(n)):
         val = score[np.arange(n), perm].sum()
@@ -355,15 +355,10 @@ def _shards(rows: int, processes: int) -> tuple[int, list[tuple[int, int]]]:
 
 
 def _run_shard(
-    factors: np.ndarray,
-    rho_xt: np.ndarray,
-    group: np.ndarray,
-    step_tolerance: float,
-    key_on_basis: bool,
-    max_iters: int,
+    factors: np.ndarray, rho_xt: np.ndarray, group: np.ndarray, max_iters: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(f, m, p, converged) of every row after one lockstep ascent."""
-    batch = _Batch(factors, rho_xt, group, step_tolerance, key_on_basis)
+    batch = _Batch(factors, rho_xt, group)
     batch.run(max_iters)
     return batch.f, batch.m, batch.p, batch.converged
 
@@ -377,7 +372,6 @@ def _ascend(
     group per state.  The rows run as shards (see _shards) in this process
     and in the worker pool; results are reduced per group.
     """
-    key_on_basis = states[0].protocol.key_on_basis
     n = config.restarts
     starts = np.stack(
         [_random_factors(np.random.default_rng(config.seed + r), n_outcomes, 4) for r in range(n)]
@@ -390,7 +384,7 @@ def _ascend(
         s, e = shards[j]
         first, last = group[s], group[e - 1]
         factors, rho_xt = starts[np.arange(s, e) % n], rho[first : last + 1]
-        return factors, rho_xt, group[s:e] - first, config.step_tolerance, key_on_basis, config.max_iters
+        return factors, rho_xt, group[s:e] - first, config.max_iters
 
     # submit the workers' shards first, so that they run while this process runs its own
     futures = {j: _pool().submit(_run_shard, *shard_args(j)) for j in range(len(shards)) if j % used}
@@ -404,7 +398,7 @@ def _ascend(
         best = rows + int(np.argmax(f_group))
         f_best = float(f[best])
         agreeing = int(np.count_nonzero(f_group >= f_best - _AGREE_TOL))
-        m_best = _canonical_order(m[best], p[best], key_on_basis)
+        m_best = _canonical_order(m[best], p[best])
         results.append((m_best, max(f_best, 0.0), agreeing, bool(converged[best])))
     return results
 
@@ -441,13 +435,10 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
             cache.update(zip(new, _ascend([purified_state(protocol, q, a) for a in new], n_out, config)))
         return [cache[a][1] for a in alphas]
 
-    if hi - lo < 1e-12:
-        grid = np.array([lo])
-    else:
-        grid = np.linspace(lo, hi, config.alpha_grid_points)
+    grid = np.linspace(lo, hi, 1 if hi - lo < 1e-12 else config.alpha_grid_points)
     best_i = int(np.argmax(evaluate(grid)))
 
-    if hi - lo >= 1e-12:
+    if len(grid) > 1:
         a_lo = grid[max(best_i - 1, 0)]
         a_hi = grid[min(best_i + 1, len(grid) - 1)]
         x1 = x2 = None

@@ -23,9 +23,7 @@ import numpy as np
 from .information import Povm
 from .states import Protocol, PurifiedState, bob_bit_projector, bob_eve_conditional_state
 
-ROUND_DTYPE = np.dtype(
-    [("x", "i1"), ("theta", "i1"), ("y", "i1"), ("k", "i2"), ("eve_guess", "i1")]
-)
+ROUND_DTYPE = np.dtype([("x", "i1"), ("theta", "i1"), ("y", "i1"), ("k", "i2")])
 
 
 @dataclass(frozen=True)
@@ -90,9 +88,9 @@ def joint_distribution(ps: PurifiedState, povm: Povm) -> JointDistribution:
 def sample_rounds(jd: JointDistribution, n: int, seed: int) -> np.ndarray:
     """n i.i.d. sifted rounds drawn by inverse CDF over the flattened table.
 
-    Returns a structured array with fields x, theta, y, k, eve_guess, where
-    eve_guess is bit theta of k: the adversary keeps the guess addressed by
-    the later basis announcement.
+    Returns a structured array with fields x, theta, y, k.  The adversary's
+    guess is not stored: it depends on which of x and theta the protocol
+    keys on, and empirical_stats reads it off k and the revealed side value.
     """
     if n < 1:
         raise ValueError(f"need at least one round, got n={n}")
@@ -103,7 +101,6 @@ def sample_rounds(jd: JointDistribution, n: int, seed: int) -> np.ndarray:
     x, theta, y, k = np.unravel_index(flat, jd.probs.shape)
     out = np.empty(n, dtype=ROUND_DTYPE)
     out["x"], out["theta"], out["y"], out["k"] = x, theta, y, k
-    out["eve_guess"] = (k >> theta) & 1
     return out
 
 
@@ -121,14 +118,13 @@ def empirical_stats(
 ) -> tuple[float, float, float]:
     """(qber_hat, i_ae_hat, guess_accuracy) from sampled rounds.
 
-    qber_hat is the fraction of rounds with y != x.  i_ae_hat is the plug-in
-    estimate of I(X : K, Theta) from empirical frequencies (no bias
-    correction; with t table cells the bias is below t/(2 n ln 2), so choose
-    n accordingly).  guess_accuracy is the fraction of rounds where the
-    adversary's announced-bit guess equals x.
-
-    With ``key_on_basis`` the key variable is the basis: i_ae_hat estimates
-    I(Theta : K, X) and guess_accuracy scores bit x of k against theta.
+    The key is x and the revealed side value theta, or with ``key_on_basis``
+    the key is theta and the side value x.  qber_hat is the fraction of
+    rounds with y != x.  i_ae_hat is the plug-in estimate of
+    I(Key : K, Side) from empirical frequencies (no bias correction; with t
+    table cells the bias is below t/(2 n ln 2), so choose n accordingly).
+    guess_accuracy is the fraction of rounds where bit ``side`` of k, the
+    adversary's guess once the side value is revealed, equals the key.
     """
     n = len(samples)
     if n < 1000:
@@ -138,12 +134,8 @@ def empirical_stats(
     k = samples["k"].astype(np.int64)
     qber_hat = float(np.mean(samples["y"] != samples["x"]))
     n_out = int(k.max()) + 1
-    if key_on_basis:
-        key, side, side_size = theta, x, 2
-        accuracy = float(np.mean(((k >> x) & 1) == theta))
-    else:
-        key, side, side_size = x, theta, basis_count
-        accuracy = float(np.mean(samples["eve_guess"] == samples["x"]))
+    key, side, side_size = (theta, x, 2) if key_on_basis else (x, theta, basis_count)
+    accuracy = float(np.mean(((k >> side) & 1) == key))
     counts = np.bincount(
         key * (n_out * side_size) + k * side_size + side,
         minlength=(int(key.max()) + 1) * n_out * side_size,

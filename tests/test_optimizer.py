@@ -21,8 +21,6 @@ from qkdattack.states import BB84, SARG04, SIX_STATE, alpha_range, purified_stat
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(step_tolerance=0.0)
     with pytest.raises(ValueError, match="seed must be non-negative"):
         OptimizerConfig(seed=-1)
     with pytest.raises(ValueError, match="alpha_refine_iters must be non-negative"):
@@ -48,17 +46,17 @@ def test_random_povm_single_outcome_is_identity():
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
-    for proto, key_on_basis in ((BB84, False), (SARG04, True)):
+    for proto in (BB84, SARG04):
         ps = purified_state(proto, 0.1, sum(alpha_range(proto, 0.1)) / 2)
         rho_xt, group = op._conditional_stack(ps)[None], np.zeros(1, dtype=int)
         m = random_povm(4, 4, seed=5).elements[None]
         h = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
         h = (h + h.conj().transpose(0, 2, 1)) / 2
-        g = op._gradient(op._probs(m, rho_xt, group), rho_xt, group, key_on_basis)
+        g = op._gradient(op._probs(m, rho_xt, group), rho_xt, group)
         analytic = float(np.einsum("rkij,kji->", g, h).real)
         eps = 1e-6
-        f_plus = op._objective(op._probs(m + eps * h[None], rho_xt, group), key_on_basis)[0]
-        f_minus = op._objective(op._probs(m - eps * h[None], rho_xt, group), key_on_basis)[0]
+        f_plus = op._objective(op._probs(m + eps * h[None], rho_xt, group))[0]
+        f_minus = op._objective(op._probs(m - eps * h[None], rho_xt, group))[0]
         numeric = (f_plus - f_minus) / (2 * eps)
         assert analytic == pytest.approx(numeric, abs=2e-6)
 
@@ -69,7 +67,7 @@ def test_local_search_monotone_and_complete():
     rho = np.stack([op._conditional_stack(purified_state(BB84, 0.1, a)) for a in (0.8, 0.85)])
     group = np.array([0, 0, 1, 1])
     factors = np.stack([op._random_factors(np.random.default_rng(9 + r), 4, 4) for r in range(group.size)])
-    batch = op._Batch(factors, rho, group, 1e-9, False)
+    batch = op._Batch(factors, rho, group)
     trace = [batch.f.copy()]
     for step in range(1, 121):
         batch.step_once()
@@ -123,7 +121,7 @@ def test_restart_calibration_bb84():
     target = bb84_closed_form_iae(0.1)
     rho = op._conditional_stack(ps)[None]
     factors = np.stack([op._random_factors(np.random.default_rng(7 + r), 4, 4) for r in range(32)])
-    batch = op._Batch(factors, rho, np.zeros(32, dtype=int), 1e-9, False)
+    batch = op._Batch(factors, rho, np.zeros(32, dtype=int))
     batch.run(2000)
     hits = int(np.sum(np.abs(batch.f - target) <= 1e-4))
     assert hits >= 19  # 6/10 of restarts, with margin below the measured 70%
@@ -192,17 +190,32 @@ def test_canonical_labels_support_bit_guessing(light_config):
 
 
 def _einsum_probs(m, rho):
-    # reference: the pre-GEMM formula, one shared (2, b, d, d) stack
+    # reference: the pre-GEMM formula, one shared (key, side, d, d) stack
     flat = rho.reshape(-1, 4, 4)
     p = np.einsum("rkij,cji->rkc", m, flat).real
-    return np.clip(p.reshape(m.shape[0], m.shape[1], 2, rho.shape[1]), 0.0, 1.0)
+    return np.clip(p.reshape(m.shape[0], m.shape[1], *rho.shape[:2]), 0.0, 1.0)
 
 
-def _einsum_gradient(p, rho, key_on_basis):
-    b = p.shape[3]
-    pbar = p.mean(axis=3)[:, :, :, None] if key_on_basis else p.mean(axis=2)[:, :, None, :]
+def _einsum_gradient(p, rho):
+    pbar = p.mean(axis=2)[:, :, None, :]
     ratio = np.log2(np.maximum(p, 1e-18)) - np.log2(np.maximum(pbar, 1e-18))
-    return np.einsum("rkxb,xbij->rkij", ratio / (2 * b), rho)
+    return np.einsum("rkas,asij->rkij", ratio / (p.shape[2] * p.shape[3]), rho)
+
+
+@pytest.mark.parametrize("proto", [BB84, SIX_STATE, SARG04], ids=lambda p: p.name)
+def test_objective_matches_reference_estimator(proto):
+    # the optimizer's (key, side) objective against information.py's
+    # independent estimator, which reads key_on_basis itself
+    lo, hi = alpha_range(proto, 0.1)
+    ps = purified_state(proto, 0.1, lo + 0.4 * (hi - lo))
+    rho_xt = op._conditional_stack(ps)[None]
+    b = proto.attack_basis_count
+    assert rho_xt.shape[1:3] == ((b, 2) if proto.key_on_basis else (2, b))
+    for seed in range(5):
+        povm = random_povm(4, proto.povm_outcomes, seed=40 + seed)
+        f = op._objective(op._probs(povm.elements[None], rho_xt, np.zeros(1, dtype=int)))[0]
+        reference = mutual_info_ae(conditional_probs(povm, ps), proto.key_on_basis)
+        assert abs(f - reference) <= 1e-12
 
 
 def test_kernels_match_einsum_on_shared_and_grouped_stacks():
@@ -211,32 +224,32 @@ def test_kernels_match_einsum_on_shared_and_grouped_stacks():
     for proto in (BB84, SARG04, SIX_STATE):
         lo, hi = alpha_range(proto, 0.1)
         rhos = np.stack([op._conditional_stack(purified_state(proto, 0.1, a)) for a in (lo, (lo + hi) / 2, hi)])
-        kob = proto.key_on_basis
         p_shared = op._probs(m, rhos[1:2], shared)
         assert np.max(np.abs(p_shared - _einsum_probs(m, rhos[1]))) <= 1e-14
-        g_shared = op._gradient(p_shared, rhos[1:2], shared, kob)
-        assert np.max(np.abs(g_shared - _einsum_gradient(p_shared, rhos[1], kob))) <= 1e-14
+        g_shared = op._gradient(p_shared, rhos[1:2], shared)
+        assert np.max(np.abs(g_shared - _einsum_gradient(p_shared, rhos[1]))) <= 1e-14
         p = op._probs(m, rhos, group)
-        g = op._gradient(p, rhos, group, kob)
+        assert np.array_equal(op._key_marginal(p), p.mean(axis=2))
+        g = op._gradient(p, rhos, group)
         for i, grp in enumerate(group):
             assert np.max(np.abs(p[i] - _einsum_probs(m[i : i + 1], rhos[grp])[0])) <= 1e-14
-            assert np.max(np.abs(g[i] - _einsum_gradient(p[i : i + 1], rhos[grp], kob)[0])) <= 1e-14
+            assert np.max(np.abs(g[i] - _einsum_gradient(p[i : i + 1], rhos[grp])[0])) <= 1e-14
 
 
 @pytest.mark.parametrize("proto", [BB84, SARG04], ids=lambda p: p.name)
 def test_row_trajectory_independent_of_batch(proto):
     # the same seeded restarts alone, among 32, and as the middle group of a
     # three-alpha batch must follow bit-identical trajectories
-    n, iters, kob = 32, 300, proto.key_on_basis
+    n, iters = 32, 300
     lo, hi = alpha_range(proto, 0.1)
     rhos = np.stack([op._conditional_stack(purified_state(proto, 0.1, a)) for a in (lo, (lo + hi) / 2, hi)])
     starts = np.stack([op._random_factors(np.random.default_rng(7 + r), 4, 4) for r in range(n)])
-    alone = [op._Batch(starts[r : r + 1], rhos[1:2], np.zeros(1, dtype=int), 1e-9, kob) for r in range(n)]
+    alone = [op._Batch(starts[r : r + 1], rhos[1:2], np.zeros(1, dtype=int)) for r in range(n)]
     for batch in alone:
         batch.run(iters)
-    among = op._Batch(starts, rhos[1:2], np.zeros(n, dtype=int), 1e-9, kob)
+    among = op._Batch(starts, rhos[1:2], np.zeros(n, dtype=int))
     among.run(iters)
-    multi = op._Batch(np.tile(starts, (3, 1, 1, 1)), rhos, np.repeat(np.arange(3), n), 1e-9, kob)
+    multi = op._Batch(np.tile(starts, (3, 1, 1, 1)), rhos, np.repeat(np.arange(3), n))
     multi.run(iters)
     mid = slice(n, 2 * n)
     for attr in ("f", "m", "converged", "row_iters"):
@@ -249,7 +262,7 @@ def test_row_trajectory_independent_of_batch(proto):
 @pytest.mark.parametrize("proto", [BB84, SARG04], ids=lambda p: p.name)
 def test_grid_batching_changes_no_result(proto, light_config, monkeypatch):
     batched = optimize_attack(proto, 0.1, light_config)
-    monkeypatch.setattr(op, "_MAX_BATCH_ROWS", 1)  # one alpha per batch
+    monkeypatch.setattr(op, "_MAX_BATCH_ROWS", light_config.restarts)  # at most one alpha's rows per shard
     single = optimize_attack(proto, 0.1, light_config)
     assert batched.i_ae == single.i_ae
     assert batched.best_alpha == single.best_alpha

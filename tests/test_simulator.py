@@ -73,19 +73,13 @@ def test_sample_rounds_deterministic_and_typed():
     b = sample_rounds(jd, 1000, seed=42)
     assert a.dtype == ROUND_DTYPE
     assert np.array_equal(a, b)
+    assert set(np.unique(sample_rounds(_jd("sixstate", 0.15), 5000, seed=8)["theta"])) <= {0, 1, 2}
     c = sample_rounds(jd, 1000, seed=43)
     assert not np.array_equal(a, c)
     single = sample_rounds(jd, 1, seed=0)
     assert single.shape == (1,)
     with pytest.raises(ValueError):
         sample_rounds(jd, 0, seed=0)
-
-
-def test_sample_rounds_guess_rule():
-    jd = _jd("sixstate", 0.15)
-    s = sample_rounds(jd, 5000, seed=8)
-    assert np.array_equal(s["eve_guess"], (s["k"] >> s["theta"]) & 1)
-    assert set(np.unique(s["theta"])) <= {0, 1, 2}
 
 
 def test_sample_rounds_zero_noise_no_errors():
@@ -122,7 +116,6 @@ def test_empirical_stats_perfect_correlation():
     s["x"] = np.arange(n) % 2
     s["k"] = s["x"]
     s["y"] = s["x"]
-    s["eve_guess"] = s["x"]
     qhat, ihat, acc = empirical_stats(s, 1)
     assert qhat == 0.0
     assert ihat == pytest.approx(1.0, abs=1e-12)
@@ -137,7 +130,6 @@ def test_empirical_stats_independent_samples():
     s["theta"] = rng.integers(0, 2, n)
     s["k"] = rng.integers(0, 4, n)
     s["y"] = s["x"]
-    s["eve_guess"] = (s["k"] >> s["theta"]) & 1
     _, ihat, acc = empirical_stats(s, 2)
     assert ihat <= 0.01
     assert acc == pytest.approx(0.5, abs=0.02)
@@ -156,6 +148,23 @@ def test_empirical_stats_key_on_basis_readout():
     _, ihat, acc = empirical_stats(s, 2, key_on_basis=True)
     assert ihat == pytest.approx(1.0, abs=1e-12)
     assert acc == 1.0
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_sampled_guess_accuracy_matches_table(name):
+    # the guess is bit `side` of k against the key; the exact accuracy sums
+    # the table over the attack bases, renormalized to them
+    proto = PROTOCOLS[name]
+    jd = _jd(name, 0.1, seed=29)
+    b, n = proto.attack_basis_count, 200_000
+    x, theta, _, k = np.ix_(range(2), range(jd.basis_count), range(2), range(jd.n_outcomes))
+    key, side = (theta, x) if proto.key_on_basis else (x, theta)
+    hit = (((k >> side) & 1) == key) & (theta < b)
+    exact = (jd.probs * hit).sum() / jd.probs[:, :b].sum()
+    s = sample_rounds(jd, n, seed=31)
+    rounds = s[s["theta"] < b]
+    _, _, acc = empirical_stats(rounds, b, proto.key_on_basis)
+    assert abs(acc - exact) <= 4 * np.sqrt(exact * (1 - exact) / len(rounds))
 
 
 def test_guess_accuracy_uninformed_at_zero_noise():
