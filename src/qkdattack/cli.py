@@ -47,15 +47,11 @@ def _write_text(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(path: str, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2) + "\n")
-
-
-class UsageError(Exception):
-    pass
 
 
 class NumericalFailure(Exception):
@@ -77,9 +73,9 @@ def cmd_curve(
     grid points non-robust counts as a numerical failure.
     """
     if not (0.0 <= q_min <= q_max <= 0.5) or (steps > 1 and q_min == q_max):
-        raise UsageError(f"need 0 <= q_min < q_max <= 0.5, got [{q_min}, {q_max}]")
+        raise ValueError(f"need 0 <= q_min < q_max <= 0.5, got [{q_min}, {q_max}]")
     if steps < 1:
-        raise UsageError(f"steps must be positive, got {steps}")
+        raise ValueError(f"steps must be positive, got {steps}")
     t0 = time.time()
     grid = np.linspace(q_min, q_max, steps)
     points = tabulate_curve(protocol, grid, config)
@@ -107,7 +103,7 @@ def cmd_curve(
 def cmd_threshold(protocol: Protocol, tolerance: float, config: OptimizerConfig, out_path: str) -> dict:
     """JSON report of the zero-crossing of the key rate."""
     if not tolerance >= MIN_TOLERANCE:  # also rejects NaN
-        raise UsageError(f"tolerance {tolerance} below the supported resolution 1e-4")
+        raise ValueError(f"tolerance {tolerance} below the supported resolution 1e-4")
     t0 = time.time()
     try:
         rep = find_threshold(protocol, tolerance, config)
@@ -128,8 +124,6 @@ def cmd_threshold(protocol: Protocol, tolerance: float, config: OptimizerConfig,
 
 def cmd_attack(protocol: Protocol, q: float, config: OptimizerConfig, out_path: str) -> dict:
     """JSON dump of the optimized attack at one error rate, POVM included."""
-    if not 0.0 <= q <= 0.5:
-        raise UsageError(f"q must lie in [0, 0.5], got {q}")
     t0 = time.time()
     result = optimize_attack(protocol, q, config)
     if not result.robust and not result.converged:
@@ -170,10 +164,10 @@ def cmd_simulate(
     pair for the three-basis one) so they estimate the same quantity the
     optimizer maximizes.
     """
-    if not 0.0 <= q <= 0.5:
-        raise UsageError(f"q must lie in [0, 0.5], got {q}")
     if n_rounds < 1000:
-        raise UsageError(f"n_rounds must be at least 1000, got {n_rounds}")
+        raise ValueError(f"n_rounds must be at least 1000, got {n_rounds}")
+    if seed < 0:
+        raise ValueError(f"--sample-seed must be non-negative, got {seed}")
     t0 = time.time()
     result = optimize_attack(protocol, q, config)
     ps = purified_state(protocol, q, result.best_alpha)
@@ -182,7 +176,7 @@ def cmd_simulate(
     qber_hat = float(np.mean(samples["y"] != samples["x"]))
     attack_rounds = samples[samples["theta"] < protocol.attack_basis_count]
     if len(attack_rounds) < 1000:
-        raise UsageError(
+        raise ValueError(
             f"only {len(attack_rounds)} rounds fall in the attack bases; raise n_rounds"
         )
     _, i_ae_hat, accuracy = empirical_stats(
@@ -268,9 +262,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"qber_hat = {payload['qber_hat']:.6g}, i_ae_hat = {payload['i_ae_hat']:.6g} "
                 f"(wrote {args.out})"
             )
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -25,14 +25,13 @@ eigh for the retraction) compute every row independently of the others, so
 each restart's trajectory depends only on its own start and its own alpha.
 
 That independence lets one ascent split its rows over processes.  The rows
-are cut into contiguous shards of at most _MAX_BATCH_ROWS rows, which bounds
-each process's step temporaries; a shard may cut through a group.  The shard
-count is a multiple of the processes used: one per CPU in the process's
-affinity mask, but only as many as leave every shard _MIN_SHARD_ROWS rows.  The
-calling process runs its share of the shards itself and a forked worker pool
-runs the rest; best value, restart agreement and convergence are then
-reduced per group over the reassembled rows.  Results are therefore the same
-bits for any CPU count, and a one-CPU mask (``taskset -c 0``) runs
+are cut into one contiguous shard per process used, which may cut through a
+group: one process per CPU in the process's affinity mask, but only as many
+as leave every shard _MIN_SHARD_ROWS rows.  The calling process steps the
+first shard as one lockstep batch while a forked pool, opened for this
+ascent only, steps the others; best value, restart agreement and convergence
+are then reduced per group over the reassembled rows.  Results are therefore
+the same bits for any CPU count, and a one-CPU mask (``taskset -c 0``) runs
 everything in the calling process.
 """
 
@@ -56,10 +55,6 @@ _STALL_LIMIT = 80
 # improvements below this (plus 1e-7 |f|) do not reset a restart's stall window
 _STEP_TOLERANCE = 1e-9
 _AGREE_TOL = 1e-6
-# rows per shard, and so per lockstep batch in one process: wider batches
-# amortize the per-step overhead but grow the step's temporaries, and so the
-# process's peak memory, linearly
-_MAX_BATCH_ROWS = 128
 # fewest rows worth a process: a step costs a fixed ~0.2 ms plus ~14 us per
 # row, so a smaller shard would spend most of its time on the fixed part
 _MIN_SHARD_ROWS = 16
@@ -321,37 +316,28 @@ def _process_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-_POOL = None
-
-
-def _pool():
-    """The module's worker pool, built on first use with one worker per extra CPU.
+def _pool(workers: int):
+    """A pool of ``workers`` forked processes for one ascent, which shuts it down.
 
     Workers are forked, not spawned: they inherit the loaded modules, and a
     script that calls the library needs no ``__main__`` guard.  The workers
-    run only _run_shard.
+    run only _run_shard, and none outlives the ascent that forked it.
     """
-    global _POOL
-    if _POOL is None:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        _POOL = ProcessPoolExecutor(_process_count() - 1, mp_context=multiprocessing.get_context("fork"))
-    return _POOL
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
-def _shards(rows: int, processes: int) -> tuple[int, list[tuple[int, int]]]:
-    """(processes used, contiguous (start, end) row shards) for one ascent.
+def _shards(rows: int, processes: int) -> list[tuple[int, int]]:
+    """Contiguous (start, end) row shards for one ascent, one per process used.
 
-    Every shard holds at most _MAX_BATCH_ROWS rows and at least
-    _MIN_SHARD_ROWS (or all rows of a smaller call).  The shard count is a
-    multiple of the processes used, and shard j runs on process j % used,
-    the calling process being process 0.
+    Every shard holds at least _MIN_SHARD_ROWS rows (or all rows of a smaller
+    call), so fewer than ``processes`` may be used; sizes differ by at most 1.
     """
     used = max(1, min(processes, rows // _MIN_SHARD_ROWS))
-    count = used * -(-rows // (used * _MAX_BATCH_ROWS))
-    cuts = [rows * j // count for j in range(count + 1)]
-    return used, list(zip(cuts, cuts[1:]))
+    cuts = [rows * j // used for j in range(used + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def _run_shard(
@@ -369,8 +355,9 @@ def _ascend(
     """(best POVM, its value, agreeing restarts, converged) at each state.
 
     Every state gets the same config.restarts seeded starts, as one row
-    group per state.  The rows run as shards (see _shards) in this process
-    and in the worker pool; results are reduced per group.
+    group per state.  This process steps the first shard (see _shards) and a
+    pool opened for this ascent steps the others; results are reduced per
+    group.
     """
     n = config.restarts
     starts = np.stack(
@@ -378,18 +365,20 @@ def _ascend(
     )
     rho = np.stack([_conditional_stack(ps) for ps in states])
     group = np.repeat(np.arange(len(states)), n)
-    used, shards = _shards(group.size, _process_count())
 
-    def shard_args(j: int) -> tuple:
-        s, e = shards[j]
+    def shard_args(s: int, e: int) -> tuple:
         first, last = group[s], group[e - 1]
         factors, rho_xt = starts[np.arange(s, e) % n], rho[first : last + 1]
         return factors, rho_xt, group[s:e] - first, config.max_iters
 
-    # submit the workers' shards first, so that they run while this process runs its own
-    futures = {j: _pool().submit(_run_shard, *shard_args(j)) for j in range(len(shards)) if j % used}
-    own = {j: _run_shard(*shard_args(j)) for j in range(0, len(shards), used)}
-    parts = [own[j] if j in own else futures[j].result() for j in range(len(shards))]
+    own, *others = _shards(group.size, _process_count())
+    if others:
+        with _pool(len(others)) as pool:
+            # submit the workers' shards first, so that they run while this process runs its own
+            futures = [pool.submit(_run_shard, *shard_args(*shard)) for shard in others]
+            parts = [_run_shard(*shard_args(*own))] + [future.result() for future in futures]
+    else:
+        parts = [_run_shard(*shard_args(*own))]
     f, m, p, converged = (np.concatenate(a) for a in zip(*parts))
 
     results = []

@@ -125,6 +125,19 @@ def test_simulate_rejects_small_n(tmp_path):
     assert rc == 2
 
 
+def test_simulate_rejects_negative_sample_seed(tmp_path, monkeypatch, capsys):
+    def no_ascent(*args):
+        raise AssertionError("an ascent ran before the sample seed was checked")
+
+    monkeypatch.setattr(cli, "optimize_attack", no_ascent)
+    out = tmp_path / "x.json"
+    rc = main(["simulate", "--protocol", "bb84", "--q", "0.1", "--sample-seed", "-1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sample-seed") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "option", [["--restarts", "0"], ["--alpha-grid-points", "0"], ["--seed", "-1"]], ids=lambda o: " ".join(o)
 )

@@ -262,7 +262,8 @@ def test_row_trajectory_independent_of_batch(proto):
 @pytest.mark.parametrize("proto", [BB84, SARG04], ids=lambda p: p.name)
 def test_grid_batching_changes_no_result(proto, light_config, monkeypatch):
     batched = optimize_attack(proto, 0.1, light_config)
-    monkeypatch.setattr(op, "_MAX_BATCH_ROWS", light_config.restarts)  # at most one alpha's rows per shard
+    batch_ascend = op._ascend
+    monkeypatch.setattr(op, "_ascend", lambda states, *args: [batch_ascend([ps], *args)[0] for ps in states])
     single = optimize_attack(proto, 0.1, light_config)
     assert batched.i_ae == single.i_ae
     assert batched.best_alpha == single.best_alpha
@@ -293,25 +294,31 @@ def _alone_and_shared(monkeypatch, run):
     """run() in one process, then in two: this one and a forked worker."""
     monkeypatch.setattr(op, "_process_count", lambda: 1)
     alone = run()
-    handed, real = [], op._pool
-    monkeypatch.setattr(op, "_pool", lambda: handed.append(real()) or handed[-1])
+    opened, real_pool = [], op._pool
+
+    def recording_pool(workers):
+        pool = real_pool(workers)
+        # queued ahead of the shards, so it runs in the worker that runs them
+        opened.append((workers, pool.submit(os.getpid)))
+        return pool
+
+    monkeypatch.setattr(op, "_pool", recording_pool)
     monkeypatch.setattr(op, "_process_count", lambda: 2)
     shared = run()
-    assert handed, "no shard was submitted to the worker pool"
-    assert handed[0].submit(os.getpid).result(timeout=120) != os.getpid()
+    assert opened, "no shard was sent to a worker pool"
+    assert all(workers == 1 and pid.result(timeout=120) != os.getpid() for workers, pid in opened)
     return alone, shared
 
 
 def test_shard_layout():
     row_counts = [1, 4, 15, 16, 31, 32, 36, 72, 129, 257, 480, 1000]
     for rows, processes in itertools.product(row_counts, [1, 2, 3, 8]):
-        used, shards = op._shards(rows, processes)
-        assert 1 <= used <= processes
-        assert len(shards) % used == 0
+        shards = op._shards(rows, processes)
+        assert len(shards) == max(1, min(processes, rows // op._MIN_SHARD_ROWS))
         assert shards[0][0] == 0 and shards[-1][1] == rows
         assert all(e == s for (_, e), (s, _) in zip(shards, shards[1:]))
         sizes = [e - s for s, e in shards]
-        assert max(sizes) <= op._MAX_BATCH_ROWS
+        assert max(sizes) - min(sizes) <= 1
         assert min(sizes) >= min(rows, op._MIN_SHARD_ROWS)
 
 
@@ -338,20 +345,29 @@ def test_group_straddling_a_shard_boundary(monkeypatch):
     cfg = OptimizerConfig(restarts=12, max_iters=600)
     lo, hi = alpha_range(SARG04, 0.1)
     states = [purified_state(SARG04, 0.1, a) for a in (lo, (lo + hi) / 2, hi)]
-    assert op._shards(36, 2) == (2, [(0, 18), (18, 36)])
+    assert op._shards(36, 2) == [(0, 18), (18, 36)]
     alone, shared = _alone_and_shared(monkeypatch, lambda: op._ascend(states, 4, cfg))
     for (m_a, f_a, agree_a, conv_a), (m_s, f_s, agree_s, conv_s) in zip(alone, shared):
         assert (f_s, agree_s, conv_s) == (f_a, agree_a, conv_a)
         assert np.array_equal(m_s, m_a)
 
 
+def test_sharded_ascent_leaves_no_worker(monkeypatch):
+    # the pool lives for one ascent: its workers are joined before _ascend returns
+    monkeypatch.setattr(op, "_process_count", lambda: 2)
+    cfg = OptimizerConfig(restarts=32, max_iters=20)
+    assert len(op._shards(cfg.restarts, 2)) == 2
+    op._ascend([purified_state(BB84, 0.1, 0.8)], 4, cfg)
+    assert multiprocessing.active_children() == []
+
+
 def test_small_call_builds_no_pool(monkeypatch):
-    def no_pool():
+    def no_pool(workers):
         raise AssertionError("a call below the minimum shard size built the worker pool")
 
     monkeypatch.setattr(op, "_process_count", lambda: 2)
     monkeypatch.setattr(op, "_pool", no_pool)
-    assert op._shards(4, 2) == (1, [(0, 4)])
+    assert op._shards(4, 2) == [(0, 4)]
     # the benchmark's warm-up: two alphas of two restarts
     cfg = OptimizerConfig(restarts=2, alpha_grid_points=2, alpha_refine_iters=0, max_iters=20)
     assert optimize_attack(BB84, 0.1, cfg).i_ae > 0

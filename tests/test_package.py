@@ -31,13 +31,33 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def _unread_private_names(tree: ast.Module) -> list[str]:
+    """Module-level ``_x = ...``, ``def _f`` and ``class _C`` that nothing in the module reads."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in defined.items() if name not in read]
+
+
 def test_modules_use_every_name_they_import():
-    # __init__.py imports to re-export, so it is the one exception
+    # __init__.py imports to re-export, so it is the one exception for imports;
+    # a private module-level name is for its own module, so every module must read it
     unused = {}
     for path in sorted(PACKAGE_DIR.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        names = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = _unread_private_names(tree)
+        if path.name != "__init__.py":
+            names += _unused_imports(tree)
         if names:
             unused[path.name] = names
     assert unused == {}
