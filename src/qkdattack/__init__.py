@@ -17,6 +17,7 @@ from .information import (
 )
 from .keyrate import (
     CurvePoint,
+    NumericalFailure,
     ThresholdReport,
     bb84_closed_form_iae,
     find_threshold,
@@ -68,6 +69,7 @@ __all__ = [
     "ConditionalDistribution",
     "CurvePoint",
     "JointDistribution",
+    "NumericalFailure",
     "OptimizerConfig",
     "Povm",
     "Protocol",

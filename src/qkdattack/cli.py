@@ -7,8 +7,11 @@ cross-check).  Every artifact embeds a run manifest, or gets a sidecar
 with the same manifest arguments are byte-identical except for the recorded
 duration.
 
-Exit codes: 0 success, 2 usage or I/O error, 3 numerical failure (optimizer
-did not produce a trustworthy result).
+Exit codes: 0 success, 2 usage or I/O error (ValueError), 3 numerical failure
+(NumericalFailure: the search ran but its result cannot be trusted).  Exit 3
+comes from a curve with more than half its points non-robust (its CSV is still
+written), an attack neither robust nor converged, or a threshold bracket with
+no sign change.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import numpy as np
 from . import __version__
 from .information import binary_entropy
 from .optimizer import OptimizerConfig, optimize_attack
-from .simulator import empirical_stats, joint_distribution, sample_rounds
+from .simulator import MIN_ROUNDS, empirical_stats, joint_distribution, sample_rounds
 from .states import PROTOCOLS, Protocol, purified_state
-from .keyrate import MIN_TOLERANCE, bb84_closed_form_iae, find_threshold, key_rate, tabulate_curve
+from .keyrate import NumericalFailure, bb84_closed_form_iae, find_threshold, key_rate, tabulate_curve
 
 _FMT = "%.10g"
 
@@ -54,10 +57,6 @@ def _write_json(path: str, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-class NumericalFailure(Exception):
-    pass
-
-
 def cmd_curve(
     protocol: Protocol,
     q_min: float,
@@ -72,10 +71,6 @@ def cmd_curve(
     analytic optimum wherever it is defined (q <= 1/4).  More than half the
     grid points non-robust counts as a numerical failure.
     """
-    if not (0.0 <= q_min <= q_max <= 0.5) or (steps > 1 and q_min == q_max):
-        raise ValueError(f"need 0 <= q_min < q_max <= 0.5, got [{q_min}, {q_max}]")
-    if steps < 1:
-        raise ValueError(f"steps must be positive, got {steps}")
     t0 = time.time()
     grid = np.linspace(q_min, q_max, steps)
     points = tabulate_curve(protocol, grid, config)
@@ -102,13 +97,8 @@ def cmd_curve(
 
 def cmd_threshold(protocol: Protocol, tolerance: float, config: OptimizerConfig, out_path: str) -> dict:
     """JSON report of the zero-crossing of the key rate."""
-    if not tolerance >= MIN_TOLERANCE:  # also rejects NaN
-        raise ValueError(f"tolerance {tolerance} below the supported resolution 1e-4")
     t0 = time.time()
-    try:
-        rep = find_threshold(protocol, tolerance, config)
-    except ValueError as exc:
-        raise NumericalFailure(str(exc)) from exc
+    rep = find_threshold(protocol, tolerance, config)
     payload = {
         "manifest": _manifest("threshold", protocol, {"tolerance": tolerance}, config, t0),
         "threshold_q": rep.threshold_q,
@@ -164,8 +154,8 @@ def cmd_simulate(
     pair for the three-basis one) so they estimate the same quantity the
     optimizer maximizes.
     """
-    if n_rounds < 1000:
-        raise ValueError(f"n_rounds must be at least 1000, got {n_rounds}")
+    if n_rounds < MIN_ROUNDS:
+        raise ValueError(f"n_rounds must be at least {MIN_ROUNDS}, got {n_rounds}")
     if seed < 0:
         raise ValueError(f"--sample-seed must be non-negative, got {seed}")
     t0 = time.time()
@@ -175,10 +165,6 @@ def cmd_simulate(
     samples = sample_rounds(jd, n_rounds, seed)
     qber_hat = float(np.mean(samples["y"] != samples["x"]))
     attack_rounds = samples[samples["theta"] < protocol.attack_basis_count]
-    if len(attack_rounds) < 1000:
-        raise ValueError(
-            f"only {len(attack_rounds)} rounds fall in the attack bases; raise n_rounds"
-        )
     _, i_ae_hat, accuracy = empirical_stats(
         attack_rounds, protocol.attack_basis_count, key_on_basis=protocol.key_on_basis
     )

@@ -13,7 +13,7 @@ import numpy as np
 
 from .information import binary_entropy, lambda_fn
 from .optimizer import OptimizerConfig, optimize_attack
-from .states import Protocol
+from .states import Protocol, alpha_range
 
 _BRACKET = (0.05, 0.30)
 _MONOTONE_SLACK = 1e-4
@@ -25,6 +25,10 @@ _REFERENCES = {
     "sixstate": {"collective": 0.126, "individual": 0.156, "memoryless": 0.204},
     "sarg04": {"individual": 0.148, "memoryless": 0.175},
 }
+
+
+class NumericalFailure(Exception):
+    """The search ran but its result cannot be trusted."""
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,10 @@ def tabulate_curve(
 ) -> list[CurvePoint]:
     """Attack optimization swept over a grid of error rates."""
     grid = [float(q) for q in q_grid]
-    if any(not 0.0 <= q <= 0.5 for q in grid):
-        raise ValueError(f"grid values must lie in [0, 0.5], got {grid}")
+    if not grid:
+        raise ValueError("grid must hold at least one error rate")
+    for q in grid:
+        alpha_range(protocol, q)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     points = []
@@ -105,7 +111,8 @@ def find_threshold(
 
     r(q) is monotone decreasing; an under-converged probe only inflates the
     rate, so a probe that exceeds an earlier, smaller-q rate by more than
-    1e-4 is re-run once with four times the restarts.
+    1e-4 is re-run once with four times the restarts.  A bracket with no
+    sign change raises NumericalFailure.
     """
     if not tolerance >= MIN_TOLERANCE:  # also rejects NaN
         raise ValueError(f"tolerance {tolerance} below the supported resolution 1e-4")
@@ -128,7 +135,7 @@ def find_threshold(
     lo, hi = _BRACKET
     rate_lo, rate_hi = probe(lo), probe(hi)
     if not (rate_lo > 0.0 > rate_hi):
-        raise ValueError(
+        raise NumericalFailure(
             f"no sign change on [{lo}, {hi}]: r({lo})={rate_lo:.4g}, r({hi})={rate_hi:.4g}"
         )
     while hi - lo > tolerance:

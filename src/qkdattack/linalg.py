@@ -26,8 +26,8 @@ TOL = Tolerances()
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def is_hermitian(a: np.ndarray, tol: float = TOL.hermiticity) -> bool:

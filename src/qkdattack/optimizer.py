@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .information import Povm
+from .linalg import dagger
 from .states import Protocol, PurifiedState, alpha_range, eve_conditional_state, purified_state
 
 _INIT_STEP = 0.1
@@ -112,10 +113,6 @@ def _conditional_stack(ps: PurifiedState) -> np.ndarray:
     return out.transpose(1, 0, 2, 3) if ps.protocol.key_on_basis else out
 
 
-def _dag(x: np.ndarray) -> np.ndarray:
-    return x.conj().swapaxes(-1, -2)
-
-
 def _real_rows(x: np.ndarray) -> np.ndarray:
     """Complex (..., d, d) stacks as real rows: re and im of the flattened matrices interleaved."""
     return np.ascontiguousarray(x).reshape(-1, x.shape[-1] ** 2).view(np.float64)
@@ -136,10 +133,10 @@ def _renormalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     r, k, d = a.shape[0], a.shape[1], a.shape[-1]
     stacked = a.reshape(r, k * d, d)
-    w, v = np.linalg.eigh(_dag(stacked) @ stacked)
+    w, v = np.linalg.eigh(dagger(stacked) @ stacked)
     inv_sqrt = 1.0 / np.sqrt(np.clip(w, _EIG_FLOOR, None))
-    a_n = (stacked @ ((v * inv_sqrt[:, None, :]) @ _dag(v))).reshape(a.shape)
-    return a_n, _dag(a_n) @ a_n
+    a_n = (stacked @ ((v * inv_sqrt[:, None, :]) @ dagger(v))).reshape(a.shape)
+    return a_n, dagger(a_n) @ a_n
 
 
 def _probs(m: np.ndarray, rho_xt: np.ndarray, group: np.ndarray) -> np.ndarray:
@@ -154,7 +151,7 @@ def _probs(m: np.ndarray, rho_xt: np.ndarray, group: np.ndarray) -> np.ndarray:
     r, k = m.shape[:2]
     n_key, n_side = rho_xt.shape[-4:-2]
     mv = _real_rows(m)
-    rv = _real_rows(_dag(rho_xt)).reshape(-1, n_key * n_side, mv.shape[1])
+    rv = _real_rows(dagger(rho_xt)).reshape(-1, n_key * n_side, mv.shape[1])
     p = np.empty((r * k, n_key * n_side))
     for grp, s, e in _row_groups(group):
         np.matmul(mv[s * k : e * k], rv[grp].T, out=p[s * k : e * k])
@@ -411,8 +408,6 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
     evaluations.  Grouping and sharding change no result: every restart's
     trajectory depends only on its own start and alpha.
     """
-    if not 0.0 <= q <= 0.5:
-        raise ValueError(f"q must lie in [0, 0.5], got {q}")
     lo, hi = alpha_range(protocol, q)
     n_out = protocol.povm_outcomes
     cache: dict[float, tuple[np.ndarray, float, int, bool]] = {}

@@ -24,6 +24,7 @@ from .information import Povm
 from .states import Protocol, PurifiedState, bob_bit_projector, bob_eve_conditional_state
 
 ROUND_DTYPE = np.dtype([("x", "i1"), ("theta", "i1"), ("y", "i1"), ("k", "i2")])
+MIN_ROUNDS = 1000
 
 
 @dataclass(frozen=True)
@@ -127,10 +128,12 @@ def empirical_stats(
     adversary's guess once the side value is revealed, equals the key.
     """
     n = len(samples)
-    if n < 1000:
-        raise ValueError(f"need at least 1000 samples for stable estimates, got {n}")
+    if n < MIN_ROUNDS:
+        raise ValueError(f"need at least {MIN_ROUNDS} rounds for stable estimates, got {n}; raise n_rounds")
     x = samples["x"].astype(np.int64)
     theta = samples["theta"].astype(np.int64)
+    if theta.max() >= basis_count:
+        raise ValueError(f"theta must lie below basis_count={basis_count}; filter rounds to the attack bases")
     k = samples["k"].astype(np.int64)
     qber_hat = float(np.mean(samples["y"] != samples["x"]))
     n_out = int(k.max()) + 1

@@ -174,7 +174,7 @@ def bob_bit_projector(protocol: Protocol, y: int, theta: int) -> np.ndarray:
 def alpha_range(protocol: Protocol, q: float) -> tuple[float, float]:
     """Admissible range of the free Bell weight alpha at error rate q."""
     if not 0.0 <= q <= 0.5:
-        raise ValueError(f"q={q} outside [0, 0.5]")
+        raise ValueError(f"q={q} is outside [0, 0.5]: q must lie in that interval")
     (lo0, lo_q), (hi0, hi_q) = protocol.alpha_bounds
     lo, hi = max(lo0 + lo_q * q, 0.0), min(hi0 + hi_q * q, 1.0)
     if lo > hi + 1e-12:

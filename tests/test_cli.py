@@ -7,6 +7,7 @@ from qkdattack import cli, keyrate
 from qkdattack.cli import main
 from qkdattack.information import Povm
 from qkdattack.keyrate import bb84_closed_form_iae
+from qkdattack.optimizer import AttackResult, random_povm
 
 LIGHT = ["--restarts", "8", "--alpha-grid-points", "9"]
 
@@ -178,3 +179,51 @@ def test_threshold_deterministic_reruns(tmp_path):
     assert a == b
     assert abs(a["threshold_q"] - 0.204) <= 0.003
     assert a["rate_low"] > 0 > a["rate_high"]
+
+
+def _result(protocol, q, trusted):
+    """A stand-in attack result: robust and converged, or neither."""
+    return AttackResult(
+        q=q, protocol=protocol, i_ae=0.0, best_alpha=1.0, best_povm=random_povm(4, 4, 0),
+        restarts_agreeing=8 if trusted else 1, converged=trusted, robust=trusted,
+    )
+
+
+def test_threshold_without_sign_change_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(keyrate, "_BRACKET", (0.05, 0.10))
+    out = tmp_path / "t.json"
+    rc = main(["threshold", "--protocol", "sixstate", "--restarts", "4", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical failure: no sign change")
+    assert not out.exists()
+
+
+def test_attack_untrustworthy_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "optimize_attack", lambda protocol, q, config: _result(protocol, q, False))
+    out = tmp_path / "a.json"
+    rc = main(["attack", "--protocol", "bb84", "--q", "0.1", "--restarts", "8", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical failure: only 1/8 restarts agree")
+    assert not out.exists()
+
+
+def test_curve_mostly_non_robust_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(keyrate, "optimize_attack", lambda protocol, q, config: _result(protocol, q, q == 0.0))
+    out = tmp_path / "c.csv"
+    rc = main(["curve", "--protocol", "sixstate", "--q-max", "0.2", "--steps", "3", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical failure: 2 of 3 grid points are non-robust")
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["true", "false", "false"]
+    assert _load(str(out) + ".manifest.json")["command"] == "curve"
+
+
+def test_simulate_too_few_attack_rounds(tmp_path, capsys):
+    # a third of the six-state rounds fall outside the attack bases, leaving fewer than 1000
+    out = tmp_path / "s.json"
+    rc = main(["simulate", "--protocol", "sixstate", "--q", "0.1", "--n-rounds", "1000",
+               "--restarts", "4", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: need at least 1000 rounds") and "raise n_rounds" in err
+    assert not out.exists()

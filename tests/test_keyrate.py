@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from qkdattack.information import binary_entropy
+from qkdattack import keyrate
 from qkdattack.keyrate import (
+    NumericalFailure,
     bb84_closed_form_iae,
     find_threshold,
     key_rate,
@@ -95,6 +97,12 @@ def test_find_threshold_tolerance_floor(light_config):
     for tolerance in (1e-5, float("nan")):
         with pytest.raises(ValueError, match="1e-4"):
             find_threshold(BB84, tolerance, light_config)
+
+
+def test_find_threshold_without_sign_change(monkeypatch):
+    monkeypatch.setattr(keyrate, "_BRACKET", (0.05, 0.10))
+    with pytest.raises(NumericalFailure, match=r"no sign change on \[0.05, 0.1\]"):
+        find_threshold(SIX_STATE, 1e-3, OptimizerConfig(restarts=4))
 
 
 def test_find_threshold_sixstate(light_config):

@@ -110,6 +110,20 @@ def test_empirical_stats_requires_volume():
         empirical_stats(s, 2)
 
 
+@pytest.mark.parametrize("drop_cell", [False, True], ids=["numpy-error", "silent"])
+def test_empirical_stats_rejects_theta_beyond_basis_count(drop_cell):
+    # six-state rounds not filtered to the attack bases; without the (x=1, k=3, theta=2) cell
+    # the bincount happens to reshape and theta=2 rounds would fold into neighbouring cells
+    rng = np.random.default_rng(0)
+    s = np.zeros(30_000, dtype=ROUND_DTYPE)
+    s["x"], s["theta"], s["y"], s["k"] = (rng.integers(0, m, len(s)) for m in (2, 3, 2, 4))
+    if drop_cell:
+        s = s[~((s["x"] == 1) & (s["k"] == 3) & (s["theta"] == 2))]
+    with pytest.raises(ValueError, match="theta must lie below basis_count=2; filter rounds to the attack bases"):
+        empirical_stats(s, 2)
+    assert empirical_stats(s, 3)[1] > 0.0
+
+
 def test_empirical_stats_perfect_correlation():
     n = 4000
     s = np.zeros(n, dtype=ROUND_DTYPE)
