@@ -35,7 +35,7 @@ def run(name: str, q: float, seed: int) -> None:
     _, ihat, acc = empirical_stats(attack, proto.attack_basis_count, proto.key_on_basis)
 
     # round-averaged error; differs from q when bases err unequally (sarg04)
-    p_err = float(jd.probs[0, :, 1].sum() + jd.probs[1, :, 0].sum())
+    p_err = jd.qber
     sigma = np.sqrt(p_err * (1 - p_err) / N_ROUNDS)
     print(f"{name} at q = {q}, n = {N_ROUNDS}")
     print(f"  round error: sampled {qhat:.5f}  analytic {p_err:.5f}  (3 sigma = {3 * sigma:.5f})")

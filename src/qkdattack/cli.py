@@ -148,11 +148,11 @@ def cmd_simulate(
 ) -> dict:
     """Monte Carlo report: sampled statistics against the analytic attack.
 
-    The error rate is estimated over every sifted round; the information and
-    guess statistics are estimated on the rounds whose basis enters the
+    The error rate is sampled over every sifted round and checked against
+    the table's exact round average ``analytic.qber`` (1.25q for sarg04).
+    Information and guess statistics use the rounds whose basis enters the
     attack estimator (all rounds for two-basis protocols, the first basis
-    pair for the three-basis one) so they estimate the same quantity the
-    optimizer maximizes.
+    pair for the three-basis one): the quantity the optimizer maximizes.
     """
     if n_rounds < MIN_ROUNDS:
         raise ValueError(f"n_rounds must be at least {MIN_ROUNDS}, got {n_rounds}")
@@ -176,8 +176,8 @@ def cmd_simulate(
         "i_ae_hat": i_ae_hat,
         "guess_accuracy": accuracy,
         "key_on_basis": protocol.key_on_basis,
-        "analytic": {"q": q, "i_ae": result.i_ae, "best_alpha": result.best_alpha},
-        "delta": {"qber": qber_hat - q, "i_ae": i_ae_hat - result.i_ae},
+        "analytic": {"q": q, "qber": jd.qber, "i_ae": result.i_ae, "best_alpha": result.best_alpha},
+        "delta": {"qber": qber_hat - jd.qber, "i_ae": i_ae_hat - result.i_ae},
         "sifted_fraction": jd.sifted_fraction,
         "n_rounds": n_rounds,
         "n_attack_rounds": int(len(attack_rounds)),

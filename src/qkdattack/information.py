@@ -74,10 +74,6 @@ class ConditionalDistribution:
             raise ValueError(f"outcome probabilities sum to {col} per (x, theta), expected 1")
 
     @property
-    def n_outcomes(self) -> int:
-        return self.probs.shape[0]
-
-    @property
     def basis_count(self) -> int:
         return self.probs.shape[2]
 

@@ -111,11 +111,13 @@ def find_threshold(
 
     r(q) is monotone decreasing; an under-converged probe only inflates the
     rate, so a probe that exceeds an earlier, smaller-q rate by more than
-    1e-4 is re-run once with four times the restarts.  A bracket with no
-    sign change raises NumericalFailure.
+    1e-4 is re-run once with four times the restarts.  The tolerance lies in
+    [1e-4, 0.25): a bracket-wide one would only probe the ends.  A bracket
+    with no sign change raises NumericalFailure.
     """
-    if not tolerance >= MIN_TOLERANCE:  # also rejects NaN
-        raise ValueError(f"tolerance {tolerance} below the supported resolution 1e-4")
+    lo, hi = _BRACKET
+    if not MIN_TOLERANCE <= tolerance < hi - lo:  # also rejects NaN
+        raise ValueError(f"tolerance {tolerance} outside [1e-4, {hi - lo:g}), the resolution up to the bracket width")
 
     rates: dict[float, float] = {}
 
@@ -132,7 +134,6 @@ def find_threshold(
         rates[q] = rate
         return rate
 
-    lo, hi = _BRACKET
     rate_lo, rate_hi = probe(lo), probe(hi)
     if not (rate_lo > 0.0 > rate_hi):
         raise NumericalFailure(

@@ -30,15 +30,15 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def is_hermitian(a: np.ndarray, tol: float = TOL.hermiticity) -> bool:
-    return bool(np.max(np.abs(a - dagger(a))) <= tol)
+def is_hermitian(a: np.ndarray) -> bool:
+    return bool(np.max(np.abs(a - dagger(a))) <= TOL.hermiticity)
 
 
-def is_psd(a: np.ndarray, tol: float = TOL.psd) -> bool:
-    """Hermitian with all eigenvalues >= -tol."""
+def is_psd(a: np.ndarray) -> bool:
+    """Hermitian with all eigenvalues >= -TOL.psd."""
     if not is_hermitian(a):
         return False
-    return bool(np.linalg.eigvalsh(a)[0] >= -tol)
+    return bool(np.linalg.eigvalsh(a)[0] >= -TOL.psd)
 
 
 def partial_trace(rho: np.ndarray, dims: list[int], keep: set[int] | list[int]) -> np.ndarray:

@@ -55,13 +55,15 @@ class JointDistribution:
         return self.probs.shape[1]
 
     @property
-    def n_outcomes(self) -> int:
-        return self.probs.shape[3]
-
-    @property
     def sifted_fraction(self) -> float:
         """Fraction of raw rounds that survive basis reconciliation."""
         return 1.0 / self.basis_count
+
+    @property
+    def qber(self) -> float:
+        """Exact p(y != x) over sifted rounds: 1.25q for sarg04, whose bases err unequally."""
+        p = self.probs
+        return float(p[0, :, 1].sum() + p[1, :, 0].sum())
 
 
 def joint_distribution(ps: PurifiedState, povm: Povm) -> JointDistribution:

@@ -21,6 +21,12 @@ import numpy as np
 
 from .linalg import TOL, is_psd, partial_trace
 
+_S = 1.0 / np.sqrt(2.0)
+# _BASIS_VECTORS[theta, x] is the sender's state for bit x, theta as above
+_BASIS_VECTORS = np.array(
+    [[[1.0, 0.0], [0.0, 1.0]], [[_S, _S], [_S, -_S]], [[_S, 1j * _S], [_S, -1j * _S]]], dtype=complex
+)
+
 
 @dataclass(frozen=True)
 class Protocol:
@@ -108,6 +114,15 @@ class BellDiagonalParams:
     def weights(self) -> np.ndarray:
         return np.array([self.alpha, self.beta, self.gamma, self.delta])
 
+    @property
+    def rho(self) -> np.ndarray:
+        """The Bell-diagonal state sum_i w_i |bell_i><bell_i|."""
+        rho = np.zeros((4, 4), dtype=complex)
+        for w, vec in zip(self.weights, bell_basis()):
+            if w > 0:
+                rho += w * np.outer(vec, vec.conj())
+        return rho
+
 
 @dataclass
 class PurifiedState:
@@ -126,27 +141,15 @@ class PurifiedState:
 
 def bell_basis() -> np.ndarray:
     """The four Bell vectors as rows, in the fixed order documented above."""
-    s = 1.0 / np.sqrt(2.0)
     return np.array(
         [
-            [s, 0, 0, s],
-            [s, 0, 0, -s],
-            [0, s, s, 0],
-            [0, s, -s, 0],
+            [_S, 0, 0, _S],
+            [_S, 0, 0, -_S],
+            [0, _S, _S, 0],
+            [0, _S, -_S, 0],
         ],
         dtype=complex,
     )
-
-
-def _basis_vector(x: int, theta: int) -> np.ndarray:
-    s = 1.0 / np.sqrt(2.0)
-    if theta == 0:
-        return np.array([1.0 - x, float(x)], dtype=complex)
-    if theta == 1:
-        return np.array([s, s if x == 0 else -s], dtype=complex)
-    if theta == 2:
-        return np.array([s, 1j * s if x == 0 else -1j * s], dtype=complex)
-    raise ValueError(f"theta={theta} is not a basis index")
 
 
 def basis_projector(protocol: Protocol, x: int, theta: int) -> np.ndarray:
@@ -157,7 +160,7 @@ def basis_projector(protocol: Protocol, x: int, theta: int) -> np.ndarray:
         raise ValueError(
             f"theta={theta} out of range for {protocol.name} ({protocol.basis_count} bases)"
         )
-    v = _basis_vector(x, theta)
+    v = _BASIS_VECTORS[theta, x]
     return np.outer(v, v.conj())
 
 
@@ -191,19 +194,16 @@ def rho_ab(protocol: Protocol, q: float, alpha: float) -> tuple[np.ndarray, Bell
         )
     weights = [c0 + c_q * q + c_alpha * alpha for c0, c_q, c_alpha in protocol.bell_weights]
     params = BellDiagonalParams(protocol, q, *weights)
-    bell = bell_basis()
-    rho = np.zeros((4, 4), dtype=complex)
-    for w, vec in zip(params.weights, bell):
-        if w > 0:
-            rho += w * np.outer(vec, vec.conj())
-    return rho, params
+    return params.rho, params
 
 
 def purify(params: BellDiagonalParams) -> PurifiedState:
     """Purification with the adversary register copying the Bell index.
 
     |psi> = sum_i sqrt(w_i) |bell_i>_AB |e_i>_E with |e_i> the computational
-    basis of the 4-dimensional register E.
+    basis of the 4-dimensional register E.  Any valid Bell weights are
+    accepted, on or off the protocol family; the result is checked against
+    ``params.rho``.
     """
     bell = bell_basis()
     eye4 = np.eye(4, dtype=complex)
@@ -214,12 +214,10 @@ def purify(params: BellDiagonalParams) -> PurifiedState:
     norm = float(np.real(np.vdot(psi, psi)))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"purification norm {norm} != 1")
-    ps = PurifiedState(psi, params)
-    rho, _ = rho_ab(params.protocol, params.q, params.alpha)
     back = partial_trace(np.outer(psi, psi.conj()), [2, 2, 4], keep=[0, 1])
-    if np.max(np.abs(back - rho)) > 1e-10:
+    if np.max(np.abs(back - params.rho)) > 1e-10:
         raise ValueError("purification does not reduce to its source state")
-    return ps
+    return PurifiedState(psi, params)
 
 
 def purified_state(protocol: Protocol, q: float, alpha: float) -> PurifiedState:

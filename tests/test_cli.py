@@ -120,6 +120,23 @@ def test_simulate_sixstate_attack_rounds(tmp_path):
     assert abs(report["delta"]["i_ae"]) < 0.03
 
 
+def test_simulate_sarg04_checks_round_averaged_qber(tmp_path):
+    # sarg04's Hadamard basis errs at 3q/2, so the sampled error is checked
+    # against the round average 1.25q, not against q
+    n = 200_000
+    out = tmp_path / "sarg.json"
+    rc = main(
+        ["simulate", "--protocol", "sarg04", "--q", "0.1", "--n-rounds", str(n),
+         "--restarts", "4", "--alpha-grid-points", "5", "--out", str(out)]
+    )
+    assert rc == 0
+    report = _load(out)
+    e = report["analytic"]["qber"]
+    assert e == pytest.approx(1.25 * 0.1, abs=1e-12)
+    assert report["delta"]["qber"] == report["qber_hat"] - e
+    assert abs(report["delta"]["qber"]) <= 4 * np.sqrt(e * (1 - e) / n)
+
+
 def test_simulate_rejects_small_n(tmp_path):
     rc = main(["simulate", "--protocol", "bb84", "--q", "0.1", "--n-rounds", "500",
                "--out", str(tmp_path / "x.json")])
@@ -155,7 +172,7 @@ def test_attack_rejects_bad_config(tmp_path, monkeypatch, capsys, option):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "1e-5"])
+@pytest.mark.parametrize("tolerance", ["nan", "1e-5", "inf", "0.3"])
 def test_threshold_rejects_bad_tolerance(tmp_path, monkeypatch, tolerance):
     def no_probe(*args):
         raise AssertionError("a probe ran before the tolerance was checked")

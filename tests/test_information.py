@@ -53,7 +53,7 @@ def test_povm_validation():
 def test_conditional_distribution_validation():
     p = np.full((4, 2, 2), 0.25)
     cd = ConditionalDistribution(p)
-    assert cd.n_outcomes == 4 and cd.basis_count == 2
+    assert cd.probs.shape[0] == 4 and cd.basis_count == 2
     with pytest.raises(ValueError, match="sum"):
         ConditionalDistribution(np.full((4, 2, 2), 0.3))
     with pytest.raises(ValueError, match="shape"):

@@ -99,6 +99,18 @@ def test_find_threshold_tolerance_floor(light_config):
             find_threshold(BB84, tolerance, light_config)
 
 
+@pytest.mark.parametrize("tolerance", [0.25, float("inf")])
+def test_find_threshold_rejects_bracket_wide_tolerance(monkeypatch, tolerance):
+    # a tolerance of the bracket width would stop at its midpoint after
+    # probing only its ends
+    def no_probe(*args):
+        raise AssertionError("a probe ran before the tolerance was checked")
+
+    monkeypatch.setattr(keyrate, "optimize_attack", no_probe)
+    with pytest.raises(ValueError, match=r"outside \[1e-4, 0.25\)"):
+        find_threshold(SIX_STATE, tolerance, OptimizerConfig(restarts=4))
+
+
 def test_find_threshold_without_sign_change(monkeypatch):
     monkeypatch.setattr(keyrate, "_BRACKET", (0.05, 0.10))
     with pytest.raises(NumericalFailure, match=r"no sign change on \[0.05, 0.1\]"):

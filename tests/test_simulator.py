@@ -47,16 +47,19 @@ def test_joint_distribution_receiver_error_rates():
         alpha = (lo + hi) / 2
         jd = joint_distribution(purified_state(proto, q, alpha), random_povm(4, 4, 23))
         rho, _ = rho_ab(proto, q, alpha)
-        for theta in range(proto.basis_count):
+        per_basis = [qber_in_basis(rho, proto, theta) for theta in range(proto.basis_count)]
+        for theta, expected in enumerate(per_basis):
             err = (jd.probs[0, theta, 1].sum() + jd.probs[1, theta, 0].sum()) * jd.basis_count
-            assert err == pytest.approx(qber_in_basis(rho, proto, theta), abs=1e-10)
+            assert err == pytest.approx(expected, abs=1e-10)
+        # the round-averaged error weighs every announced basis equally
+        assert jd.qber == pytest.approx(np.mean(per_basis), abs=1e-10)
 
 
 def test_joint_distribution_zero_noise():
     ps = purified_state(BB84, 0.0, 1.0)
     jd = joint_distribution(ps, random_povm(4, 4, 5))
     # no receiver errors, and the adversary outcome is independent of x
-    assert jd.probs[0, :, 1].sum() + jd.probs[1, :, 0].sum() == pytest.approx(0.0, abs=1e-12)
+    assert jd.qber == pytest.approx(0.0, abs=1e-12)
     k_given_x = jd.probs.sum(axis=2)
     assert np.max(np.abs(k_given_x[0] - k_given_x[1])) < 1e-12
 
@@ -171,7 +174,7 @@ def test_sampled_guess_accuracy_matches_table(name):
     proto = PROTOCOLS[name]
     jd = _jd(name, 0.1, seed=29)
     b, n = proto.attack_basis_count, 200_000
-    x, theta, _, k = np.ix_(range(2), range(jd.basis_count), range(2), range(jd.n_outcomes))
+    x, theta, _, k = np.ix_(range(2), range(jd.basis_count), range(2), range(jd.probs.shape[3]))
     key, side = (theta, x) if proto.key_on_basis else (x, theta)
     hit = (((k >> side) & 1) == key) & (theta < b)
     exact = (jd.probs * hit).sum() / jd.probs[:, :b].sum()
@@ -196,7 +199,7 @@ def test_guess_accuracy_nondecreasing_in_q(light_config):
         result = optimize_attack(BB84, q, light_config)
         ps = purified_state(BB84, q, result.best_alpha)
         jd = joint_distribution(ps, result.best_povm)
-        k = np.arange(jd.n_outcomes)
+        k = np.arange(jd.probs.shape[3])
         acc = sum(
             jd.probs[x, theta, :, ((k >> theta) & 1) == x].sum()
             for x in (0, 1)

@@ -63,6 +63,26 @@ def test_basis_projectors():
         basis_projector(BB84, 2, 0)
 
 
+def _literal_basis_vector(x, theta):
+    # the basis vectors as written before the bases became a table
+    s = 1.0 / np.sqrt(2.0)
+    if theta == 0:
+        return np.array([1.0 - x, float(x)], dtype=complex)
+    if theta == 1:
+        return np.array([s, s if x == 0 else -s], dtype=complex)
+    return np.array([s, 1j * s if x == 0 else -1j * s], dtype=complex)
+
+
+@pytest.mark.parametrize("proto", PROTOCOLS.values(), ids=lambda p: p.name)
+def test_basis_table_matches_literal_vectors(proto):
+    for theta in range(proto.basis_count):
+        for x in (0, 1):
+            v = _literal_basis_vector(x, theta)
+            literal = np.outer(v, v.conj())
+            assert np.array_equal(basis_projector(proto, x, theta), literal)
+            assert np.array_equal(bob_bit_projector(proto, x, theta), literal.conj())
+
+
 def test_bob_projector_conjugates_circular_basis():
     # real bases coincide, the circular basis swaps handedness
     for theta in (0, 1):
@@ -183,6 +203,16 @@ def test_purify_round_trip_random_draws():
         ps = purify(params)
         back = partial_trace(np.outer(ps.psi, ps.psi.conj()), [2, 2, 4], keep=[0, 1])
         assert np.max(np.abs(back - rho)) < 1e-10
+
+
+@pytest.mark.parametrize("weights", [(0.25, 0.25, 0.25, 0.25), (0.85, 0.10, 0.05, 0.0)])
+def test_purify_accepts_weights_off_the_family(weights):
+    # purify checks against its own weights, not the family at (q, alpha)
+    ps = purify(BellDiagonalParams(BB84, 0.1, *weights))
+    bell = bell_basis()
+    rho = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, bell))
+    back = partial_trace(np.outer(ps.psi, ps.psi.conj()), [2, 2, 4], keep=[0, 1])
+    assert np.max(np.abs(back - rho)) < 1e-10
 
 
 def test_purify_pure_weight():
