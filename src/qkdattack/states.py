@@ -185,15 +185,20 @@ def alpha_range(protocol: Protocol, q: float) -> tuple[float, float]:
     return lo, hi
 
 
-def rho_ab(protocol: Protocol, q: float, alpha: float) -> tuple[np.ndarray, BellDiagonalParams]:
-    """Bell-diagonal two-qubit state of the protocol family at (q, alpha)."""
+def _family_params(protocol: Protocol, q: float, alpha: float) -> BellDiagonalParams:
+    """Bell weights of the protocol family at (q, alpha), alpha checked against its range."""
     lo, hi = alpha_range(protocol, q)
     if not lo - 1e-12 <= alpha <= hi + 1e-12:
         raise ValueError(
             f"alpha={alpha} outside [{lo}, {hi}] for {protocol.name} at q={q}"
         )
     weights = [c0 + c_q * q + c_alpha * alpha for c0, c_q, c_alpha in protocol.bell_weights]
-    params = BellDiagonalParams(protocol, q, *weights)
+    return BellDiagonalParams(protocol, q, *weights)
+
+
+def rho_ab(protocol: Protocol, q: float, alpha: float) -> tuple[np.ndarray, BellDiagonalParams]:
+    """Bell-diagonal two-qubit state of the protocol family at (q, alpha)."""
+    params = _family_params(protocol, q, alpha)
     return params.rho, params
 
 
@@ -222,8 +227,7 @@ def purify(params: BellDiagonalParams) -> PurifiedState:
 
 def purified_state(protocol: Protocol, q: float, alpha: float) -> PurifiedState:
     """Convenience: family state at (q, alpha), purified."""
-    _, params = rho_ab(protocol, q, alpha)
-    return purify(params)
+    return purify(_family_params(protocol, q, alpha))
 
 
 def _conditioned(ps: PurifiedState, x: int, theta: int, keep: list[int]) -> tuple[np.ndarray, float]:

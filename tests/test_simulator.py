@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qkdattack.information import conditional_probs
 from qkdattack.optimizer import OptimizerConfig, optimize_attack, random_povm
 from qkdattack.simulator import (
+    _CHUNK,
     ROUND_DTYPE,
     JointDistribution,
+    _plugin_mi,
     empirical_stats,
     joint_distribution,
     sample_rounds,
@@ -17,6 +21,32 @@ def _jd(protocol_name: str, q: float, seed: int = 17) -> JointDistribution:
     proto = PROTOCOLS[protocol_name]
     ps = purified_state(proto, q, sum(alpha_range(proto, q)) / 2)
     return joint_distribution(ps, random_povm(4, 4, seed))
+
+
+def _one_shot_sample(jd: JointDistribution, n: int, seed: int) -> np.ndarray:
+    """Reference sampler: one uniform draw of n, searched and unravelled whole."""
+    cdf = np.cumsum(jd.probs.ravel())
+    cdf /= cdf[-1]
+    flat = np.searchsorted(cdf, np.random.default_rng(seed).random(n), side="right")
+    out = np.empty(n, dtype=ROUND_DTYPE)
+    out["x"], out["theta"], out["y"], out["k"] = np.unravel_index(flat, jd.probs.shape)
+    return out
+
+
+def _one_shot_stats(samples: np.ndarray, basis_count: int, key_on_basis: bool) -> tuple[float, float, float]:
+    """Reference estimates: every field cast and binned in one pass over all rounds."""
+    x = samples["x"].astype(np.int64)
+    theta = samples["theta"].astype(np.int64)
+    k = samples["k"].astype(np.int64)
+    qber_hat = float(np.mean(samples["y"] != samples["x"]))
+    n_out = int(k.max()) + 1
+    key, side, side_size = (theta, x, 2) if key_on_basis else (x, theta, basis_count)
+    accuracy = float(np.mean(((k >> side) & 1) == key))
+    counts = np.bincount(
+        key * (n_out * side_size) + k * side_size + side,
+        minlength=(int(key.max()) + 1) * n_out * side_size,
+    ).reshape(int(key.max()) + 1, n_out * side_size)
+    return qber_hat, _plugin_mi(counts), accuracy
 
 
 def test_joint_distribution_normalization_and_uniform_marginal():
@@ -83,6 +113,41 @@ def test_sample_rounds_deterministic_and_typed():
     assert single.shape == (1,)
     with pytest.raises(ValueError):
         sample_rounds(jd, 0, seed=0)
+
+
+@pytest.mark.parametrize("n", [1, 999, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 1])
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_chunked_sampling_and_counting_equal_one_shot(name, n):
+    jd = _jd(name, 0.1, seed=11)
+    s = sample_rounds(jd, n, seed=n)
+    assert np.array_equal(s, _one_shot_sample(jd, n, seed=n))
+    if n >= 1000:
+        for key_on_basis in (False, True):
+            assert empirical_stats(s, jd.basis_count, key_on_basis) == _one_shot_stats(s, jd.basis_count, key_on_basis)
+
+
+def test_theta_check_sees_the_last_chunk():
+    s = sample_rounds(_jd("bb84", 0.1), 3 * _CHUNK + 1, seed=5)
+    s["theta"][-1] = 2
+    with pytest.raises(ValueError, match="theta must lie below basis_count=2; filter rounds to the attack bases"):
+        empirical_stats(s, 2)
+
+
+def test_sampling_and_counting_memory_is_bounded():
+    # temporaries stay O(chunk): 2e6 rounds in one pass would take about 76 MB
+    jd = _jd("bb84", 0.1)
+    tracemalloc.start()
+    try:
+        s = sample_rounds(jd, 2_000_000, seed=3)
+        sample_peak = tracemalloc.get_traced_memory()[1] - s.nbytes
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        empirical_stats(s, 2)
+        stats_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sample_peak < 16 * 2**20
+    assert stats_peak < 16 * 2**20
 
 
 def test_sample_rounds_zero_noise_no_errors():
