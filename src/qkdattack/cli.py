@@ -164,7 +164,9 @@ def cmd_simulate(
     jd = joint_distribution(ps, result.best_povm)
     samples = sample_rounds(jd, n_rounds, seed)
     qber_hat = float(np.mean(samples["y"] != samples["x"]))
-    attack_rounds = samples[samples["theta"] < protocol.attack_basis_count]
+    attack_rounds = samples
+    if protocol.attack_basis_count < protocol.basis_count:
+        attack_rounds = samples[samples["theta"] < protocol.attack_basis_count]
     _, i_ae_hat, accuracy = empirical_stats(
         attack_rounds, protocol.attack_basis_count, key_on_basis=protocol.key_on_basis
     )

@@ -12,6 +12,12 @@ pipeline end to end through an independent code path.
 Only basis-matched rounds are sampled; the discarded fraction is exposed as
 ``JointDistribution.sifted_fraction`` metadata (1/2 for two-basis protocols,
 1/3 for the three-basis one) since all rates here are per sifted bit.
+
+A round's cell is found from its uniform through a guide table over the
+cumulative table (Chen and Asau, 1974; Devroye 1986, sec. III.2.4): one
+lookup and a few compare-and-step passes, giving exactly the cell a binary
+search would.  Counting bins each round once by its (x, theta, y, k) cell
+and reads every statistic off that count table.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ ROUND_DTYPE = np.dtype([("x", "i1"), ("theta", "i1"), ("y", "i1"), ("k", "i2")])
 MIN_ROUNDS = 1000
 # rounds drawn or counted per pass; bounds the temporaries of sampling and counting
 _CHUNK = 1 << 16
+# guide-table buckets; a power of two, so u * _BUCKETS is exact and floors to u's bucket
+_BUCKETS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -90,20 +98,48 @@ def joint_distribution(ps: PurifiedState, povm: Povm) -> JointDistribution:
     return JointDistribution(p, protocol)
 
 
+class _GuideTable:
+    """u -> np.searchsorted(cdf, u, side="right") for u in [0, 1), by guide table.
+
+    ``cdf`` is nondecreasing and ends at exactly 1.0.  guide[j], the cell of
+    the bucket's left edge j/_BUCKETS, is a lower bound on the cell of any u
+    in bucket j; each pass steps every index whose CDF entry is still <= u,
+    and ``passes`` is the largest cell span of a bucket, read off the table,
+    so the index always reaches the exact cell.  It never passes the last
+    cell, whose entry 1.0 exceeds every u.
+    """
+
+    def __init__(self, cdf: np.ndarray) -> None:
+        edges = np.arange(_BUCKETS + 1) / _BUCKETS
+        self.cdf = cdf
+        self.guide = np.searchsorted(cdf, edges[:-1], side="right")
+        top = np.searchsorted(cdf, np.nextafter(edges[1:], 0.0), side="right")
+        self.passes = int(np.max(top - self.guide))
+
+    def cells(self, u: np.ndarray) -> np.ndarray:
+        idx = self.guide[(u * _BUCKETS).astype(np.intp)]
+        for _ in range(self.passes):
+            idx += self.cdf[idx] <= u
+        return idx
+
+
 def sample_rounds(jd: JointDistribution, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. sifted rounds drawn by inverse CDF over the flattened table.
+    """n i.i.d. sifted rounds, each the table cell its uniform falls in.
 
     Returns a structured array with fields x, theta, y, k.  The adversary's
     guess is not stored: it depends on which of x and theta the protocol
     keys on, and empirical_stats reads it off k and the revealed side value.
-    The uniforms are drawn in chunks of _CHUNK rounds; the generator yields
-    one double per draw, so the stream and the rounds are those of a single
-    draw of n.  Memory beyond the returned array is O(_CHUNK).
+    A uniform u selects the cell np.searchsorted(cdf, u, side="right") of
+    the cumulative flattened table, found through _GuideTable.  The uniforms
+    are drawn in chunks of _CHUNK rounds; the generator yields one double per
+    draw, so the stream and the rounds are those of a single draw of n.
+    Memory beyond the returned array is O(_CHUNK).
     """
     if n < 1:
         raise ValueError(f"need at least one round, got n={n}")
     cdf = np.cumsum(jd.probs.ravel())
     cdf /= cdf[-1]
+    table = _GuideTable(cdf)
     cells = np.empty(cdf.size, dtype=ROUND_DTYPE)
     cells["x"], cells["theta"], cells["y"], cells["k"] = np.unravel_index(np.arange(cdf.size), jd.probs.shape)
     rng = np.random.default_rng(seed)
@@ -113,7 +149,7 @@ def sample_rounds(jd: JointDistribution, n: int, seed: int) -> np.ndarray:
     cells_raw, out_raw = cells.view(raw), out.view(raw)
     for start in range(0, n, _CHUNK):
         u = rng.random(min(_CHUNK, n - start))
-        np.take(cells_raw, np.searchsorted(cdf, u, side="right"), out=out_raw[start : start + len(u)])
+        np.take(cells_raw, table.cells(u), out=out_raw[start : start + len(u)])
     return out
 
 
@@ -138,24 +174,32 @@ def empirical_stats(
     table cells the bias is below t/(2 n ln 2), so choose n accordingly).
     guess_accuracy is the fraction of rounds where bit ``side`` of k, the
     adversary's guess once the side value is revealed, equals the key.
-    The rounds are counted in chunks of _CHUNK; the counts are exact
-    integers, so the estimates equal those of one pass over all rounds, and
-    memory beyond ``samples`` is O(_CHUNK).
+    Each chunk of _CHUNK rounds is binned once by its (x, theta, y, k) cell;
+    errors, hits and the (key, k side) table are exact integer sums over
+    that count table, so the estimates equal those of one pass over all
+    rounds, and memory beyond ``samples`` is O(_CHUNK).
     """
     n = len(samples)
     if n < MIN_ROUNDS:
         raise ValueError(f"need at least {MIN_ROUNDS} rounds for stable estimates, got {n}; raise n_rounds")
     if samples["theta"].max() >= basis_count:
         raise ValueError(f"theta must lie below basis_count={basis_count}; filter rounds to the attack bases")
-    key_field, side_field, side_size = ("theta", "x", 2) if key_on_basis else ("x", "theta", basis_count)
-    n_out = int(samples["k"].max()) + 1
-    n_key = int(samples[key_field].max()) + 1
-    errors = hits = 0
-    counts = np.zeros(n_key * n_out * side_size, dtype=np.int64)
+    shape = (2, basis_count, 2, int(samples["k"].max()) + 1)
+    counts = np.zeros(np.prod(shape), dtype=np.int64)
     for start in range(0, n, _CHUNK):
         chunk = samples[start : start + _CHUNK]
-        key, side, k = (chunk[f].astype(np.int64) for f in (key_field, side_field, "k"))
-        errors += int(np.count_nonzero(chunk["y"] != chunk["x"]))
-        hits += int(np.count_nonzero(((k >> side) & 1) == key))
-        counts += np.bincount(key * (n_out * side_size) + k * side_size + side, minlength=counts.size)
-    return errors / n, _plugin_mi(counts.reshape(n_key, n_out * side_size)), hits / n
+        cell = chunk["x"].astype(np.intp)
+        for field, size in zip(("theta", "y", "k"), shape[1:]):
+            cell *= size
+            cell += chunk[field]
+        counts += np.bincount(cell, minlength=counts.size)
+    counts = counts.reshape(shape)
+    errors = int(counts[0, :, 1].sum() + counts[1, :, 0].sum())
+    x, theta, _, k = np.ix_(*map(range, shape))
+    key, side = (theta, x) if key_on_basis else (x, theta)
+    hits = int((counts * (((k >> side) & 1) == key)).sum())
+    # (key, k, side) table, cut after the last key value that occurs
+    by_side = counts.sum(axis=2).transpose((1, 2, 0) if key_on_basis else (0, 2, 1))
+    table = by_side.reshape(len(by_side), -1)
+    table = table[: np.flatnonzero(table.sum(axis=1))[-1] + 1]
+    return errors / n, _plugin_mi(table), hits / n

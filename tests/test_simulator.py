@@ -6,9 +6,11 @@ import pytest
 from qkdattack.information import conditional_probs
 from qkdattack.optimizer import OptimizerConfig, optimize_attack, random_povm
 from qkdattack.simulator import (
+    _BUCKETS,
     _CHUNK,
     ROUND_DTYPE,
     JointDistribution,
+    _GuideTable,
     _plugin_mi,
     empirical_stats,
     joint_distribution,
@@ -115,15 +117,62 @@ def test_sample_rounds_deterministic_and_typed():
         sample_rounds(jd, 0, seed=0)
 
 
-@pytest.mark.parametrize("n", [1, 999, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 1])
+_CHUNK_EDGES = [1, 999, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 1]
+
+
+# q = 0 adds empty (y != x) cells; the q = 0.1 cases keep their plain n ids
+@pytest.mark.parametrize(
+    ("q", "n"),
+    [pytest.param(0.1, n, id=str(n)) for n in _CHUNK_EDGES] + [pytest.param(0.0, n, id=f"q0-{n}") for n in _CHUNK_EDGES],
+)
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
-def test_chunked_sampling_and_counting_equal_one_shot(name, n):
-    jd = _jd(name, 0.1, seed=11)
+def test_chunked_sampling_and_counting_equal_one_shot(name, q, n):
+    jd = _jd(name, q, seed=11)
     s = sample_rounds(jd, n, seed=n)
     assert np.array_equal(s, _one_shot_sample(jd, n, seed=n))
     if n >= 1000:
         for key_on_basis in (False, True):
             assert empirical_stats(s, jd.basis_count, key_on_basis) == _one_shot_stats(s, jd.basis_count, key_on_basis)
+
+
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    cdf = np.cumsum(probs.ravel())
+    cdf /= cdf[-1]
+    return cdf
+
+
+_GUIDE_TABLES = {
+    # zero cells: every y != x cell is empty at q = 0
+    "q0-table": lambda: _jd("bb84", 0.0).probs,
+    # flat runs at the start, in the middle and at the end
+    "zero-cells": lambda: np.array([0.0, 0.0, 0.3, 0.0, 0.0, 0.2, 0.5, 0.0, 0.0]),
+    # five cell edges inside bucket 0
+    "crowded-bucket": lambda: np.array([1e-5] * 5 + [1.0 - 5e-5]),
+    "one-cell": lambda: np.array([1.0]),
+}
+
+
+@pytest.mark.parametrize("table", sorted(_GUIDE_TABLES))
+def test_guide_table_equals_binary_search(table):
+    cdf = _cdf(_GUIDE_TABLES[table]())
+    guide = _GuideTable(cdf)
+    edges = np.arange(_BUCKETS) / _BUCKETS
+    u = np.concatenate(
+        [
+            [0.0, np.nextafter(1.0, 0.0)],
+            edges,
+            np.nextafter(edges, 0.0),
+            cdf,
+            np.nextafter(cdf, 0.0),
+            np.nextafter(cdf, 2.0),
+        ]
+    )
+    u = u[(u >= 0.0) & (u < 1.0)]
+    assert np.array_equal(guide.cells(u), np.searchsorted(cdf, u, side="right"))
+    if table == "crowded-bucket":
+        assert guide.passes >= 5
+    if table == "one-cell":
+        assert guide.passes == 0
 
 
 def test_theta_check_sees_the_last_chunk():
