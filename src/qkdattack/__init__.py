@@ -26,13 +26,7 @@ from .keyrate import (
     tabulate_curve,
 )
 from .linalg import TOL, Tolerances, dagger, partial_trace
-from .optimizer import (
-    AttackResult,
-    OptimizerConfig,
-    optimize_attack,
-    optimize_povm,
-    random_povm,
-)
+from .optimizer import AttackResult, OptimizerConfig, optimize_attack
 from .simulator import (
     JointDistribution,
     empirical_stats,
@@ -90,12 +84,10 @@ __all__ = [
     "lambda_fn",
     "mutual_info_ae",
     "optimize_attack",
-    "optimize_povm",
     "partial_trace",
     "purified_state",
     "purify",
     "qber_in_basis",
-    "random_povm",
     "reference_thresholds",
     "sample_rounds",
     "tabulate_curve",

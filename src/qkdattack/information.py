@@ -39,6 +39,8 @@ class Povm:
         m = self.elements
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise ValueError(f"POVM elements must be stacked square matrices, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("POVM elements must be finite")
         if np.max(np.abs(m - m.conj().transpose(0, 2, 1))) > TOL.hermiticity:
             raise ValueError("POVM elements must be Hermitian")
         total = m.sum(axis=0)
@@ -67,6 +69,8 @@ class ConditionalDistribution:
         p = self.probs
         if p.ndim != 3 or p.shape[1] != 2:
             raise ValueError(f"probs must have shape (n_outcomes, 2, basis_count), got {p.shape}")
+        if not np.isfinite(p).all():
+            raise ValueError("probabilities must be finite")
         if np.min(p) < -1e-12 or np.max(p) > 1 + 1e-12:
             raise ValueError("probabilities outside [0, 1]")
         col = p.sum(axis=0)

@@ -37,7 +37,6 @@ everything in the calling process.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import sys
@@ -259,47 +258,6 @@ def _random_factors(rng: np.random.Generator, n_outcomes: int, dim: int) -> np.n
     return rng.standard_normal((n_outcomes, dim, dim)) + 1j * rng.standard_normal((n_outcomes, dim, dim))
 
 
-def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
-    """Haar-unstructured random POVM: Gaussian factors, sandwich-normalized."""
-    if dim < 1 or n_outcomes < 1:
-        raise ValueError("dim and n_outcomes must be positive")
-    rng = np.random.default_rng(seed)
-    factors = _random_factors(rng, n_outcomes, dim)[None]
-    _, m = _renormalize(factors)
-    return Povm(m[0])
-
-
-def _canonical_order(m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Relabel outcomes so bit s of index k guesses the key given side value s.
-
-    ``p`` is p[k, key, side] as from _probs; with a bit-keyed protocol bit
-    theta of k guesses x given basis theta, with a basis-keyed one bit x of k
-    guesses theta given the revealed bit x.  The objective is invariant under
-    outcome permutations, so the optimizer returns labels in arbitrary
-    order.  The relabeling maximizes the expected guess accuracy over all
-    bijections; a per-outcome argmax is not enough because optimal
-    measurements carry exact posterior ties (an outcome can be informative
-    in one side value and uniform in the other), which must be broken
-    jointly to keep the labeling a bijection.
-    """
-    n, n_side = p.shape[0], p.shape[2]
-    if n != 2**n_side:
-        return m
-    # score[k, s]: guess-accuracy mass if outcome k is relabeled to slot s
-    bits = (np.arange(n)[:, None] >> np.arange(n_side)[None, :]) & 1
-    score = np.zeros((n, n))
-    for s in range(n):
-        score[:, s] = sum(p[:, bits[s, t], t] for t in range(n_side))
-    best_perm, best_val = None, -np.inf
-    for perm in itertools.permutations(range(n)):
-        val = score[np.arange(n), perm].sum()
-        if val > best_val + 1e-15:
-            best_perm, best_val = perm, val
-    out = np.empty_like(m)
-    out[list(best_perm)] = m
-    return out
-
-
 def _process_count() -> int:
     """Processes one ascent may use: the CPUs in this process's affinity mask.
 
@@ -339,11 +297,11 @@ def _shards(rows: int, processes: int) -> list[tuple[int, int]]:
 
 def _run_shard(
     factors: np.ndarray, rho_xt: np.ndarray, group: np.ndarray, max_iters: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(f, m, p, converged) of every row after one lockstep ascent."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f, m, converged) of every row after one lockstep ascent."""
     batch = _Batch(factors, rho_xt, group)
     batch.run(max_iters)
-    return batch.f, batch.m, batch.p, batch.converged
+    return batch.f, batch.m, batch.converged
 
 
 def _ascend(
@@ -354,7 +312,8 @@ def _ascend(
     Every state gets the same config.restarts seeded starts, as one row
     group per state.  This process steps the first shard (see _shards) and a
     pool opened for this ascent steps the others; results are reduced per
-    group.
+    group.  Outcomes keep the order the ascent left them in: the objective
+    is invariant under relabeling, and no caller reads meaning into a label.
     """
     n = config.restarts
     starts = np.stack(
@@ -376,7 +335,7 @@ def _ascend(
             parts = [_run_shard(*shard_args(*own))] + [future.result() for future in futures]
     else:
         parts = [_run_shard(*shard_args(*own))]
-    f, m, p, converged = (np.concatenate(a) for a in zip(*parts))
+    f, m, converged = (np.concatenate(a) for a in zip(*parts))
 
     results = []
     for rows in range(0, group.size, n):
@@ -384,15 +343,8 @@ def _ascend(
         best = rows + int(np.argmax(f_group))
         f_best = float(f[best])
         agreeing = int(np.count_nonzero(f_group >= f_best - _AGREE_TOL))
-        m_best = _canonical_order(m[best], p[best])
-        results.append((m_best, max(f_best, 0.0), agreeing, bool(converged[best])))
+        results.append((m[best], max(f_best, 0.0), agreeing, bool(converged[best])))
     return results
-
-
-def optimize_povm(ps: PurifiedState, n_outcomes: int, config: OptimizerConfig) -> tuple[Povm, float]:
-    """Best measurement found over config.restarts independent ascents."""
-    m, f, _, _ = _ascend([ps], n_outcomes, config)[0]
-    return Povm(m), f
 
 
 def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> AttackResult:

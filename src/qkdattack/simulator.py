@@ -17,11 +17,15 @@ A round's cell is found from its uniform through a guide table over the
 cumulative table (Chen and Asau, 1974; Devroye 1986, sec. III.2.4): one
 lookup and a few compare-and-step passes, giving exactly the cell a binary
 search would.  Counting bins each round once by its (x, theta, y, k) cell
-and reads every statistic off that count table.
+and reads every statistic off that count table.  That includes the
+adversary's guess: she guesses after sifting, so for each outcome and
+revealed side value it is the key value seen most often there.  Outcome
+labels carry no meaning, and nothing here reads the bits of k.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +56,8 @@ class JointDistribution:
             raise ValueError(
                 f"basis axis {p.shape[1]} does not match protocol basis_count {self.protocol.basis_count}"
             )
+        if not np.isfinite(p).all():
+            raise ValueError("joint probabilities must be finite")
         if np.min(p) < -1e-12:
             raise ValueError(f"negative joint probability {np.min(p):.3e}")
         if abs(float(p.sum()) - 1.0) > 1e-10:
@@ -128,7 +134,8 @@ def sample_rounds(jd: JointDistribution, n: int, seed: int) -> np.ndarray:
 
     Returns a structured array with fields x, theta, y, k.  The adversary's
     guess is not stored: it depends on which of x and theta the protocol
-    keys on, and empirical_stats reads it off k and the revealed side value.
+    keys on, and empirical_stats reads her best guess for each outcome and
+    revealed side value off the counts.
     A uniform u selects the cell np.searchsorted(cdf, u, side="right") of
     the cumulative flattened table, found through _GuideTable.  The uniforms
     are drawn in chunks of _CHUNK rounds; the generator yields one double per
@@ -154,12 +161,18 @@ def sample_rounds(jd: JointDistribution, n: int, seed: int) -> np.ndarray:
 
 
 def _plugin_mi(counts: np.ndarray) -> float:
-    """Plug-in mutual information in bits from a 2-d contingency table."""
-    p = counts / counts.sum()
-    pa = p.sum(axis=1, keepdims=True)
-    pb = p.sum(axis=0, keepdims=True)
+    """Plug-in mutual information in bits from a 2-d table of integer counts.
+
+    The marginals are exact integer sums and the total is correctly rounded
+    (math.fsum), so permuting rows or columns, relabeling the adversary's
+    outcomes say, leaves every bit of the estimate unchanged.
+    """
+    n = counts.sum()
+    p = counts / n
+    pa = counts.sum(axis=1, keepdims=True) / n
+    pb = counts.sum(axis=0, keepdims=True) / n
     mask = p > 0
-    return float(np.sum(p[mask] * np.log2(p[mask] / (pa * pb)[mask])))
+    return math.fsum(p[mask] * np.log2(p[mask] / (pa * pb)[mask]))
 
 
 def empirical_stats(
@@ -169,15 +182,22 @@ def empirical_stats(
 
     The key is x and the revealed side value theta, or with ``key_on_basis``
     the key is theta and the side value x.  qber_hat is the fraction of
-    rounds with y != x.  i_ae_hat is the plug-in estimate of
-    I(Key : K, Side) from empirical frequencies (no bias correction; with t
-    table cells the bias is below t/(2 n ln 2), so choose n accordingly).
-    guess_accuracy is the fraction of rounds where bit ``side`` of k, the
-    adversary's guess once the side value is revealed, equals the key.
+    rounds with y != x.  Both adversary figures are plug-in estimates from
+    the (key, k side) table of counts, without bias correction, so choose n
+    accordingly:
+
+    - i_ae_hat estimates I(Key : K, Side); with t table cells its bias is
+      below t/(2 n ln 2).
+    - guess_accuracy is the fraction of rounds her best guess gets right:
+      in each of the T (k, side) columns, the key value counted most often
+      there.  That is argmax_key p(k | key, side), read off the sample, so
+      it needs no outcome labelling.  Choosing the guess on the same rounds
+      it is scored on biases it up, by at most sqrt(T/n)/2 for a binary key.
+
     Each chunk of _CHUNK rounds is binned once by its (x, theta, y, k) cell;
-    errors, hits and the (key, k side) table are exact integer sums over
-    that count table, so the estimates equal those of one pass over all
-    rounds, and memory beyond ``samples`` is O(_CHUNK).
+    errors and the (key, k side) table are exact integer sums over that
+    count table, so the estimates equal those of one pass over all rounds,
+    and memory beyond ``samples`` is O(_CHUNK).
     """
     n = len(samples)
     if n < MIN_ROUNDS:
@@ -195,11 +215,9 @@ def empirical_stats(
         counts += np.bincount(cell, minlength=counts.size)
     counts = counts.reshape(shape)
     errors = int(counts[0, :, 1].sum() + counts[1, :, 0].sum())
-    x, theta, _, k = np.ix_(*map(range, shape))
-    key, side = (theta, x) if key_on_basis else (x, theta)
-    hits = int((counts * (((k >> side) & 1) == key)).sum())
     # (key, k, side) table, cut after the last key value that occurs
     by_side = counts.sum(axis=2).transpose((1, 2, 0) if key_on_basis else (0, 2, 1))
     table = by_side.reshape(len(by_side), -1)
     table = table[: np.flatnonzero(table.sum(axis=1))[-1] + 1]
+    hits = int(table.max(axis=0).sum())
     return errors / n, _plugin_mi(table), hits / n

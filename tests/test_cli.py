@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from povm_helpers import random_povm
 from qkdattack import cli, keyrate
 from qkdattack.cli import main
 from qkdattack.information import Povm
 from qkdattack.keyrate import bb84_closed_form_iae
-from qkdattack.optimizer import AttackResult, random_povm
+from qkdattack.optimizer import AttackResult
 
 LIGHT = ["--restarts", "8", "--alpha-grid-points", "9"]
 

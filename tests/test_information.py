@@ -12,6 +12,7 @@ from qkdattack.information import (
     lambda_fn,
     mutual_info_ae,
 )
+from qkdattack.simulator import JointDistribution
 from qkdattack.states import BB84, SIX_STATE, purified_state
 
 
@@ -48,6 +49,26 @@ def test_povm_validation():
     with pytest.raises(ValueError, match="negative eigenvalue"):
         m = np.diag([1.5, 1.0, 1.0, 1.0])
         Povm(np.stack([m, np.eye(4) - m]).astype(complex))
+
+
+def _with_nan(table: np.ndarray) -> np.ndarray:
+    table.flat[1] = np.nan
+    return table
+
+
+# a NaN slips past every comparison-based check (NaN < x and NaN > x are both False)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Povm(_with_nan(np.stack([np.eye(4), np.eye(4)]).astype(complex) / 2)),
+        lambda: ConditionalDistribution(_with_nan(np.full((4, 2, 2), 0.25))),
+        lambda: JointDistribution(_with_nan(np.full((2, 2, 2, 4), 1 / 32)), BB84),
+    ],
+    ids=["povm", "conditional", "joint"],
+)
+def test_tables_reject_nan(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 def test_conditional_distribution_validation():

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from povm_helpers import random_povm
 from qkdattack.information import conditional_probs
-from qkdattack.optimizer import OptimizerConfig, optimize_attack, random_povm
+from qkdattack.optimizer import optimize_attack
 from qkdattack.simulator import (
     _BUCKETS,
     _CHUNK,
@@ -16,7 +17,7 @@ from qkdattack.simulator import (
     joint_distribution,
     sample_rounds,
 )
-from qkdattack.states import BB84, PROTOCOLS, alpha_range, purified_state, qber_in_basis, rho_ab
+from qkdattack.states import BB84, PROTOCOLS, SARG04, alpha_range, purified_state, qber_in_basis, rho_ab
 
 
 def _jd(protocol_name: str, q: float, seed: int = 17) -> JointDistribution:
@@ -43,11 +44,12 @@ def _one_shot_stats(samples: np.ndarray, basis_count: int, key_on_basis: bool) -
     qber_hat = float(np.mean(samples["y"] != samples["x"]))
     n_out = int(k.max()) + 1
     key, side, side_size = (theta, x, 2) if key_on_basis else (x, theta, basis_count)
-    accuracy = float(np.mean(((k >> side) & 1) == key))
     counts = np.bincount(
         key * (n_out * side_size) + k * side_size + side,
         minlength=(int(key.max()) + 1) * n_out * side_size,
     ).reshape(int(key.max()) + 1, n_out * side_size)
+    # the best guess in each (k, side) column scores that column's largest count
+    accuracy = float(counts.max(axis=0).sum() / len(samples))
     return qber_hat, _plugin_mi(counts), accuracy
 
 
@@ -268,7 +270,7 @@ def test_empirical_stats_independent_samples():
 
 def test_empirical_stats_key_on_basis_readout():
     # outcome encodes theta exactly: one full bit in the basis-keyed
-    # convention, and the bit-x-of-k rule recovers theta for every x
+    # convention, and the best guess recovers theta for every x
     rng = np.random.default_rng(4)
     n = 50_000
     s = np.zeros(n, dtype=ROUND_DTYPE)
@@ -281,21 +283,52 @@ def test_empirical_stats_key_on_basis_readout():
     assert acc == 1.0
 
 
+def _best_guess_accuracy(jd: JointDistribution, basis_count: int) -> tuple[float, int]:
+    """Exact accuracy of argmax_key p(k | key, side) over the first bases, and its column count T."""
+    p = jd.probs[:, :basis_count].sum(axis=2)  # p[x, theta, k]
+    best = p.max(axis=1 if jd.protocol.key_on_basis else 0)
+    return float(best.sum() / p.sum()), best.size
+
+
+def _guess_tolerance(exact: float, columns: int, n: int) -> float:
+    """4 sigma of the binomial hit count plus the plug-in's resubstitution bias bound."""
+    return 4 * np.sqrt(exact * (1 - exact) / n) + np.sqrt(columns / n) / 2
+
+
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
 def test_sampled_guess_accuracy_matches_table(name):
-    # the guess is bit `side` of k against the key; the exact accuracy sums
-    # the table over the attack bases, renormalized to them
+    # the exact best-guess accuracy over the attack bases, renormalized to them
     proto = PROTOCOLS[name]
     jd = _jd(name, 0.1, seed=29)
     b, n = proto.attack_basis_count, 200_000
-    x, theta, _, k = np.ix_(range(2), range(jd.basis_count), range(2), range(jd.probs.shape[3]))
-    key, side = (theta, x) if proto.key_on_basis else (x, theta)
-    hit = (((k >> side) & 1) == key) & (theta < b)
-    exact = (jd.probs * hit).sum() / jd.probs[:, :b].sum()
+    exact, columns = _best_guess_accuracy(jd, b)
     s = sample_rounds(jd, n, seed=31)
     rounds = s[s["theta"] < b]
     _, _, acc = empirical_stats(rounds, b, proto.key_on_basis)
-    assert abs(acc - exact) <= 4 * np.sqrt(exact * (1 - exact) / len(rounds))
+    assert abs(acc - exact) <= _guess_tolerance(exact, columns, len(rounds))
+
+
+def test_sampled_guess_accuracy_of_optimized_sarg04(light_config):
+    # sarg04's optimal outcomes guess (0, 1), (1, 0), (0, 1) and (1, 0) per
+    # side value: no bit code of k can carry them all, but the best guess can
+    result = optimize_attack(SARG04, 0.1, light_config)
+    jd = joint_distribution(purified_state(SARG04, 0.1, result.best_alpha), result.best_povm)
+    exact, columns = _best_guess_accuracy(jd, SARG04.attack_basis_count)
+    assert exact == pytest.approx(0.731, abs=0.01)
+    n = 200_000
+    _, _, acc = empirical_stats(sample_rounds(jd, n, seed=37), SARG04.attack_basis_count, key_on_basis=True)
+    assert abs(acc - exact) <= _guess_tolerance(exact, columns, n)
+
+
+@pytest.mark.parametrize("n_outcomes", [4, 8])
+@pytest.mark.parametrize("key_on_basis", [False, True], ids=["bit-keyed", "basis-keyed"])
+def test_empirical_stats_ignore_outcome_labels(n_outcomes, key_on_basis):
+    # relabeling the adversary's outcomes is the same measurement
+    ps = purified_state(BB84, 0.1, 0.85)
+    s = sample_rounds(joint_distribution(ps, random_povm(4, n_outcomes, 41)), 50_000, seed=43)
+    relabeled = s.copy()
+    relabeled["k"] = np.random.default_rng(47).permutation(n_outcomes)[s["k"]]
+    assert empirical_stats(relabeled, 2, key_on_basis) == empirical_stats(s, 2, key_on_basis)
 
 
 def test_guess_accuracy_uninformed_at_zero_noise():
@@ -307,19 +340,12 @@ def test_guess_accuracy_uninformed_at_zero_noise():
 
 
 def test_guess_accuracy_nondecreasing_in_q(light_config):
-    # analytic accuracy from the joint table, optimized attack at each q
+    # exact best-guess accuracy from the joint table, optimized attack at each q
     accs = []
     for q in (0.0, 0.05, 0.10, 0.15, 0.20, 0.25):
         result = optimize_attack(BB84, q, light_config)
-        ps = purified_state(BB84, q, result.best_alpha)
-        jd = joint_distribution(ps, result.best_povm)
-        k = np.arange(jd.probs.shape[3])
-        acc = sum(
-            jd.probs[x, theta, :, ((k >> theta) & 1) == x].sum()
-            for x in (0, 1)
-            for theta in (0, 1)
-        )
-        accs.append(acc)
+        jd = joint_distribution(purified_state(BB84, q, result.best_alpha), result.best_povm)
+        accs.append(_best_guess_accuracy(jd, BB84.basis_count)[0])
     assert accs[0] == pytest.approx(0.5, abs=1e-9)
     assert all(b >= a - 1e-6 for a, b in zip(accs, accs[1:]))
 
