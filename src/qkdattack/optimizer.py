@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .information import Povm
-from .linalg import dagger
+from .linalg import TOL, dagger
 from .states import Protocol, PurifiedState, alpha_range, eve_conditional_state, purified_state
 
 _INIT_STEP = 0.1
@@ -55,8 +55,8 @@ _STALL_LIMIT = 80
 # improvements below this (plus 1e-7 |f|) do not reset a restart's stall window
 _STEP_TOLERANCE = 1e-9
 _AGREE_TOL = 1e-6
-# fewest rows worth a process: a step costs a fixed ~0.2 ms plus ~14 us per
-# row, so a smaller shard would spend most of its time on the fixed part
+# fewest rows worth a process: a step costs a fixed ~0.08 ms plus ~8-11 us
+# per row, so a smaller shard would spend most of its time on the fixed part
 _MIN_SHARD_ROWS = 16
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -91,9 +91,9 @@ class AttackResult:
     robust: bool
 
 
-def _lam(t: np.ndarray) -> np.ndarray:
-    # unvalidated fast path of lambda_fn for internal arrays
-    return np.where(t > 1e-14, -t * np.log2(np.maximum(t, 1e-300)), 0.0)
+def _lam(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
+    """-t log2 t from t and its floored log, zero at probabilities below the floor."""
+    return np.where(t > TOL.probability_floor, -t * log_t, 0.0)
 
 
 def _conditional_stack(ps: PurifiedState) -> np.ndarray:
@@ -117,6 +117,16 @@ def _real_rows(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x).reshape(-1, x.shape[-1] ** 2).view(np.float64)
 
 
+def _state_rows(rho_xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group conditional-state stacks (G, key, side, d, d) as real rows (G, key, side, 2 d^2).
+
+    The first holds rho^dag, which _probs reads, and the second rho, which
+    _gradient reads; a batch forms both once.
+    """
+    shape = (*rho_xt.shape[:3], -1)
+    return _real_rows(dagger(rho_xt)).reshape(shape), _real_rows(rho_xt).reshape(shape)
+
+
 def _row_groups(group: np.ndarray) -> list[tuple[int, int, int]]:
     """(stack, first row, end row) of each run of rows sharing a conditional-state stack."""
     cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), group.size]
@@ -138,22 +148,20 @@ def _renormalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a_n, dagger(a_n) @ a_n
 
 
-def _probs(m: np.ndarray, rho_xt: np.ndarray, group: np.ndarray) -> np.ndarray:
+def _probs(m: np.ndarray, rho_dag: np.ndarray, runs: list[tuple[int, int, int]]) -> np.ndarray:
     """p[r, k, key, side] = p(k | key, side) for POVM stacks m (r, k, d, d).
 
-    ``rho_xt`` holds per-group conditional-state stacks (G, key, side, d, d)
-    from _conditional_stack and ``group[i]`` is the stack of row i; the rows
-    of a group are contiguous.  Tr(M rho) is the real dot product of M and
+    ``rho_dag`` holds the rho^dag rows of _state_rows and ``runs`` the row
+    groups of _row_groups.  Tr(M rho) is the real dot product of M and
     rho^dag, so each run of rows is one (rows * k, 2 d^2) @ (2 d^2, key * side)
     GEMM.
     """
     r, k = m.shape[:2]
-    n_key, n_side = rho_xt.shape[-4:-2]
+    n_key, n_side, width = rho_dag.shape[1:]
     mv = _real_rows(m)
-    rv = _real_rows(dagger(rho_xt)).reshape(-1, n_key * n_side, mv.shape[1])
     p = np.empty((r * k, n_key * n_side))
-    for grp, s, e in _row_groups(group):
-        np.matmul(mv[s * k : e * k], rv[grp].T, out=p[s * k : e * k])
+    for grp, s, e in runs:
+        np.matmul(mv[s * k : e * k], rho_dag[grp].reshape(-1, width).T, out=p[s * k : e * k])
     return np.clip(p.reshape(r, k, n_key, n_side), 0.0, 1.0)
 
 
@@ -167,90 +175,130 @@ def _key_marginal(p: np.ndarray) -> np.ndarray:
     return sum(p[:, :, i] for i in range(n_key)) / n_key
 
 
-def _objective(p: np.ndarray) -> np.ndarray:
-    """I(Key : K, Side) per restart from probability stacks p[r, k, key, side].
+def _objective(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """I(Key : K, Side) per restart, and its gradient weights, from probability stacks p[r, k, key, side].
 
     Key and side values are uniform and independent, so the information is
     H(K | Side) - H(K | Key, Side); the first term marginalizes the key axis.
-    """
-    n_key, n_side = p.shape[2:]
-    h_k_key_side = _lam(p).sum(axis=(1, 2, 3)) / (n_key * n_side)
-    h_marg = _lam(_key_marginal(p)).sum(axis=(1, 2)) / n_side
-    return h_marg - h_k_key_side
-
-
-def _gradient(p: np.ndarray, rho_xt: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """d I / d M_k evaluated at the current probabilities p[r, k, key, side].
-
-    The derivative is sum over (key, side) of (log2 p - log2 pbar) rho / n,
-    with pbar the key-marginal of p and n the number of (key, side) cells.
-    ``rho_xt`` and ``group`` as in _probs; each run of rows is one
-    (rows * k, n) @ (n, 2 d^2) GEMM on the real view.
+    The derivative d I / d M_k is the sum over (key, side) of
+    (log2 p - log2 pbar) rho / n, with pbar the key-marginal of p and n the
+    number of (key, side) cells; the weights w[r, k, (key, side)] are its
+    coefficients.  Each log is taken once, floored at 1e-18: the entropy
+    terms read it only where p exceeds the probability floor, far above
+    1e-18, so the floor changes no entropy.
     """
     r, k, n_key, n_side = p.shape
-    n, d = n_key * n_side, rho_xt.shape[-1]
-    pbar = _key_marginal(p)[:, :, None, :]
-    ratio = (np.log2(np.maximum(p, 1e-18)) - np.log2(np.maximum(pbar, 1e-18))) / n
-    ratio = ratio.reshape(r * k, n)
-    rv = _real_rows(rho_xt).reshape(-1, n, 2 * d * d)
-    g = np.empty((r * k, 2 * d * d))
-    for grp, s, e in _row_groups(group):
-        np.matmul(ratio[s * k : e * k], rv[grp], out=g[s * k : e * k])
+    n = n_key * n_side
+    pbar = _key_marginal(p)
+    log_p = np.log2(np.maximum(p, 1e-18))
+    log_pbar = np.log2(np.maximum(pbar, 1e-18))
+    h_k_key_side = _lam(p, log_p).sum(axis=(1, 2, 3)) / n
+    h_marg = _lam(pbar, log_pbar).sum(axis=(1, 2)) / n_side
+    w = ((log_p - log_pbar[:, :, None, :]) / n).reshape(r, k, n)
+    return h_marg - h_k_key_side, w
+
+
+def _gradient(w: np.ndarray, rho_rows: np.ndarray, runs: list[tuple[int, int, int]]) -> np.ndarray:
+    """d I / d M_k (r, k, d, d) from the gradient weights w[r, k, (key, side)] of _objective.
+
+    ``rho_rows`` holds the rho rows of _state_rows and ``runs`` the row
+    groups of _row_groups; each run of rows is one (rows * k, n) @ (n, 2 d^2)
+    GEMM on the real view.
+    """
+    r, k, n = w.shape
+    width = rho_rows.shape[-1]
+    d = math.isqrt(width // 2)
+    wv = w.reshape(r * k, n)
+    g = np.empty((r * k, width))
+    for grp, s, e in runs:
+        np.matmul(wv[s * k : e * k], rho_rows[grp].reshape(n, width), out=g[s * k : e * k])
     return g.view(np.complex128).reshape(r, k, d, d)
 
 
 class _Batch:
     """Lockstep state of several independent local searches.
 
-    ``rho_xt`` and ``group`` as in _probs: one conditional-state stack per
-    contiguous row group.
+    ``rho_xt`` holds one conditional-state stack per contiguous row group and
+    ``group[i]`` is the stack of row i.  A step works on dense arrays of the
+    rows still running, the live rows: their accepted factors, the gradient
+    weights and value at those factors, step sizes, stall counts and groups.
+    These are compacted, and their row groups recomputed, only on a step
+    where rows finish; a finished row's factors and value are kept in
+    full-length arrays.  ``f``, ``m`` and ``row_iters`` give every row in the
+    batch's order, like ``active`` and ``converged``.
     """
 
     def __init__(self, factors: np.ndarray, rho_xt: np.ndarray, group: np.ndarray):
-        self.rho_xt = rho_xt
-        self.group = group
-        self.a, self.m = _renormalize(factors)
-        self.p = _probs(self.m, rho_xt, group)
-        self.f = _objective(self.p)
+        self._rho_dag, self._rho_rows = _state_rows(rho_xt)
+        self._group = group
+        self._runs = _row_groups(group)
+        self._a, m = _renormalize(factors)
+        self._f, self._w = _objective(_probs(m, self._rho_dag, self._runs))
         n = factors.shape[0]
-        self.step = np.full(n, _INIT_STEP)
-        self.stall = np.zeros(n, dtype=int)
+        self._rows = np.arange(n)
+        self._step = np.full(n, _INIT_STEP)
+        self._stall = np.zeros(n, dtype=int)
+        self._done_a = np.empty_like(self._a)
+        self._done_f = np.empty(n)
+        self._done_iters = np.zeros(n, dtype=int)
         self.active = np.ones(n, dtype=bool)
         self.converged = np.zeros(n, dtype=bool)
         self.iters = 0
-        self.row_iters = np.zeros(n, dtype=int)
+
+    def _merged(self, done: np.ndarray, live) -> np.ndarray:
+        out = done.copy()
+        out[self._rows] = live
+        return out
+
+    @property
+    def f(self) -> np.ndarray:
+        return self._merged(self._done_f, self._f)
+
+    @property
+    def m(self) -> np.ndarray:
+        a = self._merged(self._done_a, self._a)
+        return dagger(a) @ a
+
+    @property
+    def row_iters(self) -> np.ndarray:
+        return self._merged(self._done_iters, self.iters)
 
     def step_once(self) -> None:
-        idx = np.flatnonzero(self.active)
-        if idx.size == 0:
+        if self._rows.size == 0:
             return
-        group = self.group[idx]
-        a = self.a[idx]
-        g = _gradient(self.p[idx], self.rho_xt, group)
-        cand = a + self.step[idx][:, None, None, None] * (a @ g)
+        a = self._a
+        g = _gradient(self._w, self._rho_rows, self._runs)
+        cand = a + self._step[:, None, None, None] * (a @ g)
         a_n, m_n = _renormalize(cand)
-        p_n = _probs(m_n, self.rho_xt, group)
-        f_n = _objective(p_n)
-        improved = f_n > self.f[idx]
+        f_n, w_n = _objective(_probs(m_n, self._rho_dag, self._runs))
+        improved = f_n > self._f
         # small improvements do not reset the stall window, otherwise
         # asymptotic creep keeps slow restarts alive to max_iters
-        significant = f_n > self.f[idx] + _STEP_TOLERANCE + 1e-7 * np.abs(f_n)
-        up = idx[improved]
-        self.a[up], self.m[up] = a_n[improved], m_n[improved]
-        self.p[up], self.f[up] = p_n[improved], f_n[improved]
-        self.step[up] *= 1.2
-        self.step[idx[~improved]] *= 0.5
-        np.maximum(self.step, _STEP_FLOOR, out=self.step)
-        self.stall[idx] += 1
-        self.stall[idx[significant]] = 0
-        done = idx[self.stall[idx] >= _STALL_LIMIT]
-        self.converged[done] = True
-        self.active[done] = False
-        self.row_iters[idx] += 1
+        significant = f_n > self._f + _STEP_TOLERANCE + 1e-7 * np.abs(f_n)
+        np.copyto(a, a_n, where=improved[:, None, None, None])
+        np.copyto(self._w, w_n, where=improved[:, None, None])
+        np.copyto(self._f, f_n, where=improved)
+        self._step = np.maximum(np.where(improved, self._step * 1.2, self._step * 0.5), _STEP_FLOOR)
+        self._stall = np.where(significant, 0, self._stall + 1)
         self.iters += 1
+        done = self._stall >= _STALL_LIMIT
+        if done.any():
+            self._finish(done)
+
+    def _finish(self, done: np.ndarray) -> None:
+        """Mark the live rows ``done`` converged, keep their results and compact the rest."""
+        rows = self._rows[done]
+        self._done_a[rows], self._done_f[rows], self._done_iters[rows] = self._a[done], self._f[done], self.iters
+        self.converged[rows] = True
+        self.active[rows] = False
+        live = ~done
+        self._rows, self._group = self._rows[live], self._group[live]
+        self._a, self._w, self._f = self._a[live], self._w[live], self._f[live]
+        self._step, self._stall = self._step[live], self._stall[live]
+        self._runs = _row_groups(self._group) if self._group.size else []
 
     def run(self, max_iters: int) -> None:
-        while self.iters < max_iters and self.active.any():
+        while self.iters < max_iters and self._rows.size:
             self.step_once()
 
 

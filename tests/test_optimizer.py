@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qkdattack.optimizer as op
+from batch_reference import ReferenceBatch
 from povm_helpers import random_povm
 from qkdattack.information import Povm, conditional_probs, mutual_info_ae
 from qkdattack.keyrate import bb84_closed_form_iae
@@ -49,15 +50,15 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
     for proto in (BB84, SARG04):
         ps = purified_state(proto, 0.1, sum(alpha_range(proto, 0.1)) / 2)
-        rho_xt, group = op._conditional_stack(ps)[None], np.zeros(1, dtype=int)
+        (rho_dag, rho_rows), runs = op._state_rows(op._conditional_stack(ps)[None]), [(0, 0, 1)]
         m = random_povm(4, 4, seed=5).elements[None]
         h = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
         h = (h + h.conj().transpose(0, 2, 1)) / 2
-        g = op._gradient(op._probs(m, rho_xt, group), rho_xt, group)
+        g = op._gradient(op._objective(op._probs(m, rho_dag, runs))[1], rho_rows, runs)
         analytic = float(np.einsum("rkij,kji->", g, h).real)
         eps = 1e-6
-        f_plus = op._objective(op._probs(m + eps * h[None], rho_xt, group))[0]
-        f_minus = op._objective(op._probs(m - eps * h[None], rho_xt, group))[0]
+        f_plus = op._objective(op._probs(m + eps * h[None], rho_dag, runs))[0][0]
+        f_minus = op._objective(op._probs(m - eps * h[None], rho_dag, runs))[0][0]
         numeric = (f_plus - f_minus) / (2 * eps)
         assert analytic == pytest.approx(numeric, abs=2e-6)
 
@@ -199,26 +200,29 @@ def test_objective_matches_reference_estimator(proto):
     rho_xt = op._conditional_stack(ps)[None]
     b = proto.attack_basis_count
     assert rho_xt.shape[1:3] == ((b, 2) if proto.key_on_basis else (2, b))
+    rho_dag = op._state_rows(rho_xt)[0]
     for seed in range(5):
         povm = random_povm(4, proto.povm_outcomes, seed=40 + seed)
-        f = op._objective(op._probs(povm.elements[None], rho_xt, np.zeros(1, dtype=int)))[0]
+        f = op._objective(op._probs(povm.elements[None], rho_dag, [(0, 0, 1)]))[0][0]
         reference = mutual_info_ae(conditional_probs(povm, ps), proto.key_on_basis)
         assert abs(f - reference) <= 1e-12
 
 
 def test_kernels_match_einsum_on_shared_and_grouped_stacks():
     group, shared = np.array([0, 0, 1, 1, 1, 2]), np.zeros(6, dtype=int)
+    runs, shared_runs = op._row_groups(group), op._row_groups(shared)
     m = np.stack([random_povm(4, 4, seed=30 + r).elements for r in range(group.size)])
     for proto in (BB84, SARG04, SIX_STATE):
         lo, hi = alpha_range(proto, 0.1)
         rhos = np.stack([op._conditional_stack(purified_state(proto, 0.1, a)) for a in (lo, (lo + hi) / 2, hi)])
-        p_shared = op._probs(m, rhos[1:2], shared)
+        rho_dag, rho_rows = op._state_rows(rhos)
+        p_shared = op._probs(m, rho_dag[1:2], shared_runs)
         assert np.max(np.abs(p_shared - _einsum_probs(m, rhos[1]))) <= 1e-14
-        g_shared = op._gradient(p_shared, rhos[1:2], shared)
+        g_shared = op._gradient(op._objective(p_shared)[1], rho_rows[1:2], shared_runs)
         assert np.max(np.abs(g_shared - _einsum_gradient(p_shared, rhos[1]))) <= 1e-14
-        p = op._probs(m, rhos, group)
+        p = op._probs(m, rho_dag, runs)
         assert np.array_equal(op._key_marginal(p), p.mean(axis=2))
-        g = op._gradient(p, rhos, group)
+        g = op._gradient(op._objective(p)[1], rho_rows, runs)
         for i, grp in enumerate(group):
             assert np.max(np.abs(p[i] - _einsum_probs(m[i : i + 1], rhos[grp])[0])) <= 1e-14
             assert np.max(np.abs(g[i] - _einsum_gradient(p[i : i + 1], rhos[grp])[0])) <= 1e-14
@@ -245,6 +249,70 @@ def test_row_trajectory_independent_of_batch(proto):
         assert np.array_equal(single, getattr(among, attr)), attr
         assert np.array_equal(single, getattr(multi, attr)[mid]), attr
     assert among.iters == multi.row_iters[mid].max() == max(batch.iters for batch in alone)
+
+
+def _compaction_batch(proto, rows_per_group=6):
+    """(factors, rho_xt, group) of four row groups sharing seeded starts.
+
+    The second group sits at q = 0, where no step improves the value
+    significantly, so all its rows finish together at the stall limit while
+    the groups around it, at q = 0.10 and 0.05, still run.
+    """
+    lo, hi = alpha_range(proto, 0.1)
+    points = [(0.1, lo), (0.0, 1.0), (0.1, (lo + hi) / 2), (0.05, sum(alpha_range(proto, 0.05)) / 2)]
+    rho = np.stack([op._conditional_stack(purified_state(proto, q, a)) for q, a in points])
+    starts = np.stack([op._random_factors(np.random.default_rng(7 + r), 4, 4) for r in range(rows_per_group)])
+    return np.tile(starts, (len(points), 1, 1, 1)), rho, np.repeat(np.arange(len(points)), rows_per_group)
+
+
+def _run_both(factors, rho, group, max_iters):
+    """The reference batch after run(max_iters), checked row for row against _Batch."""
+    ref, batch = ReferenceBatch(factors, rho, group), op._Batch(factors, rho, group)
+    ref.run(max_iters)
+    batch.run(max_iters)
+    for attr in ("f", "m", "active", "converged", "row_iters"):
+        assert np.array_equal(getattr(batch, attr), getattr(ref, attr)), attr
+    assert batch.iters == ref.iters
+    return ref
+
+
+@pytest.mark.parametrize("proto", [BB84, SARG04, SIX_STATE], ids=lambda p: p.name)
+def test_compacting_batch_matches_reference(proto):
+    factors, rho, group = _compaction_batch(proto)
+    ref = _run_both(factors, rho, group, 400)
+    # the cases compaction must handle all occur in this batch
+    middle, outer = group == 1, group != 1
+    assert ref.converged[middle].all() and ref.row_iters[middle].max() < ref.row_iters[outer].min()
+    assert np.bincount(ref.row_iters[ref.converged]).max() >= 2
+    assert (~ref.converged).any() and (ref.row_iters[~ref.converged] == 400).all()
+    # a one-row batch whose row finishes
+    assert _run_both(factors[4:5], rho, group[4:5], 300).converged.all()
+    # a cap below the stall window, where no row finishes
+    cap = op._STALL_LIMIT - 30
+    ref = _run_both(factors, rho, group, cap)
+    assert ref.active.all() and ref.iters == cap
+
+
+def test_batch_fields_read_after_every_step():
+    # the fields a caller reads after each step keep one entry per row of
+    # the batch, finished rows keep their value, and f rises exactly where
+    # the reference accepted a step
+    factors, rho, group = _compaction_batch(SARG04)
+    n = group.size
+    ref, batch = ReferenceBatch(factors, rho, group), op._Batch(factors, rho, group)
+    final_f = {}
+    while batch.active.any() and batch.iters < 400:
+        f_before, ref_before = batch.f, ref.f.copy()
+        batch.step_once()
+        ref.step_once()
+        f = batch.f
+        assert all(x.shape == (n,) for x in (f, batch.active, batch.converged, batch.row_iters))
+        assert np.array_equal(f > f_before, ref.f > ref_before)
+        assert np.array_equal(f != f_before, f > f_before)
+        for row in np.flatnonzero(~batch.active):
+            assert f[row] == final_f.setdefault(row, f[row])
+    assert 0 < len(final_f) < n
+    assert np.array_equal(batch.f, ref.f)
 
 
 @pytest.mark.parametrize("proto", [BB84, SARG04], ids=lambda p: p.name)
