@@ -18,11 +18,12 @@ reproducible bit for bit and stable under restart-count changes.
 Restarts advance in lockstep through stacked (rows, n_outcomes, d, d) arrays,
 and so do the restarts of several source weights alpha: optimize_attack hands
 the alphas it already knows it needs (the grid, then the first golden-section
-pair) to one ascent, where the restarts of each alpha form a contiguous row
-group with its own conditional-state stack.  The step kernels (one real GEMM
-per row group for the probabilities and the gradient, stacked matmuls and
-eigh for the retraction) compute every row independently of the others, so
-each restart's trajectory depends only on its own start and its own alpha.
+pair) to one ascent, where the restarts of each alpha form a row group with
+its own conditional-state stack, and every row carries its own copy of that
+stack.  The step kernels (batched per-row matmuls for the probabilities and
+the gradient, stacked matmuls and eigh for the retraction) compute every row
+independently of the others, so each restart's trajectory depends only on
+its own start and its own alpha.
 
 That independence lets one ascent split its rows over processes.  The rows
 are cut into one contiguous shard per process used, which may cut through a
@@ -117,20 +118,9 @@ def _real_rows(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x).reshape(-1, x.shape[-1] ** 2).view(np.float64)
 
 
-def _state_rows(rho_xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-group conditional-state stacks (G, key, side, d, d) as real rows (G, key, side, 2 d^2).
-
-    The first holds rho^dag, which _probs reads, and the second rho, which
-    _gradient reads; a batch forms both once.
-    """
-    shape = (*rho_xt.shape[:3], -1)
-    return _real_rows(dagger(rho_xt)).reshape(shape), _real_rows(rho_xt).reshape(shape)
-
-
-def _row_groups(group: np.ndarray) -> list[tuple[int, int, int]]:
-    """(stack, first row, end row) of each run of rows sharing a conditional-state stack."""
-    cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), group.size]
-    return [(int(group[s]), s, e) for s, e in zip(cuts, cuts[1:])]
+def _state_rows(rho_xt: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Row i's conditional-state stack rho_xt[group[i]] as real rows (rows, key, side, 2 d^2)."""
+    return _real_rows(rho_xt).reshape(*rho_xt.shape[:3], -1)[group]
 
 
 def _renormalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,20 +138,17 @@ def _renormalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a_n, dagger(a_n) @ a_n
 
 
-def _probs(m: np.ndarray, rho_dag: np.ndarray, runs: list[tuple[int, int, int]]) -> np.ndarray:
+def _probs(m: np.ndarray, rho_rows: np.ndarray) -> np.ndarray:
     """p[r, k, key, side] = p(k | key, side) for POVM stacks m (r, k, d, d).
 
-    ``rho_dag`` holds the rho^dag rows of _state_rows and ``runs`` the row
-    groups of _row_groups.  Tr(M rho) is the real dot product of M and
-    rho^dag, so each run of rows is one (rows * k, 2 d^2) @ (2 d^2, key * side)
-    GEMM.
+    ``rho_rows`` holds each row's state rows (see _state_rows).  Tr(M rho) is
+    the real dot product of M and rho^dag, which is rho for these Hermitian
+    stacks, so each row is one (k, 2 d^2) @ (2 d^2, key * side) product,
+    batched over the rows.
     """
     r, k = m.shape[:2]
-    n_key, n_side, width = rho_dag.shape[1:]
-    mv = _real_rows(m)
-    p = np.empty((r * k, n_key * n_side))
-    for grp, s, e in runs:
-        np.matmul(mv[s * k : e * k], rho_dag[grp].reshape(-1, width).T, out=p[s * k : e * k])
+    n_key, n_side, width = rho_rows.shape[1:]
+    p = _real_rows(m).reshape(r, k, width) @ rho_rows.reshape(r, -1, width).transpose(0, 2, 1)
     return np.clip(p.reshape(r, k, n_key, n_side), 0.0, 1.0)
 
 
@@ -198,42 +185,34 @@ def _objective(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h_marg - h_k_key_side, w
 
 
-def _gradient(w: np.ndarray, rho_rows: np.ndarray, runs: list[tuple[int, int, int]]) -> np.ndarray:
+def _gradient(w: np.ndarray, rho_rows: np.ndarray) -> np.ndarray:
     """d I / d M_k (r, k, d, d) from the gradient weights w[r, k, (key, side)] of _objective.
 
-    ``rho_rows`` holds the rho rows of _state_rows and ``runs`` the row
-    groups of _row_groups; each run of rows is one (rows * k, n) @ (n, 2 d^2)
-    GEMM on the real view.
+    ``rho_rows`` holds each row's state rows (see _state_rows); each row is
+    one (k, n) @ (n, 2 d^2) product on the real view, batched over the rows.
     """
     r, k, n = w.shape
-    width = rho_rows.shape[-1]
-    d = math.isqrt(width // 2)
-    wv = w.reshape(r * k, n)
-    g = np.empty((r * k, width))
-    for grp, s, e in runs:
-        np.matmul(wv[s * k : e * k], rho_rows[grp].reshape(n, width), out=g[s * k : e * k])
-    return g.view(np.complex128).reshape(r, k, d, d)
+    d = math.isqrt(rho_rows.shape[-1] // 2)
+    return (w @ rho_rows.reshape(r, n, -1)).view(np.complex128).reshape(r, k, d, d)
 
 
 class _Batch:
     """Lockstep state of several independent local searches.
 
-    ``rho_xt`` holds one conditional-state stack per contiguous row group and
-    ``group[i]`` is the stack of row i.  A step works on dense arrays of the
-    rows still running, the live rows: their accepted factors, the gradient
-    weights and value at those factors, step sizes, stall counts and groups.
-    These are compacted, and their row groups recomputed, only on a step
-    where rows finish; a finished row's factors and value are kept in
-    full-length arrays.  ``f``, ``m`` and ``row_iters`` give every row in the
-    batch's order, like ``active`` and ``converged``.
+    ``group[i]`` picks row i's conditional-state stack from ``rho_xt``, and
+    each row carries its own copy of that stack's state rows, so groups need
+    not be contiguous.  A step works on dense arrays of the rows still
+    running, the live rows: their accepted factors, the gradient weights and
+    value at those factors, step sizes, stall counts and state rows.  These
+    are compacted only on a step where rows finish; a finished row's factors
+    and value are kept in full-length arrays.  ``f``, ``m`` and ``row_iters``
+    give every row in the batch's order, like ``active`` and ``converged``.
     """
 
     def __init__(self, factors: np.ndarray, rho_xt: np.ndarray, group: np.ndarray):
-        self._rho_dag, self._rho_rows = _state_rows(rho_xt)
-        self._group = group
-        self._runs = _row_groups(group)
+        self._rho = _state_rows(rho_xt, group)
         self._a, m = _renormalize(factors)
-        self._f, self._w = _objective(_probs(m, self._rho_dag, self._runs))
+        self._f, self._w = _objective(_probs(m, self._rho))
         n = factors.shape[0]
         self._rows = np.arange(n)
         self._step = np.full(n, _INIT_STEP)
@@ -241,7 +220,6 @@ class _Batch:
         self._done_a = np.empty_like(self._a)
         self._done_f = np.empty(n)
         self._done_iters = np.zeros(n, dtype=int)
-        self.active = np.ones(n, dtype=bool)
         self.converged = np.zeros(n, dtype=bool)
         self.iters = 0
 
@@ -249,6 +227,10 @@ class _Batch:
         out = done.copy()
         out[self._rows] = live
         return out
+
+    @property
+    def active(self) -> np.ndarray:
+        return ~self.converged
 
     @property
     def f(self) -> np.ndarray:
@@ -267,10 +249,10 @@ class _Batch:
         if self._rows.size == 0:
             return
         a = self._a
-        g = _gradient(self._w, self._rho_rows, self._runs)
+        g = _gradient(self._w, self._rho)
         cand = a + self._step[:, None, None, None] * (a @ g)
         a_n, m_n = _renormalize(cand)
-        f_n, w_n = _objective(_probs(m_n, self._rho_dag, self._runs))
+        f_n, w_n = _objective(_probs(m_n, self._rho))
         improved = f_n > self._f
         # small improvements do not reset the stall window, otherwise
         # asymptotic creep keeps slow restarts alive to max_iters
@@ -290,12 +272,10 @@ class _Batch:
         rows = self._rows[done]
         self._done_a[rows], self._done_f[rows], self._done_iters[rows] = self._a[done], self._f[done], self.iters
         self.converged[rows] = True
-        self.active[rows] = False
         live = ~done
-        self._rows, self._group = self._rows[live], self._group[live]
+        self._rows, self._rho = self._rows[live], self._rho[live]
         self._a, self._w, self._f = self._a[live], self._w[live], self._f[live]
         self._step, self._stall = self._step[live], self._stall[live]
-        self._runs = _row_groups(self._group) if self._group.size else []
 
     def run(self, max_iters: int) -> None:
         while self.iters < max_iters and self._rows.size:
@@ -371,9 +351,7 @@ def _ascend(
     group = np.repeat(np.arange(len(states)), n)
 
     def shard_args(s: int, e: int) -> tuple:
-        first, last = group[s], group[e - 1]
-        factors, rho_xt = starts[np.arange(s, e) % n], rho[first : last + 1]
-        return factors, rho_xt, group[s:e] - first, config.max_iters
+        return starts[np.arange(s, e) % n], rho, group[s:e], config.max_iters
 
     own, *others = _shards(group.size, _process_count())
     if others:

@@ -16,13 +16,19 @@ def _lam(t):
     return np.where(t > 1e-14, -t * np.log2(np.maximum(t, 1e-300)), 0.0)
 
 
+def _row_groups(group):
+    """(stack, first row, end row) of each run of rows sharing a conditional-state stack."""
+    cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), group.size]
+    return [(int(group[s]), s, e) for s, e in zip(cuts, cuts[1:])]
+
+
 def _probs(m, rho_xt, group):
     r, k = m.shape[:2]
     n_key, n_side = rho_xt.shape[-4:-2]
     mv = op._real_rows(m)
     rv = op._real_rows(dagger(rho_xt)).reshape(-1, n_key * n_side, mv.shape[1])
     p = np.empty((r * k, n_key * n_side))
-    for grp, s, e in op._row_groups(group):
+    for grp, s, e in _row_groups(group):
         np.matmul(mv[s * k : e * k], rv[grp].T, out=p[s * k : e * k])
     return np.clip(p.reshape(r, k, n_key, n_side), 0.0, 1.0)
 
@@ -42,7 +48,7 @@ def _gradient(p, rho_xt, group):
     ratio = ratio.reshape(r * k, n)
     rv = op._real_rows(rho_xt).reshape(-1, n, 2 * d * d)
     g = np.empty((r * k, 2 * d * d))
-    for grp, s, e in op._row_groups(group):
+    for grp, s, e in _row_groups(group):
         np.matmul(ratio[s * k : e * k], rv[grp], out=g[s * k : e * k])
     return g.view(np.complex128).reshape(r, k, d, d)
 

@@ -50,15 +50,15 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
     for proto in (BB84, SARG04):
         ps = purified_state(proto, 0.1, sum(alpha_range(proto, 0.1)) / 2)
-        (rho_dag, rho_rows), runs = op._state_rows(op._conditional_stack(ps)[None]), [(0, 0, 1)]
+        rho_rows = op._state_rows(op._conditional_stack(ps)[None], np.zeros(1, dtype=int))
         m = random_povm(4, 4, seed=5).elements[None]
         h = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
         h = (h + h.conj().transpose(0, 2, 1)) / 2
-        g = op._gradient(op._objective(op._probs(m, rho_dag, runs))[1], rho_rows, runs)
+        g = op._gradient(op._objective(op._probs(m, rho_rows))[1], rho_rows)
         analytic = float(np.einsum("rkij,kji->", g, h).real)
         eps = 1e-6
-        f_plus = op._objective(op._probs(m + eps * h[None], rho_dag, runs))[0][0]
-        f_minus = op._objective(op._probs(m - eps * h[None], rho_dag, runs))[0][0]
+        f_plus = op._objective(op._probs(m + eps * h[None], rho_rows))[0][0]
+        f_minus = op._objective(op._probs(m - eps * h[None], rho_rows))[0][0]
         numeric = (f_plus - f_minus) / (2 * eps)
         assert analytic == pytest.approx(numeric, abs=2e-6)
 
@@ -200,29 +200,28 @@ def test_objective_matches_reference_estimator(proto):
     rho_xt = op._conditional_stack(ps)[None]
     b = proto.attack_basis_count
     assert rho_xt.shape[1:3] == ((b, 2) if proto.key_on_basis else (2, b))
-    rho_dag = op._state_rows(rho_xt)[0]
+    rho_rows = op._state_rows(rho_xt, np.zeros(1, dtype=int))
     for seed in range(5):
         povm = random_povm(4, proto.povm_outcomes, seed=40 + seed)
-        f = op._objective(op._probs(povm.elements[None], rho_dag, [(0, 0, 1)]))[0][0]
+        f = op._objective(op._probs(povm.elements[None], rho_rows))[0][0]
         reference = mutual_info_ae(conditional_probs(povm, ps), proto.key_on_basis)
         assert abs(f - reference) <= 1e-12
 
 
 def test_kernels_match_einsum_on_shared_and_grouped_stacks():
-    group, shared = np.array([0, 0, 1, 1, 1, 2]), np.zeros(6, dtype=int)
-    runs, shared_runs = op._row_groups(group), op._row_groups(shared)
+    group, shared = np.array([0, 2, 1, 0, 1, 2]), np.zeros(6, dtype=int)
     m = np.stack([random_povm(4, 4, seed=30 + r).elements for r in range(group.size)])
     for proto in (BB84, SARG04, SIX_STATE):
         lo, hi = alpha_range(proto, 0.1)
         rhos = np.stack([op._conditional_stack(purified_state(proto, 0.1, a)) for a in (lo, (lo + hi) / 2, hi)])
-        rho_dag, rho_rows = op._state_rows(rhos)
-        p_shared = op._probs(m, rho_dag[1:2], shared_runs)
+        shared_rows, rho_rows = op._state_rows(rhos[1:2], shared), op._state_rows(rhos, group)
+        p_shared = op._probs(m, shared_rows)
         assert np.max(np.abs(p_shared - _einsum_probs(m, rhos[1]))) <= 1e-14
-        g_shared = op._gradient(op._objective(p_shared)[1], rho_rows[1:2], shared_runs)
+        g_shared = op._gradient(op._objective(p_shared)[1], shared_rows)
         assert np.max(np.abs(g_shared - _einsum_gradient(p_shared, rhos[1]))) <= 1e-14
-        p = op._probs(m, rho_dag, runs)
+        p = op._probs(m, rho_rows)
         assert np.array_equal(op._key_marginal(p), p.mean(axis=2))
-        g = op._gradient(op._objective(p)[1], rho_rows, runs)
+        g = op._gradient(op._objective(p)[1], rho_rows)
         for i, grp in enumerate(group):
             assert np.max(np.abs(p[i] - _einsum_probs(m[i : i + 1], rhos[grp])[0])) <= 1e-14
             assert np.max(np.abs(g[i] - _einsum_gradient(p[i : i + 1], rhos[grp])[0])) <= 1e-14
@@ -230,8 +229,9 @@ def test_kernels_match_einsum_on_shared_and_grouped_stacks():
 
 @pytest.mark.parametrize("proto", [BB84, SARG04], ids=lambda p: p.name)
 def test_row_trajectory_independent_of_batch(proto):
-    # the same seeded restarts alone, among 32, and as the middle group of a
-    # three-alpha batch must follow bit-identical trajectories
+    # the same seeded restarts alone, among 32, as the middle group of a
+    # three-alpha batch and interleaved with the other two alphas' rows must
+    # follow bit-identical trajectories
     n, iters = 32, 300
     lo, hi = alpha_range(proto, 0.1)
     rhos = np.stack([op._conditional_stack(purified_state(proto, 0.1, a)) for a in (lo, (lo + hi) / 2, hi)])
@@ -243,11 +243,14 @@ def test_row_trajectory_independent_of_batch(proto):
     among.run(iters)
     multi = op._Batch(np.tile(starts, (3, 1, 1, 1)), rhos, np.repeat(np.arange(3), n))
     multi.run(iters)
+    interleaved = op._Batch(np.repeat(starts, 3, axis=0), rhos, np.tile(np.arange(3), n))
+    interleaved.run(iters)
     mid = slice(n, 2 * n)
     for attr in ("f", "m", "converged", "row_iters"):
         single = np.stack([getattr(batch, attr)[0] for batch in alone])
         assert np.array_equal(single, getattr(among, attr)), attr
         assert np.array_equal(single, getattr(multi, attr)[mid]), attr
+        assert np.array_equal(single, getattr(interleaved, attr)[1::3]), attr
     assert among.iters == multi.row_iters[mid].max() == max(batch.iters for batch in alone)
 
 
