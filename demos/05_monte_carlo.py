@@ -11,41 +11,26 @@ Run:  python3 demos/05_monte_carlo.py
 
 import numpy as np
 
-from qkdattack import (
-    PROTOCOLS,
-    OptimizerConfig,
-    empirical_stats,
-    joint_distribution,
-    optimize_attack,
-    purified_state,
-    sample_rounds,
-)
+from qkdattack import PROTOCOLS, OptimizerConfig, joint_distribution, optimize_attack, purified_state, sampled_estimates
 
 CONFIG = OptimizerConfig(restarts=8, alpha_grid_points=9, alpha_refine_iters=2)
 N_ROUNDS = 400_000
 
 
-def run(name: str, q: float, seed: int) -> None:
+def run(name: str, q: float, seed: int, n_rounds: int = N_ROUNDS, config: OptimizerConfig = CONFIG) -> None:
     proto = PROTOCOLS[name]
-    res = optimize_attack(proto, q, CONFIG)
-    ps = purified_state(proto, q, res.best_alpha)
-    jd = joint_distribution(ps, res.best_povm)
-
-    samples = sample_rounds(jd, N_ROUNDS, seed=seed)
-    attack = samples
-    if proto.attack_basis_count < proto.basis_count:
-        attack = samples[samples["theta"] < proto.attack_basis_count]
-    qhat = float(np.mean(samples["y"] != samples["x"]))
-    _, ihat, acc = empirical_stats(attack, proto.attack_basis_count, proto.key_on_basis)
+    res = optimize_attack(proto, q, config)
+    jd = joint_distribution(purified_state(proto, q, res.best_alpha), res.best_povm)
+    qhat, ihat, acc, kept = sampled_estimates(jd, n_rounds, seed)
 
     # round-averaged error; differs from q when bases err unequally (sarg04)
     p_err = jd.qber
-    sigma = np.sqrt(p_err * (1 - p_err) / N_ROUNDS)
-    print(f"{name} at q = {q}, n = {N_ROUNDS}")
+    sigma = np.sqrt(p_err * (1 - p_err) / n_rounds)
+    print(f"{name} at q = {q}, n = {n_rounds}")
     print(f"  round error: sampled {qhat:.5f}  analytic {p_err:.5f}  (3 sigma = {3 * sigma:.5f})")
     print(f"  i_ae:        sampled {ihat:.5f}  analytic {res.i_ae:.5f}")
     print(f"  best-guess accuracy over attack bases: {acc:.5f}")
-    print(f"  sifted fraction: {jd.sifted_fraction:.4f}, attack rounds kept: {len(attack)}")
+    print(f"  sifted fraction: {jd.sifted_fraction:.4f}, attack rounds kept: {kept}")
     print()
 
 

@@ -32,6 +32,7 @@ from .simulator import (
     empirical_stats,
     joint_distribution,
     sample_rounds,
+    sampled_estimates,
 )
 from .states import (
     BB84,
@@ -90,5 +91,6 @@ __all__ = [
     "qber_in_basis",
     "reference_thresholds",
     "sample_rounds",
+    "sampled_estimates",
     "tabulate_curve",
 ]

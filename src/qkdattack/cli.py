@@ -25,11 +25,10 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .information import binary_entropy
 from .optimizer import OptimizerConfig, optimize_attack
-from .simulator import MIN_ROUNDS, empirical_stats, joint_distribution, sample_rounds
+from .simulator import MIN_ROUNDS, joint_distribution, sampled_estimates
 from .states import PROTOCOLS, Protocol, purified_state
-from .keyrate import NumericalFailure, bb84_closed_form_iae, find_threshold, key_rate, tabulate_curve
+from .keyrate import CurvePoint, NumericalFailure, bb84_closed_form_iae, find_threshold, tabulate_curve
 
 _FMT = "%.10g"
 
@@ -120,12 +119,13 @@ def cmd_attack(protocol: Protocol, q: float, config: OptimizerConfig, out_path: 
         raise NumericalFailure(
             f"only {result.restarts_agreeing}/{config.restarts} restarts agree and the best did not converge"
         )
+    point = CurvePoint.of(result)
     payload = {
         "manifest": _manifest("attack", protocol, {"q": q}, config, t0),
         "q": q,
-        "i_ae": result.i_ae,
-        "i_ab": 1.0 - binary_entropy(q),
-        "rate": key_rate(q, result.i_ae),
+        "i_ae": point.i_ae,
+        "i_ab": point.i_ab,
+        "rate": point.rate,
         "best_alpha": result.best_alpha,
         "restarts_agreeing": result.restarts_agreeing,
         "converged": result.converged,
@@ -148,11 +148,9 @@ def cmd_simulate(
 ) -> dict:
     """Monte Carlo report: sampled statistics against the analytic attack.
 
-    The error rate is sampled over every sifted round and checked against
-    the table's exact round average ``analytic.qber`` (1.25q for sarg04).
-    Information and guess statistics use the rounds whose basis enters the
-    attack estimator (all rounds for two-basis protocols, the first basis
-    pair for the three-basis one): the quantity the optimizer maximizes.
+    The figures of ``sampled_estimates`` are checked against the table's
+    exact round-averaged error ``analytic.qber`` (1.25q for sarg04) and the
+    optimizer's i_ae, which the attack rounds estimate.
     """
     if n_rounds < MIN_ROUNDS:
         raise ValueError(f"n_rounds must be at least {MIN_ROUNDS}, got {n_rounds}")
@@ -160,16 +158,8 @@ def cmd_simulate(
         raise ValueError(f"--sample-seed must be non-negative, got {seed}")
     t0 = time.time()
     result = optimize_attack(protocol, q, config)
-    ps = purified_state(protocol, q, result.best_alpha)
-    jd = joint_distribution(ps, result.best_povm)
-    samples = sample_rounds(jd, n_rounds, seed)
-    qber_hat = float(np.mean(samples["y"] != samples["x"]))
-    attack_rounds = samples
-    if protocol.attack_basis_count < protocol.basis_count:
-        attack_rounds = samples[samples["theta"] < protocol.attack_basis_count]
-    _, i_ae_hat, accuracy = empirical_stats(
-        attack_rounds, protocol.attack_basis_count, key_on_basis=protocol.key_on_basis
-    )
+    jd = joint_distribution(purified_state(protocol, q, result.best_alpha), result.best_povm)
+    qber_hat, i_ae_hat, accuracy, attack_rounds = sampled_estimates(jd, n_rounds, seed)
     payload = {
         "manifest": _manifest(
             "simulate", protocol, {"q": q, "n_rounds": n_rounds, "sample_seed": seed}, config, t0
@@ -182,7 +172,7 @@ def cmd_simulate(
         "delta": {"qber": qber_hat - jd.qber, "i_ae": i_ae_hat - result.i_ae},
         "sifted_fraction": jd.sifted_fraction,
         "n_rounds": n_rounds,
-        "n_attack_rounds": int(len(attack_rounds)),
+        "n_attack_rounds": attack_rounds,
     }
     _write_json(out_path, payload)
     return payload

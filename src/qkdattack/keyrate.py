@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .information import binary_entropy, lambda_fn
-from .optimizer import OptimizerConfig, optimize_attack
+from .optimizer import AttackResult, OptimizerConfig, optimize_attack
 from .states import Protocol, alpha_range
 
 _BRACKET = (0.05, 0.30)
@@ -40,10 +40,16 @@ class CurvePoint:
     alpha: float
     robust: bool
 
+    @classmethod
+    def of(cls, result: AttackResult) -> CurvePoint:
+        """The key-rate point of one optimized attack."""
+        # I_AB is the rate against an adversary who learns nothing
+        i_ab = key_rate(result.q, 0.0)
+        return cls(result.q, i_ab, result.i_ae, i_ab - result.i_ae, result.best_alpha, result.robust)
+
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    protocol: Protocol
     threshold_q: float
     bracket: tuple[float, float]
     rate_low: float
@@ -82,21 +88,7 @@ def tabulate_curve(
         alpha_range(protocol, q)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
-    points = []
-    for q in grid:
-        result = optimize_attack(protocol, q, config)
-        i_ab = 1.0 - binary_entropy(q)
-        points.append(
-            CurvePoint(
-                q=q,
-                i_ab=i_ab,
-                i_ae=result.i_ae,
-                rate=i_ab - result.i_ae,
-                alpha=result.best_alpha,
-                robust=result.robust,
-            )
-        )
-    return points
+    return [CurvePoint.of(optimize_attack(protocol, q, config)) for q in grid]
 
 
 def reference_thresholds(protocol: Protocol) -> dict[str, float]:
@@ -147,7 +139,6 @@ def find_threshold(
         else:
             hi, rate_hi = mid, rate_mid
     return ThresholdReport(
-        protocol=protocol,
         threshold_q=0.5 * (lo + hi),
         bracket=(lo, hi),
         rate_low=rate_lo,

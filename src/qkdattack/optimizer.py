@@ -383,7 +383,8 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
     CPUs, then the first golden-section pair shares one.  Each later
     refinement step carries the surviving interior point and its value, so
     alpha_refine_iters steps cost at most alpha_refine_iters + 1
-    evaluations.  Grouping and sharding change no result: every restart's
+    evaluations, and a repeated alpha costs none: six-state's point interval
+    runs one ascent.  Grouping and sharding change no result: every restart's
     trajectory depends only on its own start and alpha.
     """
     lo, hi = alpha_range(protocol, q)
@@ -397,23 +398,21 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
             cache.update(zip(new, _ascend([purified_state(protocol, q, a) for a in new], n_out, config)))
         return [cache[a][1] for a in alphas]
 
-    grid = np.linspace(lo, hi, 1 if hi - lo < 1e-12 else config.alpha_grid_points)
+    grid = np.linspace(lo, hi, config.alpha_grid_points)
     best_i = int(np.argmax(evaluate(grid)))
-
-    if len(grid) > 1:
-        a_lo = grid[max(best_i - 1, 0)]
-        a_hi = grid[min(best_i + 1, len(grid) - 1)]
-        x1 = x2 = None
-        for _ in range(config.alpha_refine_iters):
-            if x1 is None:
-                x1 = a_hi - _INVPHI * (a_hi - a_lo)
-            if x2 is None:
-                x2 = a_lo + _INVPHI * (a_hi - a_lo)
-            f1, f2 = evaluate([x1, x2])
-            if f1 >= f2:
-                a_hi, x1, x2 = x2, None, x1
-            else:
-                a_lo, x1, x2 = x1, x2, None
+    a_lo = grid[max(best_i - 1, 0)]
+    a_hi = grid[min(best_i + 1, len(grid) - 1)]
+    x1 = x2 = None
+    for _ in range(config.alpha_refine_iters):
+        if x1 is None:
+            x1 = a_hi - _INVPHI * (a_hi - a_lo)
+        if x2 is None:
+            x2 = a_lo + _INVPHI * (a_hi - a_lo)
+        f1, f2 = evaluate([x1, x2])
+        if f1 >= f2:
+            a_hi, x1, x2 = x2, None, x1
+        else:
+            a_lo, x1, x2 = x1, x2, None
 
     best_alpha = max(cache, key=lambda a: cache[a][1])
     m, f, agreeing, converged = cache[best_alpha]

@@ -197,21 +197,30 @@ def empirical_stats(
     Each chunk of _CHUNK rounds is binned once by its (x, theta, y, k) cell;
     errors and the (key, k side) table are exact integer sums over that
     count table, so the estimates equal those of one pass over all rounds,
-    and memory beyond ``samples`` is O(_CHUNK).
+    and memory beyond ``samples`` is O(_CHUNK).  A round with x or y outside
+    {0, 1}, theta outside [0, basis_count) or a negative k raises ValueError.
     """
     n = len(samples)
     if n < MIN_ROUNDS:
         raise ValueError(f"need at least {MIN_ROUNDS} rounds for stable estimates, got {n}; raise n_rounds")
-    if samples["theta"].max() >= basis_count:
-        raise ValueError(f"theta must lie below basis_count={basis_count}; filter rounds to the attack bases")
-    shape = (2, basis_count, 2, int(samples["k"].max()) + 1)
+    shape = (2, basis_count, 2, max(int(samples["k"].max()), 0) + 1)
+    rules = {
+        "x": "must be 0 or 1",
+        "theta": f"must lie below basis_count={basis_count}; filter rounds to the attack bases",
+        "y": "must be 0 or 1",
+        "k": "must be non-negative",
+    }
     counts = np.zeros(np.prod(shape), dtype=np.int64)
     for start in range(0, n, _CHUNK):
         chunk = samples[start : start + _CHUNK]
-        cell = chunk["x"].astype(np.intp)
-        for field, size in zip(("theta", "y", "k"), shape[1:]):
+        cell = np.zeros(len(chunk), dtype=np.intp)
+        for field, size in zip(ROUND_DTYPE.names, shape):
+            # read unsigned, so a negative value lies above every size
+            value = chunk[field].view(f"u{ROUND_DTYPE[field].itemsize}").astype(np.intp)
+            if value.max() >= size:
+                raise ValueError(f"{field} {rules[field]}, got {chunk[field][value >= size][0]}")
             cell *= size
-            cell += chunk[field]
+            cell += value
         counts += np.bincount(cell, minlength=counts.size)
     counts = counts.reshape(shape)
     errors = int(counts[0, :, 1].sum() + counts[1, :, 0].sum())
@@ -221,3 +230,20 @@ def empirical_stats(
     table = table[: np.flatnonzero(table.sum(axis=1))[-1] + 1]
     hits = int(table.max(axis=0).sum())
     return errors / n, _plugin_mi(table), hits / n
+
+
+def sampled_estimates(jd: JointDistribution, n: int, seed: int) -> tuple[float, float, float, int]:
+    """(qber_hat, i_ae_hat, guess_accuracy, attack_rounds) from n rounds drawn from ``jd``.
+
+    qber_hat, the sampled ``jd.qber``, counts errors over every sifted round.
+    The adversary figures use the attack rounds, whose basis enters the
+    attack estimator: all rounds, or for six-state, whose estimator reads
+    only the first ``attack_basis_count`` bases, a copy of those rounds.
+    """
+    protocol = jd.protocol
+    samples = sample_rounds(jd, n, seed)
+    qber_hat, i_ae_hat, accuracy = empirical_stats(samples, jd.basis_count, protocol.key_on_basis)
+    if protocol.attack_basis_count < jd.basis_count:
+        samples = samples[samples["theta"] < protocol.attack_basis_count]
+        _, i_ae_hat, accuracy = empirical_stats(samples, protocol.attack_basis_count, protocol.key_on_basis)
+    return qber_hat, i_ae_hat, accuracy, len(samples)

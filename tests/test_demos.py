@@ -1,13 +1,16 @@
 """The demos run against the current API.
 
 Demo 01 is fast and runs in full; demos 02-05 run optimizers for up to a
-minute, so they are only loaded, which checks their imports.
+minute, so they are loaded, which checks their imports, and demo 05's
+``run`` also runs at a reduced round count and restart budget.
 """
 
 import runpy
 from pathlib import Path
 
 import pytest
+
+from qkdattack import OptimizerConfig
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -25,3 +28,16 @@ def test_states_tour_runs(capsys):
 def test_demo_loads(name):
     namespace = runpy.run_path(str(DEMOS / name))
     assert callable(namespace["main"])
+
+
+def test_monte_carlo_demo_runs(capsys):
+    run = runpy.run_path(str(DEMOS / "05_monte_carlo.py"))["run"]
+    config = OptimizerConfig(restarts=2, alpha_grid_points=3, alpha_refine_iters=1, max_iters=200)
+    for seed, name in enumerate(("bb84", "sixstate", "sarg04")):
+        run(name, 0.10, seed=seed, n_rounds=30_000, config=config)
+    out = capsys.readouterr().out
+    for name in ("bb84", "sixstate", "sarg04"):
+        assert f"{name} at q = 0.1, n = 30000" in out
+    # six-state's third basis stays out of the attack rounds
+    kept = [int(line.rsplit(" ", 1)[1]) for line in out.splitlines() if "attack rounds kept" in line]
+    assert kept[0] == kept[2] == 30_000 > kept[1]

@@ -331,10 +331,13 @@ def test_grid_batching_changes_no_result(proto, light_config, monkeypatch):
     assert np.array_equal(batched.best_povm.elements, single.best_povm.elements)
 
 
-@pytest.mark.parametrize("proto", [BB84, SARG04], ids=lambda p: p.name)
-def test_golden_section_evaluates_each_alpha_once(proto, monkeypatch):
+@pytest.mark.parametrize(
+    ("proto", "most"), [pytest.param(p, most, id=p.name) for p, most in ((BB84, 19), (SARG04, 19), (SIX_STATE, 1))]
+)
+def test_golden_section_evaluates_each_alpha_once(proto, most, monkeypatch):
     # grid 15 plus 3 refinement steps: the first step evaluates its pair, each
-    # later step carries one interior point and evaluates one new alpha
+    # later step carries one interior point and evaluates one new alpha;
+    # six-state's point interval runs one ascent of one alpha
     seen = []
 
     def recording(protocol, q, alpha):
@@ -345,8 +348,8 @@ def test_golden_section_evaluates_each_alpha_once(proto, monkeypatch):
     cfg = OptimizerConfig(restarts=2, max_iters=100, alpha_grid_points=15, alpha_refine_iters=3)
     optimize_attack(proto, 0.1, cfg)
     alphas = np.sort(seen)
-    assert len(alphas) <= 19
-    assert np.min(np.diff(alphas)) > 1e-12
+    assert 1 <= len(alphas) <= most
+    assert np.all(np.diff(alphas) > 1e-12)
 
 
 def _alone_and_shared(monkeypatch, run):

@@ -16,6 +16,7 @@ from qkdattack.simulator import (
     empirical_stats,
     joint_distribution,
     sample_rounds,
+    sampled_estimates,
 )
 from qkdattack.states import BB84, PROTOCOLS, SARG04, alpha_range, purified_state, qber_in_basis, rho_ab
 
@@ -243,6 +244,18 @@ def test_empirical_stats_rejects_theta_beyond_basis_count(drop_cell):
     assert empirical_stats(s, 3)[1] > 0.0
 
 
+@pytest.mark.parametrize(
+    ("field", "value"), [pytest.param(f, v, id=f"{f}={v}") for f, v in (("y", 2), ("theta", -1), ("x", 3), ("k", -1))]
+)
+def test_empirical_stats_rejects_malformed_rounds(field, value):
+    # unchecked, y = 2 is counted in another cell and moves qber_hat; the other
+    # three fail inside numpy without naming the field
+    s = sample_rounds(_jd("bb84", 0.1), 2000, seed=0)
+    s[field][np.flatnonzero(s["x"] == 0)[:500]] = value
+    with pytest.raises(ValueError, match=f"^{field} must .*, got {value}$"):
+        empirical_stats(s, 2)
+
+
 def test_empirical_stats_perfect_correlation():
     n = 4000
     s = np.zeros(n, dtype=ROUND_DTYPE)
@@ -358,3 +371,14 @@ def test_monte_carlo_matches_analytic_bb84(light_config):
     qhat, ihat, _ = empirical_stats(s, 2)
     assert abs(qhat - 0.1) <= 3 * np.sqrt(0.1 * 0.9 / 10**6)
     assert abs(ihat - result.i_ae) <= 0.01
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_sampled_estimates_score_errors_on_every_round_and_the_adversary_on_attack_rounds(name):
+    jd = _jd(name, 0.1)
+    proto = jd.protocol
+    s = sample_rounds(jd, 30_000, seed=4)
+    attack = s[s["theta"] < proto.attack_basis_count]
+    _, i_ae_hat, accuracy = empirical_stats(attack, proto.attack_basis_count, proto.key_on_basis)
+    expected = (np.mean(s["y"] != s["x"]), i_ae_hat, accuracy, len(attack))
+    assert sampled_estimates(jd, 30_000, seed=4) == expected
