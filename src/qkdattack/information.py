@@ -93,6 +93,20 @@ def lambda_fn(t):
     return out if out.ndim else float(out)
 
 
+def holevo_chi(rho: np.ndarray) -> np.ndarray:
+    """Side-averaged Holevo quantity, in bits, of each stack rho[..., key, side, d, d].
+
+    chi = mean over side of S(mean over key of rho) - mean over key of S(rho)
+    caps I(Key : K, Side) for key and side uniform and independent, whatever
+    the adversary measures.
+    """
+
+    def entropy(x: np.ndarray) -> np.ndarray:
+        return lambda_fn(np.clip(np.linalg.eigvalsh(x), 0.0, None)).sum(axis=-1)
+
+    return (entropy(rho.mean(axis=-4)) - entropy(rho).mean(axis=-2)).mean(axis=-1)
+
+
 def binary_entropy(p: float) -> float:
     """h(p) = L(p) + L(1 - p)."""
     if not 0.0 <= p <= 1.0:

@@ -26,14 +26,20 @@ independently of the others, so each restart's trajectory depends only on
 its own start and its own alpha.
 
 That independence lets one ascent split its rows over processes.  The rows
-are cut into one contiguous shard per process used, which may cut through a
-group: one process per CPU in the process's affinity mask, but only as many
-as leave every shard _MIN_SHARD_ROWS rows.  The calling process steps the
-first shard as one lockstep batch while a forked pool, opened for this
-ascent only, steps the others; best value, restart agreement and convergence
-are then reduced per group over the reassembled rows.  Results are therefore
-the same bits for any CPU count, and a one-CPU mask (``taskset -c 0``) runs
-everything in the calling process.
+are laid out alpha-fastest, so that every shard holds every alpha and its
+best value rises like the whole batch's, and cut into one contiguous shard
+per process used: one process per CPU in the process's affinity mask, but
+only as many as leave every shard _MIN_SHARD_ROWS rows.  The calling process
+steps the first shard as one lockstep batch while a forked pool, opened for
+this ascent only, steps the others; best value, restart agreement and
+convergence are then reduced per group over the reassembled rows.  Results
+are therefore the same bits for any CPU count, and a one-CPU mask
+(``taskset -c 0``) runs everything in the calling process.
+
+The grid ascent drops alphas that cannot win: a row's value only rises, so
+an alpha whose Holevo bound (holevo_chi) + 1e-9 falls below the best value
+in its batch retires its rows and is left out of the results, which keep
+their bits.  Golden-section ascents compare exact values and never prune.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .information import Povm
+from .information import Povm, holevo_chi
 from .linalg import TOL, dagger
 from .states import Protocol, PurifiedState, alpha_range, eve_conditional_state, purified_state
 
@@ -204,12 +210,15 @@ class _Batch:
     not be contiguous.  A step works on dense arrays of the rows still
     running, the live rows: their accepted factors, the gradient weights and
     value at those factors, step sizes, stall counts and state rows.  These
-    are compacted only on a step where rows finish; a finished row's factors
-    and value are kept in full-length arrays.  ``f``, ``m`` and ``row_iters``
-    give every row in the batch's order, like ``active`` and ``converged``.
+    are compacted only on a step where rows finish or retire; a finished or
+    retired row's factors and value are kept in full-length arrays.  ``f``,
+    ``m`` and ``row_iters`` give every row in the batch's order, like
+    ``active``, ``converged`` and ``retired``.  Given an upper ``bound`` on
+    each stack's value, a live row retires, neither active nor converged,
+    once its stack's bound + 1e-9 falls below the best value in the batch.
     """
 
-    def __init__(self, factors: np.ndarray, rho_xt: np.ndarray, group: np.ndarray):
+    def __init__(self, factors: np.ndarray, rho_xt: np.ndarray, group: np.ndarray, bound: np.ndarray | None = None):
         self._rho = _state_rows(rho_xt, group)
         self._a, m = _renormalize(factors)
         self._f, self._w = _objective(_probs(m, self._rho))
@@ -217,10 +226,13 @@ class _Batch:
         self._rows = np.arange(n)
         self._step = np.full(n, _INIT_STEP)
         self._stall = np.zeros(n, dtype=int)
+        self._bound = np.full(n, np.inf) if bound is None else bound[group] + 1e-9
+        self._best = -np.inf
         self._done_a = np.empty_like(self._a)
         self._done_f = np.empty(n)
         self._done_iters = np.zeros(n, dtype=int)
         self.converged = np.zeros(n, dtype=bool)
+        self.retired = np.zeros(n, dtype=bool)
         self.iters = 0
 
     def _merged(self, done: np.ndarray, live) -> np.ndarray:
@@ -230,7 +242,7 @@ class _Batch:
 
     @property
     def active(self) -> np.ndarray:
-        return ~self.converged
+        return ~(self.converged | self.retired)
 
     @property
     def f(self) -> np.ndarray:
@@ -263,17 +275,22 @@ class _Batch:
         self._step = np.maximum(np.where(improved, self._step * 1.2, self._step * 0.5), _STEP_FLOOR)
         self._stall = np.where(significant, 0, self._stall + 1)
         self.iters += 1
+        # values only rise, so this running best never exceeds the batch's final best
+        self._best = max(self._best, self._f.max())
         done = self._stall >= _STALL_LIMIT
-        if done.any():
-            self._finish(done)
+        retire = ~done & (self._bound < self._best)
+        if done.any() or retire.any():
+            self._finish(done, retire)
 
-    def _finish(self, done: np.ndarray) -> None:
-        """Mark the live rows ``done`` converged, keep their results and compact the rest."""
-        rows = self._rows[done]
-        self._done_a[rows], self._done_f[rows], self._done_iters[rows] = self._a[done], self._f[done], self.iters
-        self.converged[rows] = True
-        live = ~done
-        self._rows, self._rho = self._rows[live], self._rho[live]
+    def _finish(self, done: np.ndarray, retire: np.ndarray) -> None:
+        """Mark the live rows ``done`` converged and ``retire`` retired, keep their results and compact the rest."""
+        gone = done | retire
+        rows = self._rows[gone]
+        self._done_a[rows], self._done_f[rows], self._done_iters[rows] = self._a[gone], self._f[gone], self.iters
+        self.converged[self._rows[done]] = True
+        self.retired[self._rows[retire]] = True
+        live = ~gone
+        self._rows, self._rho, self._bound = self._rows[live], self._rho[live], self._bound[live]
         self._a, self._w, self._f = self._a[live], self._w[live], self._f[live]
         self._step, self._stall = self._step[live], self._stall[live]
 
@@ -324,36 +341,39 @@ def _shards(rows: int, processes: int) -> list[tuple[int, int]]:
 
 
 def _run_shard(
-    factors: np.ndarray, rho_xt: np.ndarray, group: np.ndarray, max_iters: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f, m, converged) of every row after one lockstep ascent."""
-    batch = _Batch(factors, rho_xt, group)
+    factors: np.ndarray, rho_xt: np.ndarray, group: np.ndarray, max_iters: int, bound: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(f, m, converged, retired) of every row after one lockstep ascent."""
+    batch = _Batch(factors, rho_xt, group, bound)
     batch.run(max_iters)
-    return batch.f, batch.m, batch.converged
+    return batch.f, batch.m, batch.converged, batch.retired
 
 
 def _ascend(
-    states: list[PurifiedState], n_outcomes: int, config: OptimizerConfig
-) -> list[tuple[np.ndarray, float, int, bool]]:
-    """(best POVM, its value, agreeing restarts, converged) at each state.
+    states: list[PurifiedState], n_outcomes: int, config: OptimizerConfig, prune: bool = False
+) -> list[tuple[np.ndarray, float, int, bool] | None]:
+    """(best POVM, its value, agreeing restarts, converged) at each state, or None where pruned.
 
     Every state gets the same config.restarts seeded starts, as one row
-    group per state.  This process steps the first shard (see _shards) and a
-    pool opened for this ascent steps the others; results are reduced per
-    group.  Outcomes keep the order the ascent left them in: the objective
-    is invariant under relabeling, and no caller reads meaning into a label.
+    group per state; restart r of state i is row r * len(states) + i.  This
+    process steps the first shard (see _shards) and a pool opened for this
+    ascent steps the others; results are reduced per group.  With ``prune``,
+    rows retire against holevo_chi (see _Batch).  Outcomes keep the order the ascent
+    left them in: the objective is invariant under relabeling, and no
+    caller reads meaning into a label.
     """
-    n = config.restarts
+    n, n_states = config.restarts, len(states)
     starts = np.stack(
         [_random_factors(np.random.default_rng(config.seed + r), n_outcomes, 4) for r in range(n)]
     )
     rho = np.stack([_conditional_stack(ps) for ps in states])
-    group = np.repeat(np.arange(len(states)), n)
+    bound = holevo_chi(rho) if prune else None
+    rows = np.arange(n * n_states)
 
     def shard_args(s: int, e: int) -> tuple:
-        return starts[np.arange(s, e) % n], rho, group[s:e], config.max_iters
+        return starts[rows[s:e] // n_states], rho, rows[s:e] % n_states, config.max_iters, bound
 
-    own, *others = _shards(group.size, _process_count())
+    own, *others = _shards(rows.size, _process_count())
     if others:
         with _pool(len(others)) as pool:
             # submit the workers' shards first, so that they run while this process runs its own
@@ -361,12 +381,15 @@ def _ascend(
             parts = [_run_shard(*shard_args(*own))] + [future.result() for future in futures]
     else:
         parts = [_run_shard(*shard_args(*own))]
-    f, m, converged = (np.concatenate(a) for a in zip(*parts))
+    f, m, converged, retired = (np.concatenate(a) for a in zip(*parts))
 
     results = []
-    for rows in range(0, group.size, n):
-        f_group = f[rows : rows + n]
-        best = rows + int(np.argmax(f_group))
+    for i in range(n_states):
+        if retired[i::n_states].any():
+            results.append(None)
+            continue
+        f_group = f[i::n_states]
+        best = int(np.argmax(f_group)) * n_states + i
         f_best = float(f[best])
         agreeing = int(np.count_nonzero(f_group >= f_best - _AGREE_TOL))
         results.append((m[best], max(f_best, 0.0), agreeing, bool(converged[best])))
@@ -385,21 +408,24 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
     alpha_refine_iters steps cost at most alpha_refine_iters + 1
     evaluations, and a repeated alpha costs none: six-state's point interval
     runs one ascent.  Grouping and sharding change no result: every restart's
-    trajectory depends only on its own start and alpha.
+    trajectory depends only on its own start and alpha, and the grid
+    ascent retires only alphas that cannot hold the maximum.
     """
     lo, hi = alpha_range(protocol, q)
     n_out = protocol.povm_outcomes
     cache: dict[float, tuple[np.ndarray, float, int, bool]] = {}
 
-    def evaluate(alphas) -> list[float]:
+    def evaluate(alphas, prune: bool = False) -> list[float]:
         alphas = [min(max(float(a), lo), hi) for a in alphas]
         new = [a for a in dict.fromkeys(alphas) if a not in cache]
         if new:
-            cache.update(zip(new, _ascend([purified_state(protocol, q, a) for a in new], n_out, config)))
-        return [cache[a][1] for a in alphas]
+            results = _ascend([purified_state(protocol, q, a) for a in new], n_out, config, prune)
+            # a pruned alpha stays out of the cache, so evaluating it again runs it in full
+            cache.update((a, r) for a, r in zip(new, results) if r is not None)
+        return [cache[a][1] if a in cache else -math.inf for a in alphas]
 
     grid = np.linspace(lo, hi, config.alpha_grid_points)
-    best_i = int(np.argmax(evaluate(grid)))
+    best_i = int(np.argmax(evaluate(grid, prune=True)))
     a_lo = grid[max(best_i - 1, 0)]
     a_hi = grid[min(best_i + 1, len(grid) - 1)]
     x1 = x2 = None

@@ -200,9 +200,19 @@ def empirical_stats(
     and memory beyond ``samples`` is O(_CHUNK).  A round with x or y outside
     {0, 1}, theta outside [0, basis_count) or a negative k raises ValueError.
     """
-    n = len(samples)
+    counts = _count_cells(samples, basis_count)
+    return _errors(counts) / len(samples), *_adversary_stats(counts, key_on_basis)
+
+
+def _check_rounds(n: int) -> None:
     if n < MIN_ROUNDS:
         raise ValueError(f"need at least {MIN_ROUNDS} rounds for stable estimates, got {n}; raise n_rounds")
+
+
+def _count_cells(samples: np.ndarray, basis_count: int) -> np.ndarray:
+    """Rounds per (x, theta, y, k) cell, counted chunk by chunk; see empirical_stats."""
+    n = len(samples)
+    _check_rounds(n)
     shape = (2, basis_count, 2, max(int(samples["k"].max()), 0) + 1)
     rules = {
         "x": "must be 0 or 1",
@@ -222,14 +232,24 @@ def empirical_stats(
             cell *= size
             cell += value
         counts += np.bincount(cell, minlength=counts.size)
-    counts = counts.reshape(shape)
-    errors = int(counts[0, :, 1].sum() + counts[1, :, 0].sum())
+    return counts.reshape(shape)
+
+
+def _errors(counts: np.ndarray) -> int:
+    """Rounds with y != x in a count table counts[x, theta, y, k]."""
+    return int(counts[0, :, 1].sum() + counts[1, :, 0].sum())
+
+
+def _adversary_stats(counts: np.ndarray, key_on_basis: bool) -> tuple[float, float]:
+    """(i_ae_hat, guess_accuracy) read off a count table counts[x, theta, y, k]; see empirical_stats."""
+    n = int(counts.sum())
+    _check_rounds(n)
     # (key, k, side) table, cut after the last key value that occurs
     by_side = counts.sum(axis=2).transpose((1, 2, 0) if key_on_basis else (0, 2, 1))
     table = by_side.reshape(len(by_side), -1)
     table = table[: np.flatnonzero(table.sum(axis=1))[-1] + 1]
     hits = int(table.max(axis=0).sum())
-    return errors / n, _plugin_mi(table), hits / n
+    return _plugin_mi(table), hits / n
 
 
 def sampled_estimates(jd: JointDistribution, n: int, seed: int) -> tuple[float, float, float, int]:
@@ -238,12 +258,11 @@ def sampled_estimates(jd: JointDistribution, n: int, seed: int) -> tuple[float, 
     qber_hat, the sampled ``jd.qber``, counts errors over every sifted round.
     The adversary figures use the attack rounds, whose basis enters the
     attack estimator: all rounds, or for six-state, whose estimator reads
-    only the first ``attack_basis_count`` bases, a copy of those rounds.
+    only the first ``attack_basis_count`` bases, the theta < attack_basis_count
+    slice of the same count table.
     """
     protocol = jd.protocol
-    samples = sample_rounds(jd, n, seed)
-    qber_hat, i_ae_hat, accuracy = empirical_stats(samples, jd.basis_count, protocol.key_on_basis)
-    if protocol.attack_basis_count < jd.basis_count:
-        samples = samples[samples["theta"] < protocol.attack_basis_count]
-        _, i_ae_hat, accuracy = empirical_stats(samples, protocol.attack_basis_count, protocol.key_on_basis)
-    return qber_hat, i_ae_hat, accuracy, len(samples)
+    counts = _count_cells(sample_rounds(jd, n, seed), jd.basis_count)
+    attack = counts[:, : protocol.attack_basis_count]
+    i_ae_hat, accuracy = _adversary_stats(attack, protocol.key_on_basis)
+    return _errors(counts) / n, i_ae_hat, accuracy, int(attack.sum())

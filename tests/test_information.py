@@ -9,6 +9,7 @@ from qkdattack.information import (
     conditional_entropy_k_given_x,
     conditional_entropy_k_given_x_theta,
     conditional_probs,
+    holevo_chi,
     lambda_fn,
     mutual_info_ae,
 )
@@ -35,6 +36,19 @@ def test_binary_entropy_values():
     assert binary_entropy(0.25) == pytest.approx(0.811278124459, abs=1e-10)
     with pytest.raises(ValueError):
         binary_entropy(1.2)
+
+
+def test_holevo_chi_anchor_values():
+    # rho[key, side]: orthogonal pure states per side carry one bit, equal
+    # states none; a stack of groups gives one value per group
+    e = np.eye(4)
+    pure = np.stack([np.outer(e[i], e[i]) for i in range(4)]).astype(complex)
+    orthogonal = np.stack([[pure[0], pure[2]], [pure[1], pure[3]]])
+    equal = np.stack([[pure[0], pure[0]], [pure[0], pure[0]]])
+    # one side distinguishes the key, the other does not: half a bit on average
+    mixed = np.stack([[pure[0], pure[0]], [pure[1], pure[0]]])
+    assert holevo_chi(np.stack([orthogonal, equal, mixed])) == pytest.approx([1.0, 0.0, 0.5], abs=1e-12)
+    assert holevo_chi(np.full((2, 3, 4, 4), np.eye(4) / 4, dtype=complex)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_povm_validation():

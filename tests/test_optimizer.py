@@ -8,7 +8,7 @@ import pytest
 import qkdattack.optimizer as op
 from batch_reference import ReferenceBatch
 from povm_helpers import random_povm
-from qkdattack.information import Povm, conditional_probs, mutual_info_ae
+from qkdattack.information import Povm, conditional_probs, holevo_chi, mutual_info_ae
 from qkdattack.keyrate import bb84_closed_form_iae
 from qkdattack.optimizer import AttackResult, OptimizerConfig, optimize_attack
 from qkdattack.states import BB84, SARG04, SIX_STATE, alpha_range, purified_state
@@ -403,7 +403,8 @@ def test_sharding_changes_no_povm_result(monkeypatch):
 
 
 def test_group_straddling_a_shard_boundary(monkeypatch):
-    # three alphas of 12 restarts: the two shards meet at row 18, inside the middle group
+    # three alphas of 12 restarts, laid out alpha-fastest: the two shards
+    # meet at row 18, so each holds six restarts of every alpha
     cfg = OptimizerConfig(restarts=12, max_iters=600)
     lo, hi = alpha_range(SARG04, 0.1)
     states = [purified_state(SARG04, 0.1, a) for a in (lo, (lo + hi) / 2, hi)]
@@ -412,6 +413,101 @@ def test_group_straddling_a_shard_boundary(monkeypatch):
     for (m_a, f_a, agree_a, conv_a), (m_s, f_s, agree_s, conv_s) in zip(alone, shared):
         assert (f_s, agree_s, conv_s) == (f_a, agree_a, conv_a)
         assert np.array_equal(m_s, m_a)
+
+
+def _unpruned(monkeypatch):
+    """Disable the grid pruning: every Holevo bound reads +inf."""
+    monkeypatch.setattr(op, "holevo_chi", lambda rho: np.full(len(rho), np.inf))
+
+
+def _recording_ascend(monkeypatch):
+    """Wrap _ascend; returns the list of (alphas' count, prune, pruned states) of each call."""
+    calls, ascend = [], op._ascend
+
+    def recording(states, n_outcomes, config, prune=False):
+        results = ascend(states, n_outcomes, config, prune)
+        calls.append((len(states), prune, [i for i, r in enumerate(results) if r is None]))
+        return results
+
+    monkeypatch.setattr(op, "_ascend", recording)
+    return calls
+
+
+@pytest.mark.parametrize("proto", [BB84, SIX_STATE, SARG04], ids=lambda p: p.name)
+def test_holevo_bounds_every_searched_value(proto, light_config, monkeypatch):
+    # Holevo's bound, averaged over side values, caps the value of every
+    # restart at every alpha the search visits, grid and golden section
+    ascend, gaps = op._ascend, []
+    _unpruned(monkeypatch)
+
+    def checking(states, *args):
+        results = ascend(states, *args)
+        chi = holevo_chi(np.stack([op._conditional_stack(ps) for ps in states]))
+        gaps.extend(f - c for (_, f, _, _), c in zip(results, chi))
+        return results
+
+    monkeypatch.setattr(op, "_ascend", checking)
+    optimize_attack(proto, 0.1, light_config)
+    assert gaps and max(gaps) <= 1e-9
+
+
+@pytest.mark.parametrize("proto", [BB84, SARG04], ids=lambda p: p.name)
+def test_pruning_changes_no_attack_result(proto, light_config, monkeypatch):
+    calls = _recording_ascend(monkeypatch)
+    pruned = optimize_attack(proto, 0.1, light_config)
+    assert calls[0][1] and calls[0][2], "the grid ascent retired no alpha"
+    assert all(not prune for _, prune, _ in calls[1:])
+    _unpruned(monkeypatch)
+    for full in _alone_and_shared(monkeypatch, lambda: optimize_attack(proto, 0.1, light_config)):
+        for field in ("i_ae", "best_alpha", "restarts_agreeing", "converged", "robust"):
+            assert getattr(full, field) == getattr(pruned, field), field
+        assert np.array_equal(full.best_povm.elements, pruned.best_povm.elements)
+
+
+def test_retired_rows_leave_the_other_rows_unchanged():
+    # bb84 at q = 0.10: the two top alphas' bounds (0.097 and 0) lie below
+    # the best value (0.2655), so their rows retire; every other row must
+    # follow the unpruned batch bit for bit
+    alphas = (0.8, 0.85, 0.8929, 0.9)
+    rho = np.stack([op._conditional_stack(purified_state(BB84, 0.1, a)) for a in alphas])
+    group = np.tile(np.arange(len(alphas)), 6)
+    factors = np.stack([op._random_factors(np.random.default_rng(7 + r), 4, 4) for r in range(group.size)])
+    bound = holevo_chi(rho)
+    pruned, full = op._Batch(factors, rho, group, bound), op._Batch(factors, rho, group)
+    while pruned.active.any() and pruned.iters < 600:
+        pruned.step_once()
+        full.step_once()
+        assert not (pruned.retired & pruned.converged).any()
+        assert not (pruned.active & pruned.retired).any()
+        retired_groups = np.unique(group[pruned.retired])
+        # a row retires only once the batch's best value has passed its bound
+        assert (bound[retired_groups] + 1e-9 < pruned.f.max()).all()
+        assert np.array_equal(pruned.retired, np.isin(group, retired_groups) & ~pruned.converged)
+    assert np.array_equal(np.unique(group[pruned.retired]), [2, 3])
+    full.run(600)
+    kept = ~np.isin(group, [2, 3])
+    for attr in ("f", "m", "converged", "row_iters"):
+        assert np.array_equal(getattr(pruned, attr)[kept], getattr(full, attr)[kept]), attr
+    assert (pruned.row_iters[~kept] < full.row_iters[~kept]).all()
+    assert (pruned.f[~kept] <= full.f[~kept]).all()
+
+
+def test_golden_section_never_reuses_a_retired_alpha(light_config, monkeypatch):
+    # with _INVPHI = 1 the first golden-section pair is bb84's best grid
+    # point, alpha_lo, and its neighbour; that neighbour's bound is set below
+    # every value, so it retires in the grid ascent and must be run again, in
+    # full, to give the same result as the unpruned search
+    monkeypatch.setattr(op, "_INVPHI", 1.0)
+    _unpruned(monkeypatch)
+    reference = optimize_attack(BB84, 0.1, light_config)
+    monkeypatch.setattr(op, "holevo_chi", lambda rho: np.where(np.arange(len(rho)) == 1, -1.0, np.inf))
+    calls = _recording_ascend(monkeypatch)
+    result = optimize_attack(BB84, 0.1, light_config)
+    assert calls[0] == (light_config.alpha_grid_points, True, [1])
+    assert calls[1] == (1, False, [])
+    for field in ("i_ae", "best_alpha", "restarts_agreeing", "converged", "robust"):
+        assert getattr(result, field) == getattr(reference, field), field
+    assert np.array_equal(result.best_povm.elements, reference.best_povm.elements)
 
 
 def test_sharded_ascent_leaves_no_worker(monkeypatch):
