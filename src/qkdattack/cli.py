@@ -28,7 +28,7 @@ from . import __version__
 from .optimizer import OptimizerConfig, optimize_attack
 from .simulator import MIN_ROUNDS, joint_distribution, sampled_estimates
 from .states import PROTOCOLS, Protocol, purified_state
-from .keyrate import CLOSED_FORMS, CurvePoint, NumericalFailure, find_threshold, tabulate_curve
+from .keyrate import CurvePoint, NumericalFailure, bb84_closed_form_iae, find_threshold, tabulate_curve
 
 _FMT = "%.10g"
 
@@ -66,22 +66,22 @@ def cmd_curve(
 ) -> list:
     """CSV sweep of (q, i_ab, i_ae, rate, alpha, robust) over a QBER grid.
 
-    For a protocol with an analytic optimum in ``CLOSED_FORMS`` (bb84) an
-    extra column holds it wherever it is defined (q <= 1/4).  More than half the
+    For the two-basis bit-encoding protocol an extra column holds the
+    analytic optimum wherever it is defined (q <= 1/4).  More than half the
     grid points non-robust counts as a numerical failure.
     """
     t0 = time.time()
     grid = np.linspace(q_min, q_max, steps)
     points = tabulate_curve(protocol, grid, config)
 
-    closed_form = CLOSED_FORMS.get(protocol.name)
-    header = "q,i_ab,i_ae,rate,alpha,robust" + (",i_ae_closed_form" if closed_form else "")
+    closed = protocol.name == "bb84"
+    header = "q,i_ab,i_ae,rate,alpha,robust" + (",i_ae_closed_form" if closed else "")
     lines = [header]
     for pt in points:
         row = [_FMT % v for v in (pt.q, pt.i_ab, pt.i_ae, pt.rate, pt.alpha)]
         row.append("true" if pt.robust else "false")
-        if closed_form:
-            row.append(_FMT % closed_form(pt.q) if pt.q <= 0.25 else "")
+        if closed:
+            row.append(_FMT % bb84_closed_form_iae(pt.q) if pt.q <= 0.25 else "")
         lines.append(",".join(row))
     _write_text(out_path, "\n".join(lines) + "\n")
     _write_json(

@@ -72,10 +72,6 @@ def bb84_closed_form_iae(q: float) -> float:
     return float(0.5 + (lambda_fn(1.0 + eps) - lambda_fn(eps)) / (2.0 * (1.0 + eps)))
 
 
-# analytic optima of the attack by protocol name, each defined on q in [0, 1/4]
-CLOSED_FORMS = {"bb84": bb84_closed_form_iae}
-
-
 def key_rate(q: float, i_ae: float) -> float:
     """r = 1 - h(q) - I_AE."""
     return 1.0 - binary_entropy(q) - i_ae

@@ -36,10 +36,12 @@ convergence are then reduced per group over the reassembled rows.  Results
 are therefore the same bits for any CPU count, and a one-CPU mask
 (``taskset -c 0``) runs everything in the calling process.
 
-The grid ascent drops alphas that cannot win: a row's value only rises, so
-an alpha whose Holevo bound (holevo_chi) + 1e-9 falls below the best value
-in its batch retires its rows and is left out of the results, which keep
-their bits.  Golden-section ascents compare exact values and never prune.
+An ascent drops alphas that cannot win: a row's value only rises, so an
+alpha whose Holevo bound (holevo_chi) + 1e-9 falls below the best value in
+its batch retires its rows and is left out of the results, which keep their
+bits.  A retired alpha's value lies below that of another alpha in the same
+ascent, so neither the grid argmax nor a golden-section comparison changes,
+and an ascent of one alpha never retires it.
 """
 
 from __future__ import annotations
@@ -341,7 +343,7 @@ def _shards(rows: int, processes: int) -> list[tuple[int, int]]:
 
 
 def _run_shard(
-    factors: np.ndarray, rho_xt: np.ndarray, group: np.ndarray, max_iters: int, bound: np.ndarray | None
+    factors: np.ndarray, rho_xt: np.ndarray, group: np.ndarray, max_iters: int, bound: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(f, m, converged, retired) of every row after one lockstep ascent."""
     batch = _Batch(factors, rho_xt, group, bound)
@@ -350,24 +352,24 @@ def _run_shard(
 
 
 def _ascend(
-    states: list[PurifiedState], n_outcomes: int, config: OptimizerConfig, prune: bool = False
+    states: list[PurifiedState], n_outcomes: int, config: OptimizerConfig
 ) -> list[tuple[np.ndarray, float, int, bool] | None]:
-    """(best POVM, its value, agreeing restarts, converged) at each state, or None where pruned.
+    """(best POVM, its value, agreeing restarts, converged) at each state, or None where retired.
 
     Every state gets the same config.restarts seeded starts, as one row
     group per state; restart r of state i is row r * len(states) + i.  This
     process steps the first shard (see _shards) and a pool opened for this
-    ascent steps the others; results are reduced per group.  With ``prune``,
-    rows retire against holevo_chi (see _Batch).  Outcomes keep the order the ascent
-    left them in: the objective is invariant under relabeling, and no
-    caller reads meaning into a label.
+    ascent steps the others; results are reduced per group.  Rows retire
+    against holevo_chi (see _Batch).  Outcomes keep the order the ascent left
+    them in: the objective is invariant under relabeling, and no caller
+    reads meaning into a label.
     """
     n, n_states = config.restarts, len(states)
     starts = np.stack(
         [_random_factors(np.random.default_rng(config.seed + r), n_outcomes, 4) for r in range(n)]
     )
     rho = np.stack([_conditional_stack(ps) for ps in states])
-    bound = holevo_chi(rho) if prune else None
+    bound = holevo_chi(rho)
     rows = np.arange(n * n_states)
 
     def shard_args(s: int, e: int) -> tuple:
@@ -408,24 +410,24 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
     alpha_refine_iters steps cost at most alpha_refine_iters + 1
     evaluations, and a repeated alpha costs none: six-state's point interval
     runs one ascent.  Grouping and sharding change no result: every restart's
-    trajectory depends only on its own start and alpha, and the grid
-    ascent retires only alphas that cannot hold the maximum.
+    trajectory depends only on its own start and alpha, and an ascent
+    retires only alphas that cannot hold the maximum.
     """
     lo, hi = alpha_range(protocol, q)
     n_out = protocol.povm_outcomes
     cache: dict[float, tuple[np.ndarray, float, int, bool]] = {}
 
-    def evaluate(alphas, prune: bool = False) -> list[float]:
+    def evaluate(alphas) -> list[float]:
         alphas = [min(max(float(a), lo), hi) for a in alphas]
         new = [a for a in dict.fromkeys(alphas) if a not in cache]
         if new:
-            results = _ascend([purified_state(protocol, q, a) for a in new], n_out, config, prune)
-            # a pruned alpha stays out of the cache, so evaluating it again runs it in full
+            results = _ascend([purified_state(protocol, q, a) for a in new], n_out, config)
+            # a retired alpha stays out of the cache, so evaluating it again runs it in full
             cache.update((a, r) for a, r in zip(new, results) if r is not None)
         return [cache[a][1] if a in cache else -math.inf for a in alphas]
 
     grid = np.linspace(lo, hi, config.alpha_grid_points)
-    best_i = int(np.argmax(evaluate(grid, prune=True)))
+    best_i = int(np.argmax(evaluate(grid)))
     a_lo = grid[max(best_i - 1, 0)]
     a_hi = grid[min(best_i + 1, len(grid) - 1)]
     x1 = x2 = None

@@ -176,41 +176,34 @@ def _plugin_mi(counts: np.ndarray) -> float:
 
 
 def empirical_stats(
-    samples: np.ndarray, basis_count: int, key_on_basis: bool = False
+    samples: np.ndarray, basis_count: int, key_on_basis: bool = False, attack_basis_count: int | None = None
 ) -> tuple[float, float, float]:
     """(qber_hat, i_ae_hat, guess_accuracy) from sampled rounds.
 
     The key is x and the revealed side value theta, or with ``key_on_basis``
     the key is theta and the side value x.  qber_hat is the fraction of
     rounds with y != x.  Both adversary figures are plug-in estimates from
-    the (key, k side) table of counts, without bias correction, so choose n
-    accordingly:
+    the (key, k side) table of counts over the attack rounds: every round,
+    or with ``attack_basis_count`` those with theta < attack_basis_count.
+    They carry no bias correction, so choose n accordingly:
 
     - i_ae_hat estimates I(Key : K, Side); with t table cells its bias is
       below t/(2 n ln 2).
-    - guess_accuracy is the fraction of rounds her best guess gets right:
-      in each of the T (k, side) columns, the key value counted most often
-      there.  That is argmax_key p(k | key, side), read off the sample, so
-      it needs no outcome labelling.  Choosing the guess on the same rounds
-      it is scored on biases it up, by at most sqrt(T/n)/2 for a binary key.
+    - guess_accuracy is the fraction of attack rounds her best guess gets
+      right: in each of the T (k, side) columns, the key value counted most
+      often there.  That is argmax_key p(k | key, side), read off the
+      sample, so it needs no outcome labelling.  Choosing the guess on the
+      same rounds it is scored on biases it up, by at most sqrt(T/n)/2 for a
+      binary key.
 
     Each chunk of _CHUNK rounds is binned once by its (x, theta, y, k) cell;
-    errors and the (key, k side) table are exact integer sums over that
-    count table, so the estimates equal those of one pass over all rounds,
-    and memory beyond ``samples`` is O(_CHUNK).  A round with x or y outside
-    {0, 1}, theta outside [0, basis_count) or a negative k raises ValueError.
+    the errors (over the whole count table) and the (key, k side) table
+    (over its theta < attack_basis_count slice) are exact integer sums, so
+    the estimates equal those of one pass over all rounds, and memory beyond
+    ``samples`` is O(_CHUNK).  Fewer than MIN_ROUNDS rounds or attack rounds, a round
+    with x or y outside {0, 1}, theta outside [0, basis_count) or a
+    negative k raises ValueError.
     """
-    counts = _count_cells(samples, basis_count)
-    return _errors(counts) / len(samples), *_adversary_stats(counts, key_on_basis)
-
-
-def _check_rounds(n: int) -> None:
-    if n < MIN_ROUNDS:
-        raise ValueError(f"need at least {MIN_ROUNDS} rounds for stable estimates, got {n}; raise n_rounds")
-
-
-def _count_cells(samples: np.ndarray, basis_count: int) -> np.ndarray:
-    """Rounds per (x, theta, y, k) cell, counted chunk by chunk; see empirical_stats."""
     n = len(samples)
     _check_rounds(n)
     shape = (2, basis_count, 2, max(int(samples["k"].max()), 0) + 1)
@@ -232,24 +225,22 @@ def _count_cells(samples: np.ndarray, basis_count: int) -> np.ndarray:
             cell *= size
             cell += value
         counts += np.bincount(cell, minlength=counts.size)
-    return counts.reshape(shape)
-
-
-def _errors(counts: np.ndarray) -> int:
-    """Rounds with y != x in a count table counts[x, theta, y, k]."""
-    return int(counts[0, :, 1].sum() + counts[1, :, 0].sum())
-
-
-def _adversary_stats(counts: np.ndarray, key_on_basis: bool) -> tuple[float, float]:
-    """(i_ae_hat, guess_accuracy) read off a count table counts[x, theta, y, k]; see empirical_stats."""
-    n = int(counts.sum())
-    _check_rounds(n)
+    counts = counts.reshape(shape)
+    errors = int(counts[0, :, 1].sum() + counts[1, :, 0].sum())
+    attack = counts[:, :attack_basis_count]
+    n_attack = int(attack.sum())
+    _check_rounds(n_attack)
     # (key, k, side) table, cut after the last key value that occurs
-    by_side = counts.sum(axis=2).transpose((1, 2, 0) if key_on_basis else (0, 2, 1))
+    by_side = attack.sum(axis=2).transpose((1, 2, 0) if key_on_basis else (0, 2, 1))
     table = by_side.reshape(len(by_side), -1)
     table = table[: np.flatnonzero(table.sum(axis=1))[-1] + 1]
     hits = int(table.max(axis=0).sum())
-    return _plugin_mi(table), hits / n
+    return errors / n, _plugin_mi(table), hits / n_attack
+
+
+def _check_rounds(n: int) -> None:
+    if n < MIN_ROUNDS:
+        raise ValueError(f"need at least {MIN_ROUNDS} rounds for stable estimates, got {n}; raise n_rounds")
 
 
 def sampled_estimates(jd: JointDistribution, n: int, seed: int) -> tuple[float, float, float, int]:
@@ -258,11 +249,15 @@ def sampled_estimates(jd: JointDistribution, n: int, seed: int) -> tuple[float, 
     qber_hat, the sampled ``jd.qber``, counts errors over every sifted round.
     The adversary figures use the attack rounds, whose basis enters the
     attack estimator: all rounds, or for six-state, whose estimator reads
-    only the first ``attack_basis_count`` bases, the theta < attack_basis_count
-    slice of the same count table.
+    only the first ``attack_basis_count`` bases, the rounds with
+    theta < attack_basis_count.  Both come from one count table
+    (empirical_stats); attack_rounds counts the theta field chunk by chunk.
     """
     protocol = jd.protocol
-    counts = _count_cells(sample_rounds(jd, n, seed), jd.basis_count)
-    attack = counts[:, : protocol.attack_basis_count]
-    i_ae_hat, accuracy = _adversary_stats(attack, protocol.key_on_basis)
-    return _errors(counts) / n, i_ae_hat, accuracy, int(attack.sum())
+    samples = sample_rounds(jd, n, seed)
+    stats = empirical_stats(samples, jd.basis_count, protocol.key_on_basis, protocol.attack_basis_count)
+    theta = samples["theta"]
+    attack_rounds = sum(
+        int(np.count_nonzero(theta[s : s + _CHUNK] < protocol.attack_basis_count)) for s in range(0, n, _CHUNK)
+    )
+    return *stats, attack_rounds

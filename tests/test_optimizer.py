@@ -404,7 +404,9 @@ def test_sharding_changes_no_povm_result(monkeypatch):
 
 def test_group_straddling_a_shard_boundary(monkeypatch):
     # three alphas of 12 restarts, laid out alpha-fastest: the two shards
-    # meet at row 18, so each holds six restarts of every alpha
+    # meet at row 18, so each holds six restarts of every alpha; no alpha
+    # retires, so every group's reduction spans both shards
+    _unpruned(monkeypatch)
     cfg = OptimizerConfig(restarts=12, max_iters=600)
     lo, hi = alpha_range(SARG04, 0.1)
     states = [purified_state(SARG04, 0.1, a) for a in (lo, (lo + hi) / 2, hi)]
@@ -421,12 +423,12 @@ def _unpruned(monkeypatch):
 
 
 def _recording_ascend(monkeypatch):
-    """Wrap _ascend; returns the list of (alphas' count, prune, pruned states) of each call."""
+    """Wrap _ascend; returns the list of (alphas' count, retired states) of each call."""
     calls, ascend = [], op._ascend
 
-    def recording(states, n_outcomes, config, prune=False):
-        results = ascend(states, n_outcomes, config, prune)
-        calls.append((len(states), prune, [i for i, r in enumerate(results) if r is None]))
+    def recording(states, *args):
+        results = ascend(states, *args)
+        calls.append((len(states), [i for i, r in enumerate(results) if r is None]))
         return results
 
     monkeypatch.setattr(op, "_ascend", recording)
@@ -455,8 +457,7 @@ def test_holevo_bounds_every_searched_value(proto, light_config, monkeypatch):
 def test_pruning_changes_no_attack_result(proto, light_config, monkeypatch):
     calls = _recording_ascend(monkeypatch)
     pruned = optimize_attack(proto, 0.1, light_config)
-    assert calls[0][1] and calls[0][2], "the grid ascent retired no alpha"
-    assert all(not prune for _, prune, _ in calls[1:])
+    assert calls[0][1], "the grid ascent retired no alpha"
     _unpruned(monkeypatch)
     for full in _alone_and_shared(monkeypatch, lambda: optimize_attack(proto, 0.1, light_config)):
         for field in ("i_ae", "best_alpha", "restarts_agreeing", "converged", "robust"):
@@ -503,8 +504,8 @@ def test_golden_section_never_reuses_a_retired_alpha(light_config, monkeypatch):
     monkeypatch.setattr(op, "holevo_chi", lambda rho: np.where(np.arange(len(rho)) == 1, -1.0, np.inf))
     calls = _recording_ascend(monkeypatch)
     result = optimize_attack(BB84, 0.1, light_config)
-    assert calls[0] == (light_config.alpha_grid_points, True, [1])
-    assert calls[1] == (1, False, [])
+    assert calls[0] == (light_config.alpha_grid_points, [1])
+    assert calls[1] == (1, [])
     for field in ("i_ae", "best_alpha", "restarts_agreeing", "converged", "robust"):
         assert getattr(result, field) == getattr(reference, field), field
     assert np.array_equal(result.best_povm.elements, reference.best_povm.elements)

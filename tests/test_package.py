@@ -76,10 +76,8 @@ def _read_names(path: Path) -> set[str]:
 
 
 # conditional_probs and mutual_info_ae form the reference estimator, kept as an
-# independent check on the optimizer's objective; empirical_stats scores a set of
-# sampled rounds, which sampled_estimates now reads off its own count table:
-# only tests and the benchmark read them
-_EXPORTED_FOR_CHECKS = {"conditional_probs", "mutual_info_ae", "empirical_stats"}
+# independent check on the optimizer's objective: only tests and the benchmark read it
+_EXPORTED_FOR_CHECKS = {"conditional_probs", "mutual_info_ae"}
 
 
 def test_every_export_is_read_by_the_product():
