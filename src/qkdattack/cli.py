@@ -66,22 +66,22 @@ def cmd_curve(
 ) -> list:
     """CSV sweep of (q, i_ab, i_ae, rate, alpha, robust) over a QBER grid.
 
-    For the two-basis bit-encoding protocol an extra column holds the
-    analytic optimum wherever it is defined (q <= 1/4).  More than half the
-    grid points non-robust counts as a numerical failure.
+    With ``protocol.closed_form_q_scale`` s, an extra column holds the
+    analytic optimum wherever it is defined (s q <= 1/4).  More than half
+    the grid points non-robust counts as a numerical failure.
     """
     t0 = time.time()
     grid = np.linspace(q_min, q_max, steps)
     points = tabulate_curve(protocol, grid, config)
 
-    closed = protocol.name == "bb84"
-    header = "q,i_ab,i_ae,rate,alpha,robust" + (",i_ae_closed_form" if closed else "")
+    scale = protocol.closed_form_q_scale
+    header = "q,i_ab,i_ae,rate,alpha,robust" + (",i_ae_closed_form" if scale is not None else "")
     lines = [header]
     for pt in points:
         row = [_FMT % v for v in (pt.q, pt.i_ab, pt.i_ae, pt.rate, pt.alpha)]
         row.append("true" if pt.robust else "false")
-        if closed:
-            row.append(_FMT % bb84_closed_form_iae(pt.q) if pt.q <= 0.25 else "")
+        if scale is not None:
+            row.append(_FMT % bb84_closed_form_iae(scale * pt.q) if scale * pt.q <= 0.25 else "")
         lines.append(",".join(row))
     _write_text(out_path, "\n".join(lines) + "\n")
     _write_json(

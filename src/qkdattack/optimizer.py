@@ -8,12 +8,16 @@ theta for sarg04, which reveals x); _conditional_stack lays the conditional
 states out in (key, side) order, and every kernel after it is written once
 in those terms.  The objective is not concave in the POVM, so a single ascent
 can stall in a local maximum.  Each restart parameterizes the measurement by
-factors A_k with M_k = A_k^dag A_k (PSD by construction), takes a gradient
+factors A_k with M_k = A_k^T A_k (PSD by construction), takes a gradient
 step on the factors, renormalizes with the S^(-1/2) sandwich where
 S = sum_k M_k, and keeps the step only if the objective improved.  Step sizes
 adapt multiplicatively (x1.2 on accept, x0.5 on reject, floor 1e-12).
 Restart r draws its starting point from seed + r, so every reported number is
-reproducible bit for bit and stable under restart-count changes.
+reproducible bit for bit and stable under restart-count changes.  Every array
+is real float64: the conditional states are real symmetric (the Bell vectors,
+the purification and the attack bases theta = 0, 1 are real), and for real
+symmetric rho, Re M_k is again a POVM with the same p(k | key, side), so the
+best real POVM is as good as any complex one.
 
 Restarts advance in lockstep through stacked (rows, n_outcomes, d, d) arrays,
 and so do the restarts of several source weights alpha: optimize_attack hands
@@ -54,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .information import Povm, holevo_chi
-from .linalg import TOL, dagger
+from .linalg import TOL
 from .states import Protocol, PurifiedState, alpha_range, eve_conditional_state, purified_state
 
 _INIT_STEP = 0.1
@@ -111,24 +115,13 @@ def _conditional_stack(ps: PurifiedState) -> np.ndarray:
     That is (x, theta) for a bit-keyed protocol and (theta, x) for a
     basis-keyed one; theta runs over the protocol's attack bases, the bases
     entering the adversary's estimator.  This is the one place the optimizer
-    reads ``key_on_basis``.
+    reads ``key_on_basis``.  Raises ValueError unless every state is real.
     """
     b = ps.protocol.attack_basis_count
-    out = np.empty((2, b, 4, 4), dtype=complex)
-    for x in (0, 1):
-        for theta in range(b):
-            out[x, theta], _ = eve_conditional_state(ps, x, theta)
-    return out.transpose(1, 0, 2, 3) if ps.protocol.key_on_basis else out
-
-
-def _real_rows(x: np.ndarray) -> np.ndarray:
-    """Complex (..., d, d) stacks as real rows: re and im of the flattened matrices interleaved."""
-    return np.ascontiguousarray(x).reshape(-1, x.shape[-1] ** 2).view(np.float64)
-
-
-def _state_rows(rho_xt: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """Row i's conditional-state stack rho_xt[group[i]] as real rows (rows, key, side, 2 d^2)."""
-    return _real_rows(rho_xt).reshape(*rho_xt.shape[:3], -1)[group]
+    out = np.array([[eve_conditional_state(ps, x, theta)[0] for theta in range(b)] for x in (0, 1)])
+    if out.imag.any():
+        raise ValueError(f"{ps.protocol.name}: the optimizer needs real conditional states, and these are complex")
+    return out.real.transpose(1, 0, 2, 3) if ps.protocol.key_on_basis else out.real
 
 
 def _renormalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,23 +133,23 @@ def _renormalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     r, k, d = a.shape[0], a.shape[1], a.shape[-1]
     stacked = a.reshape(r, k * d, d)
-    w, v = np.linalg.eigh(dagger(stacked) @ stacked)
+    w, v = np.linalg.eigh(stacked.mT @ stacked)
     inv_sqrt = 1.0 / np.sqrt(np.clip(w, _EIG_FLOOR, None))
-    a_n = (stacked @ ((v * inv_sqrt[:, None, :]) @ dagger(v))).reshape(a.shape)
-    return a_n, dagger(a_n) @ a_n
+    a_n = (stacked @ ((v * inv_sqrt[:, None, :]) @ v.mT)).reshape(a.shape)
+    return a_n, a_n.mT @ a_n
 
 
 def _probs(m: np.ndarray, rho_rows: np.ndarray) -> np.ndarray:
     """p[r, k, key, side] = p(k | key, side) for POVM stacks m (r, k, d, d).
 
-    ``rho_rows`` holds each row's state rows (see _state_rows).  Tr(M rho) is
-    the real dot product of M and rho^dag, which is rho for these Hermitian
-    stacks, so each row is one (k, 2 d^2) @ (2 d^2, key * side) product,
-    batched over the rows.
+    ``rho_rows`` holds each row's state rows (see _Batch).  Tr(M rho) is
+    the dot product of M and rho^T, which is rho for these symmetric stacks,
+    so each row is one (k, d^2) @ (d^2, key * side) product, batched over the
+    rows.
     """
     r, k = m.shape[:2]
     n_key, n_side, width = rho_rows.shape[1:]
-    p = _real_rows(m).reshape(r, k, width) @ rho_rows.reshape(r, -1, width).transpose(0, 2, 1)
+    p = m.reshape(r, k, width) @ rho_rows.reshape(r, -1, width).mT
     return np.clip(p.reshape(r, k, n_key, n_side), 0.0, 1.0)
 
 
@@ -196,12 +189,12 @@ def _objective(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _gradient(w: np.ndarray, rho_rows: np.ndarray) -> np.ndarray:
     """d I / d M_k (r, k, d, d) from the gradient weights w[r, k, (key, side)] of _objective.
 
-    ``rho_rows`` holds each row's state rows (see _state_rows); each row is
-    one (k, n) @ (n, 2 d^2) product on the real view, batched over the rows.
+    ``rho_rows`` holds each row's state rows (see _Batch); each row is
+    one (k, n) @ (n, d^2) product, batched over the rows.
     """
     r, k, n = w.shape
-    d = math.isqrt(rho_rows.shape[-1] // 2)
-    return (w @ rho_rows.reshape(r, n, -1)).view(np.complex128).reshape(r, k, d, d)
+    d = math.isqrt(rho_rows.shape[-1])
+    return (w @ rho_rows.reshape(r, n, -1)).reshape(r, k, d, d)
 
 
 class _Batch:
@@ -221,7 +214,7 @@ class _Batch:
     """
 
     def __init__(self, factors: np.ndarray, rho_xt: np.ndarray, group: np.ndarray, bound: np.ndarray | None = None):
-        self._rho = _state_rows(rho_xt, group)
+        self._rho = rho_xt.reshape(*rho_xt.shape[:3], -1)[group]
         self._a, m = _renormalize(factors)
         self._f, self._w = _objective(_probs(m, self._rho))
         n = factors.shape[0]
@@ -253,7 +246,7 @@ class _Batch:
     @property
     def m(self) -> np.ndarray:
         a = self._merged(self._done_a, self._a)
-        return dagger(a) @ a
+        return a.mT @ a
 
     @property
     def row_iters(self) -> np.ndarray:
@@ -302,7 +295,7 @@ class _Batch:
 
 
 def _random_factors(rng: np.random.Generator, n_outcomes: int, dim: int) -> np.ndarray:
-    return rng.standard_normal((n_outcomes, dim, dim)) + 1j * rng.standard_normal((n_outcomes, dim, dim))
+    return rng.standard_normal((n_outcomes, dim, dim))
 
 
 def _process_count() -> int:

@@ -46,7 +46,8 @@ class Protocol:
     Bell weight, in the order phi+, phi-, psi+, psi-; the weight at
     (q, alpha) is c0 + c_q q + c_alpha alpha.  ``alpha_bounds`` is
     ((lo0, lo_q), (hi0, hi_q)): alpha ranges over [lo0 + lo_q q, hi0 + hi_q q]
-    clipped to [0, 1].
+    clipped to [0, 1].  The optimal attack's information at q is
+    ``keyrate.bb84_closed_form_iae(closed_form_q_scale * q)``, if not None.
     """
 
     name: str
@@ -55,6 +56,7 @@ class Protocol:
     alpha_bounds: tuple[tuple[float, float], tuple[float, float]]
     attack_basis_count: int = 2
     key_on_basis: bool = False
+    closed_form_q_scale: float | None = None
 
     @property
     def povm_outcomes(self) -> int:
@@ -67,6 +69,7 @@ BB84 = Protocol(
     2,
     bell_weights=((0.0, 0.0, 1.0), (1.0, -1.0, -1.0), (1.0, -1.0, -1.0), (-1.0, 2.0, 1.0)),
     alpha_bounds=((1.0, -2.0), (1.0, -1.0)),
+    closed_form_q_scale=1.0,
 )
 # the three-basis constraints fix every weight, so alpha enters with coefficient 0
 SIX_STATE = Protocol(
@@ -74,6 +77,7 @@ SIX_STATE = Protocol(
     3,
     bell_weights=((1.0, -1.5, 0.0), (0.0, 0.5, 0.0), (0.0, 0.5, 0.0), (0.0, 0.5, 0.0)),
     alpha_bounds=((1.0, -1.5), (1.0, -1.5)),
+    closed_form_q_scale=0.5,
 )
 SARG04 = Protocol(
     "sarg04",

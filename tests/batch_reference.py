@@ -2,14 +2,15 @@
 
 Every step gathers the active rows by index, evaluates them with kernels
 that read the probabilities p, and scatters the accepted factors, POVM
-elements, probabilities and values back into full-length arrays.  The
-optimizer's _Batch must leave every row with the same bits as this one.
+elements, probabilities and values back into full-length arrays.  It works
+in real arithmetic, on real symmetric conditional-state stacks, like the
+optimizer.  The optimizer's _Batch must leave every row with the same bits
+as this one.
 """
 
 import numpy as np
 
 import qkdattack.optimizer as op
-from qkdattack.linalg import dagger
 
 
 def _lam(t):
@@ -23,10 +24,10 @@ def _row_groups(group):
 
 
 def _probs(m, rho_xt, group):
-    r, k = m.shape[:2]
+    r, k, d = m.shape[0], m.shape[1], m.shape[-1]
     n_key, n_side = rho_xt.shape[-4:-2]
-    mv = op._real_rows(m)
-    rv = op._real_rows(dagger(rho_xt)).reshape(-1, n_key * n_side, mv.shape[1])
+    mv = m.reshape(r * k, d * d)
+    rv = rho_xt.mT.reshape(-1, n_key * n_side, d * d)
     p = np.empty((r * k, n_key * n_side))
     for grp, s, e in _row_groups(group):
         np.matmul(mv[s * k : e * k], rv[grp].T, out=p[s * k : e * k])
@@ -46,11 +47,11 @@ def _gradient(p, rho_xt, group):
     pbar = op._key_marginal(p)[:, :, None, :]
     ratio = (np.log2(np.maximum(p, 1e-18)) - np.log2(np.maximum(pbar, 1e-18))) / n
     ratio = ratio.reshape(r * k, n)
-    rv = op._real_rows(rho_xt).reshape(-1, n, 2 * d * d)
-    g = np.empty((r * k, 2 * d * d))
+    rv = rho_xt.reshape(-1, n, d * d)
+    g = np.empty((r * k, d * d))
     for grp, s, e in _row_groups(group):
         np.matmul(ratio[s * k : e * k], rv[grp], out=g[s * k : e * k])
-    return g.view(np.complex128).reshape(r, k, d, d)
+    return g.reshape(r, k, d, d)
 
 
 class ReferenceBatch:

@@ -249,6 +249,36 @@ def test_attacks_stay_below_holevo_bound(bb84_attacks, sixstate_attacks, thresho
         assert r.i_ae <= holevo_chi(rho) + 1e-9, (r.protocol.name, r.q)
 
 
+def test_sixstate_is_bb84_closed_form_at_half_the_error_rate(sixstate_attacks):
+    # six-state's memoryless optimum at q is the two-basis closed form at q / 2,
+    # the protocol's closed_form_q_scale; the search never exceeds it
+    scale = SIX_STATE.closed_form_q_scale
+    results = dict(sixstate_attacks)
+    results.update({q: optimize_attack(SIX_STATE, q, ATTACK_CONFIG) for q in (0.15, 0.2, 0.25, 0.3, 0.4, 0.5)})
+    for q, result in results.items():
+        closed = bb84_closed_form_iae(scale * q)
+        assert abs(result.i_ae - closed) <= 1e-4, q
+        assert result.i_ae <= closed + 1e-9, q
+
+
+def _closed_form_root(scale: float) -> float:
+    """The q in [0.05, 0.25] where 1 - h(q) = bb84_closed_form_iae(scale * q), by bisection."""
+    lo, hi = 0.05, 0.25
+    assert key_rate(lo, bb84_closed_form_iae(scale * lo)) > 0 > key_rate(hi, bb84_closed_form_iae(scale * hi))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if key_rate(mid, bb84_closed_form_iae(scale * mid)) > 0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("protocol", [BB84, SIX_STATE], ids=lambda p: p.name)
+def test_threshold_bracket_holds_the_closed_form_root(protocol, thresholds):
+    # criteria 2 and 3 compare with quoted thresholds; the closed form gives exact ones
+    rep, _ = thresholds(protocol)
+    root = _closed_form_root(protocol.closed_form_q_scale)
+    assert rep.bracket[0] <= root <= rep.bracket[1], (root, rep.bracket)
+
+
 def test_reported_attack_values_follow_rate_identity(bb84_attacks):
     # consistency of the shipped artifacts, not a numbered criterion: at the
     # published threshold the rate vanishes within band width

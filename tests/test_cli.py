@@ -48,9 +48,10 @@ def test_curve_single_zero_point(tmp_path):
     )
     assert rc == 0
     lines = out.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "q,i_ab,i_ae,rate,alpha,robust"
-    rate = float(lines[1].split(",")[3])
-    assert rate == pytest.approx(1.0, abs=1e-8)
+    assert lines[0] == "q,i_ab,i_ae,rate,alpha,robust,i_ae_closed_form"
+    fields = lines[1].split(",")
+    assert float(fields[3]) == pytest.approx(1.0, abs=1e-8)
+    assert float(fields[6]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_curve_rejects_bad_range(tmp_path):
@@ -232,7 +233,7 @@ def test_curve_mostly_non_robust_exits_3(tmp_path, monkeypatch, capsys):
     assert rc == 3
     assert capsys.readouterr().err.startswith("numerical failure: 2 of 3 grid points are non-robust")
     rows = out.read_text(encoding="utf-8").splitlines()[1:]
-    assert [row.split(",")[-1] for row in rows] == ["true", "false", "false"]
+    assert [row.split(",")[5] for row in rows] == ["true", "false", "false"]
     assert _load(str(out) + ".manifest.json")["command"] == "curve"
 
 
@@ -245,3 +246,21 @@ def test_simulate_too_few_attack_rounds(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: need at least 1000 rounds") and "raise n_rounds" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(("protocol", "scale"), [("bb84", 1.0), ("sixstate", 0.5), ("sarg04", None)])
+def test_curve_closed_form_column(tmp_path, monkeypatch, protocol, scale):
+    # the column is bb84_closed_form_iae(s q) for the protocol's closed_form_q_scale s,
+    # empty where s q > 1/4, and absent without a closed form
+    monkeypatch.setattr(keyrate, "optimize_attack", lambda protocol, q, config: _result(protocol, q, True))
+    out = tmp_path / "c.csv"
+    assert main(["curve", "--protocol", protocol, "--q-max", "0.4", "--steps", "9", "--out", str(out)]) == 0
+    header, *rows = out.read_text(encoding="utf-8").splitlines()
+    if scale is None:
+        assert header == "q,i_ab,i_ae,rate,alpha,robust"
+        return
+    assert header == "q,i_ab,i_ae,rate,alpha,robust,i_ae_closed_form"
+    closed = [row.split(",")[6] for row in rows]
+    grid = np.linspace(0.0, 0.4, 9)
+    assert closed == ["%.10g" % bb84_closed_form_iae(scale * q) if scale * q <= 0.25 else "" for q in grid]
+    assert ("" in closed) == (protocol == "bb84")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import multiprocessing
 import os
@@ -18,6 +19,34 @@ def _optimize_povm(ps, n_outcomes, config):
     """(best POVM elements, value) of config.restarts ascents at one state."""
     m, f, _, _ = op._ascend([ps], n_outcomes, config)[0]
     return m, f
+
+
+def _state_rows(rho_xt, group):
+    """Row i's state rows as _Batch lays them out: rho_xt[group[i]], matrices flattened to d^2 entries."""
+    return rho_xt.reshape(*rho_xt.shape[:3], -1)[group]
+
+
+def _real_povm(n_outcomes, seed):
+    """Re of a random complex POVM: again a POVM, and real like the optimizer's."""
+    return Povm(random_povm(4, n_outcomes, seed).elements.real)
+
+
+@pytest.mark.parametrize("proto", [BB84, SIX_STATE, SARG04], ids=lambda p: p.name)
+def test_conditional_stacks_are_real(proto):
+    # the attack bases are real, so every stack the optimizer reads is real
+    for q in (0.0, 0.02, 0.1, 0.175, 0.25, 0.4):
+        lo, hi = alpha_range(proto, q)
+        for alpha in np.linspace(lo, hi, 5):
+            rho = op._conditional_stack(purified_state(proto, q, alpha))
+            assert rho.dtype == np.float64
+            assert np.array_equal(rho, rho.mT)
+
+
+def test_circular_attack_basis_is_rejected():
+    # an estimator reading six-state's circular basis would need complex POVMs
+    circular = dataclasses.replace(SIX_STATE, attack_basis_count=3)
+    with pytest.raises(ValueError, match="real conditional states"):
+        op._conditional_stack(purified_state(circular, 0.1, 1 - 1.5 * 0.1))
 
 
 def test_config_validation():
@@ -50,12 +79,12 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
     for proto in (BB84, SARG04):
         ps = purified_state(proto, 0.1, sum(alpha_range(proto, 0.1)) / 2)
-        rho_rows = op._state_rows(op._conditional_stack(ps)[None], np.zeros(1, dtype=int))
-        m = random_povm(4, 4, seed=5).elements[None]
-        h = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
-        h = (h + h.conj().transpose(0, 2, 1)) / 2
+        rho_rows = _state_rows(op._conditional_stack(ps)[None], np.zeros(1, dtype=int))
+        m = _real_povm(4, seed=5).elements[None]
+        h = rng.standard_normal((4, 4, 4))
+        h = (h + h.mT) / 2
         g = op._gradient(op._objective(op._probs(m, rho_rows))[1], rho_rows)
-        analytic = float(np.einsum("rkij,kji->", g, h).real)
+        analytic = float(np.einsum("rkij,kji->", g, h))
         eps = 1e-6
         f_plus = op._objective(op._probs(m + eps * h[None], rho_rows))[0][0]
         f_minus = op._objective(op._probs(m - eps * h[None], rho_rows))[0][0]
@@ -80,6 +109,9 @@ def test_local_search_monotone_and_complete():
     assert np.all(np.diff(trace, axis=0) >= 0)
     assert np.all(trace[-1] > trace[0])
     assert np.array_equal(batch.row_iters, np.full(group.size, 120))
+    # real arithmetic throughout: no array of the batch is complex
+    arrays = [x for x in (factors, batch.f, batch.m, *vars(batch).values()) if isinstance(x, np.ndarray)]
+    assert all(x.dtype.kind in "biu" or x.dtype == np.float64 for x in arrays)
 
 
 def test_optimize_povm_zero_noise():
@@ -200,9 +232,9 @@ def test_objective_matches_reference_estimator(proto):
     rho_xt = op._conditional_stack(ps)[None]
     b = proto.attack_basis_count
     assert rho_xt.shape[1:3] == ((b, 2) if proto.key_on_basis else (2, b))
-    rho_rows = op._state_rows(rho_xt, np.zeros(1, dtype=int))
+    rho_rows = _state_rows(rho_xt, np.zeros(1, dtype=int))
     for seed in range(5):
-        povm = random_povm(4, proto.povm_outcomes, seed=40 + seed)
+        povm = _real_povm(proto.povm_outcomes, seed=40 + seed)
         f = op._objective(op._probs(povm.elements[None], rho_rows))[0][0]
         reference = mutual_info_ae(conditional_probs(povm, ps), proto.key_on_basis)
         assert abs(f - reference) <= 1e-12
@@ -210,11 +242,11 @@ def test_objective_matches_reference_estimator(proto):
 
 def test_kernels_match_einsum_on_shared_and_grouped_stacks():
     group, shared = np.array([0, 2, 1, 0, 1, 2]), np.zeros(6, dtype=int)
-    m = np.stack([random_povm(4, 4, seed=30 + r).elements for r in range(group.size)])
+    m = np.stack([_real_povm(4, seed=30 + r).elements for r in range(group.size)])
     for proto in (BB84, SARG04, SIX_STATE):
         lo, hi = alpha_range(proto, 0.1)
         rhos = np.stack([op._conditional_stack(purified_state(proto, 0.1, a)) for a in (lo, (lo + hi) / 2, hi)])
-        shared_rows, rho_rows = op._state_rows(rhos[1:2], shared), op._state_rows(rhos, group)
+        shared_rows, rho_rows = _state_rows(rhos[1:2], shared), _state_rows(rhos, group)
         p_shared = op._probs(m, shared_rows)
         assert np.max(np.abs(p_shared - _einsum_probs(m, rhos[1]))) <= 1e-14
         g_shared = op._gradient(op._objective(p_shared)[1], shared_rows)
@@ -288,8 +320,8 @@ def test_compacting_batch_matches_reference(proto):
     assert ref.converged[middle].all() and ref.row_iters[middle].max() < ref.row_iters[outer].min()
     assert np.bincount(ref.row_iters[ref.converged]).max() >= 2
     assert (~ref.converged).any() and (ref.row_iters[~ref.converged] == 400).all()
-    # a one-row batch whose row finishes
-    assert _run_both(factors[4:5], rho, group[4:5], 300).converged.all()
+    # a one-row batch whose row finishes: a row of the q = 0 group
+    assert _run_both(factors[middle][:1], rho, group[middle][:1], 300).converged.all()
     # a cap below the stall window, where no row finishes
     cap = op._STALL_LIMIT - 30
     ref = _run_both(factors, rho, group, cap)
