@@ -11,7 +11,11 @@ can stall in a local maximum.  Each restart parameterizes the measurement by
 factors A_k with M_k = A_k^T A_k (PSD by construction), takes a gradient
 step on the factors, renormalizes with the S^(-1/2) sandwich where
 S = sum_k M_k, and keeps the step only if the objective improved.  Step sizes
-adapt multiplicatively (x1.2 on accept, x0.5 on reject, floor 1e-12).
+adapt multiplicatively (x1.2 on accept, x0.5 on reject, floor 1e-12).  The
+candidate also carries heavy-ball momentum (Polyak): a + h (a @ g) + v, where
+v = _MOMENTUM (a_new - a_old) after an accepted step and v = 0 after a
+rejected one, a restart on every rejection (O'Donoghue and Candes), so a
+row's value still only rises.
 Restart r draws its starting point from seed + r, so every reported number is
 reproducible bit for bit and stable under restart-count changes.  Every array
 is real float64: the conditional states are real symmetric (the Bell vectors,
@@ -62,14 +66,16 @@ from .linalg import TOL
 from .states import Protocol, PurifiedState, alpha_range, eve_conditional_state, purified_state
 
 _INIT_STEP = 0.1
+_MOMENTUM = 0.5
 _STEP_FLOOR = 1e-12
 _EIG_FLOOR = 1e-12
 _STALL_LIMIT = 80
 # improvements below this (plus 1e-7 |f|) do not reset a restart's stall window
 _STEP_TOLERANCE = 1e-9
 _AGREE_TOL = 1e-6
-# fewest rows worth a process: a step costs a fixed ~0.08 ms plus ~8-11 us
-# per row, so a smaller shard would spend most of its time on the fixed part
+# fewest rows worth a process: a step costs a fixed ~0.08 ms plus ~4-5 us
+# per row (one CPU), so a smaller shard would spend most of its time on the
+# fixed part
 _MIN_SHARD_ROWS = 16
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -204,13 +210,14 @@ class _Batch:
     each row carries its own copy of that stack's state rows, so groups need
     not be contiguous.  A step works on dense arrays of the rows still
     running, the live rows: their accepted factors, the gradient weights and
-    value at those factors, step sizes, stall counts and state rows.  These
-    are compacted only on a step where rows finish or retire; a finished or
-    retired row's factors and value are kept in full-length arrays.  ``f``,
-    ``m`` and ``row_iters`` give every row in the batch's order, like
-    ``active``, ``converged`` and ``retired``.  Given an upper ``bound`` on
-    each stack's value, a live row retires, neither active nor converged,
-    once its stack's bound + 1e-9 falls below the best value in the batch.
+    value at those factors, velocities, step sizes, stall counts and state
+    rows.  These are compacted only on a step where rows finish or retire; a
+    finished or retired row's factors and value are kept in full-length
+    arrays.  ``f``, ``m`` and ``row_iters`` give every row in the batch's
+    order, like ``active``, ``converged`` and ``retired``.  Given an upper
+    ``bound`` on each stack's value, a live row retires, neither active nor
+    converged, once its stack's bound + 1e-9 falls below the best value in
+    the batch.
     """
 
     def __init__(self, factors: np.ndarray, rho_xt: np.ndarray, group: np.ndarray, bound: np.ndarray | None = None):
@@ -219,6 +226,7 @@ class _Batch:
         self._f, self._w = _objective(_probs(m, self._rho))
         n = factors.shape[0]
         self._rows = np.arange(n)
+        self._v = np.zeros_like(self._a)
         self._step = np.full(n, _INIT_STEP)
         self._stall = np.zeros(n, dtype=int)
         self._bound = np.full(n, np.inf) if bound is None else bound[group] + 1e-9
@@ -255,15 +263,21 @@ class _Batch:
     def step_once(self) -> None:
         if self._rows.size == 0:
             return
-        a = self._a
-        g = _gradient(self._w, self._rho)
-        cand = a + self._step[:, None, None, None] * (a @ g)
+        a, v = self._a, self._v
+        cand = a @ _gradient(self._w, self._rho)
+        cand *= self._step[:, None, None, None]
+        cand += a
+        cand += v
         a_n, m_n = _renormalize(cand)
         f_n, w_n = _objective(_probs(m_n, self._rho))
         improved = f_n > self._f
         # small improvements do not reset the stall window, otherwise
         # asymptotic creep keeps slow restarts alive to max_iters
         significant = f_n > self._f + _STEP_TOLERANCE + 1e-7 * np.abs(f_n)
+        # the next step's momentum: the accepted move, and none after a rejection
+        np.subtract(a_n, a, out=v)
+        v *= _MOMENTUM
+        v[~improved] = 0.0
         np.copyto(a, a_n, where=improved[:, None, None, None])
         np.copyto(self._w, w_n, where=improved[:, None, None])
         np.copyto(self._f, f_n, where=improved)
@@ -286,7 +300,7 @@ class _Batch:
         self.retired[self._rows[retire]] = True
         live = ~gone
         self._rows, self._rho, self._bound = self._rows[live], self._rho[live], self._bound[live]
-        self._a, self._w, self._f = self._a[live], self._w[live], self._f[live]
+        self._a, self._v, self._w, self._f = self._a[live], self._v[live], self._w[live], self._f[live]
         self._step, self._stall = self._step[live], self._stall[live]
 
     def run(self, max_iters: int) -> None:

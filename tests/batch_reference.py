@@ -2,10 +2,12 @@
 
 Every step gathers the active rows by index, evaluates them with kernels
 that read the probabilities p, and scatters the accepted factors, POVM
-elements, probabilities and values back into full-length arrays.  It works
-in real arithmetic, on real symmetric conditional-state stacks, like the
-optimizer.  The optimizer's _Batch must leave every row with the same bits
-as this one.
+elements, probabilities, values and velocities back into full-length arrays.
+The candidate is a + h (a @ g) + v, written out of place, with the velocity
+v = _MOMENTUM (a_new - a_old) after an accepted step and 0 after a rejected
+one.  It works in real arithmetic, on real symmetric conditional-state
+stacks, like the optimizer.  The optimizer's _Batch must leave every row
+with the same bits as this one.
 """
 
 import numpy as np
@@ -62,6 +64,7 @@ class ReferenceBatch:
         self.p = _probs(self.m, rho_xt, group)
         self.f = _objective(self.p)
         n = factors.shape[0]
+        self.v = np.zeros_like(self.a)
         self.step = np.full(n, op._INIT_STEP)
         self.stall = np.zeros(n, dtype=int)
         self.active = np.ones(n, dtype=bool)
@@ -76,13 +79,15 @@ class ReferenceBatch:
         group = self.group[idx]
         a = self.a[idx]
         g = _gradient(self.p[idx], self.rho_xt, group)
-        cand = a + self.step[idx][:, None, None, None] * (a @ g)
+        cand = a + self.step[idx][:, None, None, None] * (a @ g) + self.v[idx]
         a_n, m_n = op._renormalize(cand)
         p_n = _probs(m_n, self.rho_xt, group)
         f_n = _objective(p_n)
         improved = f_n > self.f[idx]
         significant = f_n > self.f[idx] + op._STEP_TOLERANCE + 1e-7 * np.abs(f_n)
         up = idx[improved]
+        self.v[idx] = 0.0
+        self.v[up] = op._MOMENTUM * (a_n[improved] - a[improved])
         self.a[up], self.m[up] = a_n[improved], m_n[improved]
         self.p[up], self.f[up] = p_n[improved], f_n[improved]
         self.step[up] *= 1.2

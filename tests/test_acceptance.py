@@ -261,6 +261,13 @@ def test_sixstate_is_bb84_closed_form_at_half_the_error_rate(sixstate_attacks):
         assert result.i_ae <= closed + 1e-9, q
 
 
+def test_bb84_attacks_never_exceed_the_closed_form(bb84_attacks):
+    # the same guard at bb84's own closed form: an attack above it would
+    # point to an estimator or retraction fault, not to a better search
+    for q in C1_GRID:
+        assert bb84_attacks[q].i_ae <= bb84_closed_form_iae(q) + 1e-9, q
+
+
 def _closed_form_root(scale: float) -> float:
     """The q in [0.05, 0.25] where 1 - h(q) = bb84_closed_form_iae(scale * q), by bisection."""
     lo, hi = 0.05, 0.25

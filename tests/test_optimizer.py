@@ -350,6 +350,38 @@ def test_batch_fields_read_after_every_step():
     assert np.array_equal(batch.f, ref.f)
 
 
+def test_momentum_restarts_on_every_rejected_step():
+    # after each step a live row's velocity is _MOMENTUM times the move it
+    # accepted, and exactly zero where its value did not rise, also across
+    # the step on which the q = 0 group finishes and the batch compacts
+    factors, rho, group = _compaction_batch(SARG04)
+    batch = op._Batch(factors, rho, group)
+    compacted = accepted = rejected = 0
+    while batch.active.any() and batch.iters < 400:
+        rows_before, a_before, f_before = batch._rows.copy(), batch._a.copy(), batch.f
+        batch.step_once()
+        live = np.isin(rows_before, batch._rows)
+        compacted += not live.all()
+        rose = batch.f[batch._rows] > f_before[batch._rows]
+        moved = op._MOMENTUM * (batch._a - a_before[live])
+        assert np.array_equal(batch._v[rose], moved[rose])
+        assert not batch._v[~rose].any()
+        accepted, rejected = accepted + rose.sum(), rejected + (~rose).sum()
+    assert compacted and accepted and rejected
+
+
+def test_one_alpha_work_count():
+    # a fixed sarg04 ascent at q = 0.10 and its interior optimum alpha: the
+    # row-step count is deterministic, so a change that slows convergence
+    # fails here (20713 row-steps without momentum, 12231 with it)
+    rho = op._conditional_stack(purified_state(SARG04, 0.1, 0.7588))[None]
+    factors = np.stack([op._random_factors(np.random.default_rng(7 + r), 4, 4) for r in range(32)])
+    batch = op._Batch(factors, rho, np.zeros(32, dtype=int))
+    batch.run(2000)
+    assert batch.row_iters.sum() <= 14000
+    assert batch.f.max() >= 0.1996008822
+
+
 @pytest.mark.parametrize("proto", [BB84, SARG04], ids=lambda p: p.name)
 def test_grid_batching_changes_no_result(proto, light_config, monkeypatch):
     batched = optimize_attack(proto, 0.1, light_config)
