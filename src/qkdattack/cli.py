@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .optimizer import OptimizerConfig, optimize_attack
-from .simulator import MIN_ROUNDS, joint_distribution, sampled_estimates
+from .simulator import check_attack_rounds, joint_distribution, sampled_estimates
 from .states import PROTOCOLS, Protocol, purified_state
 from .keyrate import CurvePoint, NumericalFailure, bb84_closed_form_iae, find_threshold, tabulate_curve
 
@@ -152,8 +152,7 @@ def cmd_simulate(
     exact round-averaged error ``analytic.qber`` (1.25q for sarg04) and the
     optimizer's i_ae, which the attack rounds estimate.
     """
-    if n_rounds < MIN_ROUNDS:
-        raise ValueError(f"n_rounds must be at least {MIN_ROUNDS}, got {n_rounds}")
+    check_attack_rounds(protocol, n_rounds)
     if seed < 0:
         raise ValueError(f"--sample-seed must be non-negative, got {seed}")
     t0 = time.time()

@@ -1,26 +1,27 @@
 """POVMs and the information-theoretic objective of the memoryless adversary.
 
 The adversary measures immediately, obtaining outcome k, and later learns the
-basis announcement theta.  Her figure of merit is the mutual information
-I(X : K,Theta) between the sender's bit X and her pair (K, Theta), with X and
-Theta uniform:
+value revealed at sifting.  Her figure of merit is the mutual information
+I(Key : K, Side) between the key and her pair (K, Side), with key and side
+uniform and independent.  By default the key is the sender's bit X and the
+side value the announced basis Theta.  When the secret bit rides on the basis
+choice instead of the bit value (``protocol.key_on_basis``), the roles swap:
+the key is Theta and the side value X.
 
-    I = H(K | Theta) - H(K | X, Theta)
-    H(K | X, Theta) = 1/(2 B) * sum_{k,x,theta} L[p(k | x, theta)]
-    H(K | Theta)    = 1/B     * sum_{k,theta}   L[p(k | theta)]
+Both the exact reference (``mutual_info_ae``) and the sampled estimate
+(``simulator.empirical_stats``) lay a table over (x, theta, k) out as the
+2-d table of (key, k side) with ``key_side_table`` and read its plug-in
+mutual information with ``plugin_mutual_info``:
 
-where B is the number of bases, p(k | theta) = 1/2 sum_x p(k | x, theta) and
-L(t) = -t log2 t.
+    I = sum_{key, c} p(key, c) log2[p(key, c) / (p(key) p(c))]
 
-When the secret bit rides on the basis choice instead of the bit value
-(``protocol.key_on_basis``), the roles of X and Theta swap: the figure of
-merit becomes I(Theta : K, X) = H(K | X) - H(K | X, Theta) with
-p(k | x) = 1/B sum_theta p(k | x, theta).  Both variants share the joint term
-H(K | X, Theta); only the marginalized axis differs.
+over the columns c = (k, side).  A table of p(k | x, theta) weighs every
+(x, theta) equally, which makes X and Theta uniform.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +78,6 @@ class ConditionalDistribution:
         if np.max(np.abs(col - 1.0)) > 1e-10:
             raise ValueError(f"outcome probabilities sum to {col} per (x, theta), expected 1")
 
-    @property
-    def basis_count(self) -> int:
-        return self.probs.shape[2]
-
 
 def lambda_fn(t):
     """L(t) = -t log2(t) elementwise, with L(0) = 0."""
@@ -134,31 +131,39 @@ def conditional_probs(
     return ConditionalDistribution(np.clip(p, 0.0, 1.0))
 
 
-def conditional_entropy_k_given_x_theta(cd: ConditionalDistribution) -> float:
-    """H(K | X, Theta) with X and Theta uniform."""
-    return float(np.sum(lambda_fn(cd.probs))) / (2 * cd.basis_count)
+def key_side_table(table: np.ndarray, key_on_basis: bool) -> np.ndarray:
+    """table[x, theta, k] laid out as the 2-d table[key, k * n_side + side].
+
+    The key is x and the side value theta, or with ``key_on_basis`` the key
+    is theta and the side value x.
+    """
+    by_side = table.transpose((1, 2, 0) if key_on_basis else (0, 2, 1))
+    return by_side.reshape(len(by_side), -1)
 
 
-def conditional_entropy_k_given_theta(cd: ConditionalDistribution) -> float:
-    """H(K | Theta) with Theta uniform; K marginalized over the uniform bit."""
-    p_k_theta = cd.probs.mean(axis=1)
-    return float(np.sum(lambda_fn(p_k_theta))) / cd.basis_count
+def plugin_mutual_info(table: np.ndarray) -> float:
+    """Plug-in mutual information in bits of a 2-d table of counts or probabilities.
 
-
-def conditional_entropy_k_given_x(cd: ConditionalDistribution) -> float:
-    """H(K | X) with X uniform; K marginalized over the uniform basis."""
-    p_k_x = cd.probs.mean(axis=2)
-    return float(np.sum(lambda_fn(p_k_x))) / 2
+    The total is correctly rounded (math.fsum), and for integer counts the
+    marginals are exact sums, so permuting the rows or columns of a count
+    table, relabeling the adversary's outcomes say, leaves every bit of the
+    estimate unchanged.
+    """
+    n = table.sum()
+    p = table / n
+    pa = table.sum(axis=1, keepdims=True) / n
+    pb = table.sum(axis=0, keepdims=True) / n
+    mask = p > 0
+    return math.fsum(p[mask] * np.log2(p[mask] / (pa * pb)[mask]))
 
 
 def mutual_info_ae(cd: ConditionalDistribution, key_on_basis: bool = False) -> float:
-    """Adversary's information per sifted bit.
+    """Adversary's information per sifted bit, I(Key : K, Side).
 
     I(X : K, Theta) by default; I(Theta : K, X) when the key bit is the
-    basis choice (``key_on_basis``).
+    basis choice (``key_on_basis``).  Entries of p(k | x, theta) at or below
+    TOL.probability_floor are rounding noise of the trace and count as zero,
+    as in lambda_fn.
     """
-    if key_on_basis:
-        marginal = conditional_entropy_k_given_x(cd)
-    else:
-        marginal = conditional_entropy_k_given_theta(cd)
-    return marginal - conditional_entropy_k_given_x_theta(cd)
+    p = np.where(cd.probs > TOL.probability_floor, cd.probs, 0.0)
+    return plugin_mutual_info(key_side_table(p.transpose(1, 2, 0), key_on_basis))

@@ -25,12 +25,11 @@ labels carry no meaning, and nothing here reads the bits of k.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .information import Povm
+from .information import Povm, key_side_table, plugin_mutual_info
 from .states import Protocol, PurifiedState, bob_bit_projector, bob_eve_conditional_state
 
 ROUND_DTYPE = np.dtype([("x", "i1"), ("theta", "i1"), ("y", "i1"), ("k", "i2")])
@@ -78,8 +77,12 @@ class JointDistribution:
     @property
     def qber(self) -> float:
         """Exact p(y != x) over sifted rounds: 1.25q for sarg04, whose bases err unequally."""
-        p = self.probs
-        return float(p[0, :, 1].sum() + p[1, :, 0].sum())
+        return float(_errors(self.probs))
+
+
+def _errors(table: np.ndarray):
+    """Weight of the y != x cells of a table[x, theta, y, k]."""
+    return table[0, :, 1].sum() + table[1, :, 0].sum()
 
 
 def joint_distribution(ps: PurifiedState, povm: Povm) -> JointDistribution:
@@ -160,21 +163,6 @@ def sample_rounds(jd: JointDistribution, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def _plugin_mi(counts: np.ndarray) -> float:
-    """Plug-in mutual information in bits from a 2-d table of integer counts.
-
-    The marginals are exact integer sums and the total is correctly rounded
-    (math.fsum), so permuting rows or columns, relabeling the adversary's
-    outcomes say, leaves every bit of the estimate unchanged.
-    """
-    n = counts.sum()
-    p = counts / n
-    pa = counts.sum(axis=1, keepdims=True) / n
-    pb = counts.sum(axis=0, keepdims=True) / n
-    mask = p > 0
-    return math.fsum(p[mask] * np.log2(p[mask] / (pa * pb)[mask]))
-
-
 def empirical_stats(
     samples: np.ndarray, basis_count: int, key_on_basis: bool = False, attack_basis_count: int | None = None
 ) -> tuple[float, float, float]:
@@ -198,15 +186,14 @@ def empirical_stats(
 
     Each chunk of _CHUNK rounds is binned once by its (x, theta, y, k) cell;
     the errors (over the whole count table) and the (key, k side) table
-    (over its theta < attack_basis_count slice) are exact integer sums, so
-    the estimates equal those of one pass over all rounds, and memory beyond
-    ``samples`` is O(_CHUNK).  Fewer than MIN_ROUNDS rounds or attack rounds, a round
-    with x or y outside {0, 1}, theta outside [0, basis_count) or a
-    negative k raises ValueError.
+    (information.key_side_table over its theta < attack_basis_count slice)
+    are exact integer sums, so the estimates equal those of one pass over all
+    rounds, and memory beyond ``samples`` is O(_CHUNK).  Fewer than
+    MIN_ROUNDS attack rounds, a round with x or y outside {0, 1}, theta
+    outside [0, basis_count) or a negative k raises ValueError.
     """
     n = len(samples)
-    _check_rounds(n)
-    shape = (2, basis_count, 2, max(int(samples["k"].max()), 0) + 1)
+    shape = (2, basis_count, 2, int(samples["k"].max(initial=0)) + 1)
     rules = {
         "x": "must be 0 or 1",
         "theta": f"must lie below basis_count={basis_count}; filter rounds to the attack bases",
@@ -226,21 +213,22 @@ def empirical_stats(
             cell += value
         counts += np.bincount(cell, minlength=counts.size)
     counts = counts.reshape(shape)
-    errors = int(counts[0, :, 1].sum() + counts[1, :, 0].sum())
     attack = counts[:, :attack_basis_count]
     n_attack = int(attack.sum())
     _check_rounds(n_attack)
-    # (key, k, side) table, cut after the last key value that occurs
-    by_side = attack.sum(axis=2).transpose((1, 2, 0) if key_on_basis else (0, 2, 1))
-    table = by_side.reshape(len(by_side), -1)
-    table = table[: np.flatnonzero(table.sum(axis=1))[-1] + 1]
+    table = key_side_table(attack.sum(axis=2), key_on_basis)
     hits = int(table.max(axis=0).sum())
-    return errors / n, _plugin_mi(table), hits / n_attack
+    return int(_errors(counts)) / n, plugin_mutual_info(table), hits / n_attack
+
+
+def check_attack_rounds(protocol: Protocol, n: int) -> None:
+    """Raise ValueError unless n sifted rounds hold MIN_ROUNDS attack-basis rounds in expectation."""
+    _check_rounds(n * protocol.attack_basis_count // protocol.basis_count)
 
 
 def _check_rounds(n: int) -> None:
     if n < MIN_ROUNDS:
-        raise ValueError(f"need at least {MIN_ROUNDS} rounds for stable estimates, got {n}; raise n_rounds")
+        raise ValueError(f"need at least {MIN_ROUNDS} attack-basis rounds for stable estimates, got {n}; raise n_rounds")
 
 
 def sampled_estimates(jd: JointDistribution, n: int, seed: int) -> tuple[float, float, float, int]:

@@ -244,7 +244,21 @@ def test_simulate_too_few_attack_rounds(tmp_path, capsys):
                "--restarts", "4", "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: need at least 1000 rounds") and "raise n_rounds" in err
+    assert err.startswith("error: need at least 1000 attack-basis rounds") and "raise n_rounds" in err
+    assert not out.exists()
+
+
+def test_simulate_checks_attack_rounds_before_the_optimizer(tmp_path, monkeypatch, capsys):
+    # 1200 six-state rounds pass a plain 1000-round floor but hold only 800 attack-basis rounds
+    def no_ascent(*args):
+        raise AssertionError("an ascent ran before the attack-basis rounds were checked")
+
+    monkeypatch.setattr(cli, "optimize_attack", no_ascent)
+    out = tmp_path / "s.json"
+    rc = main(["simulate", "--protocol", "sixstate", "--q", "0.1", "--n-rounds", "1200", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: need at least 1000 attack-basis rounds for stable estimates, got 800")
     assert not out.exists()
 
 

@@ -5,13 +5,12 @@ from qkdattack.information import (
     ConditionalDistribution,
     Povm,
     binary_entropy,
-    conditional_entropy_k_given_theta,
-    conditional_entropy_k_given_x,
-    conditional_entropy_k_given_x_theta,
     conditional_probs,
     holevo_chi,
+    key_side_table,
     lambda_fn,
     mutual_info_ae,
+    plugin_mutual_info,
 )
 from qkdattack.simulator import JointDistribution
 from qkdattack.states import BB84, SIX_STATE, purified_state
@@ -88,7 +87,7 @@ def test_tables_reject_nan(build):
 def test_conditional_distribution_validation():
     p = np.full((4, 2, 2), 0.25)
     cd = ConditionalDistribution(p)
-    assert cd.probs.shape[0] == 4 and cd.basis_count == 2
+    assert cd.probs.shape == (4, 2, 2)
     with pytest.raises(ValueError, match="sum"):
         ConditionalDistribution(np.full((4, 2, 2), 0.3))
     with pytest.raises(ValueError, match="shape"):
@@ -113,18 +112,28 @@ def test_conditional_probs_default_attack_bases():
     eye = np.eye(4, dtype=complex)
     povm = Povm(np.stack([np.outer(eye[k], eye[k]) for k in range(4)]))
     cd = conditional_probs(povm, ps)
-    assert cd.basis_count == SIX_STATE.attack_basis_count == 2
+    assert cd.probs.shape[2] == SIX_STATE.attack_basis_count == 2
     with pytest.raises(ValueError, match="basis_count"):
         conditional_probs(povm, ps, basis_count=4)
 
 
 def test_entropies_uniform_table():
+    # every cell of the (key, k side) table equals the product of its marginals
     cd = ConditionalDistribution(np.full((4, 2, 2), 0.25))
-    assert conditional_entropy_k_given_x_theta(cd) == pytest.approx(2.0)
-    assert conditional_entropy_k_given_theta(cd) == pytest.approx(2.0)
-    assert conditional_entropy_k_given_x(cd) == pytest.approx(2.0)
-    assert mutual_info_ae(cd) == pytest.approx(0.0)
-    assert mutual_info_ae(cd, key_on_basis=True) == pytest.approx(0.0)
+    assert mutual_info_ae(cd) == 0.0
+    assert mutual_info_ae(cd, key_on_basis=True) == 0.0
+    assert plugin_mutual_info(np.full((2, 8), 3)) == 0.0
+
+
+def test_key_side_table_layout():
+    # table[x, theta, k] -> table[key, k * n_side + side]
+    t = np.arange(2 * 3 * 4).reshape(2, 3, 4)
+    by_bit = key_side_table(t, key_on_basis=False)
+    by_basis = key_side_table(t, key_on_basis=True)
+    assert by_bit.shape == (2, 12) and by_basis.shape == (3, 8)
+    for x, theta, k in np.ndindex(t.shape):
+        assert by_bit[x, k * 3 + theta] == t[x, theta, k]
+        assert by_basis[theta, k * 2 + x] == t[x, theta, k]
 
 
 def test_mutual_info_perfect_bit_readout():
@@ -135,6 +144,16 @@ def test_mutual_info_perfect_bit_readout():
     cd = ConditionalDistribution(p)
     assert mutual_info_ae(cd) == pytest.approx(1.0)
     assert mutual_info_ae(cd, key_on_basis=True) == pytest.approx(0.0)
+
+
+def test_mutual_info_counts_rounding_noise_as_zero():
+    # an entry of trace noise size would move the plug-in sum by 3.7e-14; like
+    # lambda_fn, the reference counts entries at or below the floor as zero
+    p = np.zeros((2, 2, 2))
+    for x in (0, 1):
+        p[x, x, :] = 1.0
+    p[0, 1, 0], p[1, 1, 0] = 3e-15, 1.0 - 3e-15
+    assert mutual_info_ae(ConditionalDistribution(p)) == 1.0
 
 
 def test_mutual_info_perfect_basis_readout():

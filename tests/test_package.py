@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import qkdattack
 
 PACKAGE_DIR = Path(qkdattack.__file__).parent
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def test_all_names_resolve():
@@ -17,6 +19,13 @@ def test_all_names_resolve():
 
 def test_all_has_no_duplicates():
     assert len(qkdattack.__all__) == len(set(qkdattack.__all__))
+
+
+def test_declared_numpy_floor_has_the_arrays_the_optimizer_uses():
+    # the optimizer transposes stacks with ndarray.mT, which numpy 1.x lacks
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', PYPROJECT.read_text(encoding="utf-8"))
+    assert floor is not None
+    assert tuple(map(int, floor.groups())) >= (2, 0)
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

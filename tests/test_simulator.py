@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from povm_helpers import random_povm
-from qkdattack.information import conditional_probs
+from qkdattack.information import Povm, conditional_probs, mutual_info_ae, plugin_mutual_info
 from qkdattack.optimizer import optimize_attack
 from qkdattack.simulator import (
     _BUCKETS,
@@ -12,13 +12,22 @@ from qkdattack.simulator import (
     ROUND_DTYPE,
     JointDistribution,
     _GuideTable,
-    _plugin_mi,
     empirical_stats,
     joint_distribution,
     sample_rounds,
     sampled_estimates,
 )
-from qkdattack.states import BB84, PROTOCOLS, SARG04, alpha_range, purified_state, qber_in_basis, rho_ab
+from qkdattack.states import (
+    BB84,
+    PROTOCOLS,
+    SARG04,
+    BellDiagonalParams,
+    alpha_range,
+    purified_state,
+    purify,
+    qber_in_basis,
+    rho_ab,
+)
 
 
 def _jd(protocol_name: str, q: float, seed: int = 17) -> JointDistribution:
@@ -51,7 +60,7 @@ def _one_shot_stats(samples: np.ndarray, basis_count: int, key_on_basis: bool) -
     ).reshape(int(key.max()) + 1, n_out * side_size)
     # the best guess in each (k, side) column scores that column's largest count
     accuracy = float(counts.max(axis=0).sum() / len(samples))
-    return qber_hat, _plugin_mi(counts), accuracy
+    return qber_hat, plugin_mutual_info(counts), accuracy
 
 
 def test_joint_distribution_normalization_and_uniform_marginal():
@@ -294,6 +303,28 @@ def test_empirical_stats_key_on_basis_readout():
     _, ihat, acc = empirical_stats(s, 2, key_on_basis=True)
     assert ihat == pytest.approx(1.0, abs=1e-12)
     assert acc == 1.0
+
+
+@pytest.mark.parametrize("key_on_basis", [False, True])
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_empirical_stats_equal_the_reference_on_exact_counts(name, key_on_basis):
+    # rounds whose (x, theta, k) counts are 256 times a dyadic table of p(k | x, theta):
+    # the sampled estimate and the exact reference read the same (key, k side) table,
+    # and six-state's third basis stays out of both
+    proto = PROTOCOLS[name]
+    ps = purify(BellDiagonalParams(proto, 0.1, 3 / 8, 3 / 8, 1 / 8, 1 / 8))
+    v = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1]]) / np.sqrt(2)
+    povm = Povm(np.einsum("ki,kj->kij", v, v).astype(complex))
+    table = 256 * conditional_probs(povm, ps, basis_count=proto.basis_count).probs  # [k, x, theta]
+    counts = np.round(table).astype(np.int64)
+    assert np.max(np.abs(counts - table)) < 1e-9 and counts.min() == 0
+    k, x, theta = (np.repeat(idx.ravel(), counts.ravel()) for idx in np.indices(counts.shape))
+    s = np.zeros(len(k), dtype=ROUND_DTYPE)
+    s["x"], s["theta"], s["y"], s["k"] = x, theta, x, k
+    _, i_ae_hat, _ = empirical_stats(s, proto.basis_count, key_on_basis, proto.attack_basis_count)
+    i_ae = mutual_info_ae(conditional_probs(povm, ps), key_on_basis)
+    assert i_ae > 0.3
+    assert i_ae_hat == pytest.approx(i_ae, abs=1e-12)
 
 
 def _best_guess_accuracy(jd: JointDistribution, basis_count: int) -> tuple[float, int]:
