@@ -192,6 +192,11 @@ def empirical_stats(
     MIN_ROUNDS attack rounds, a round with x or y outside {0, 1}, theta
     outside [0, basis_count) or a negative k raises ValueError.
     """
+    return _estimates(samples, basis_count, key_on_basis, attack_basis_count)[:3]
+
+
+def _estimates(samples: np.ndarray, basis_count: int, key_on_basis: bool, attack_basis_count: int | None) -> tuple:
+    """empirical_stats' three figures and the number of attack rounds, all read off one count table."""
     n = len(samples)
     shape = (2, basis_count, 2, int(samples["k"].max(initial=0)) + 1)
     rules = {
@@ -215,19 +220,25 @@ def empirical_stats(
     counts = counts.reshape(shape)
     attack = counts[:, :attack_basis_count]
     n_attack = int(attack.sum())
-    _check_rounds(n_attack)
+    _check_rounds(n_attack, n_attack)
     table = key_side_table(attack.sum(axis=2), key_on_basis)
     hits = int(table.max(axis=0).sum())
-    return int(_errors(counts)) / n, plugin_mutual_info(table), hits / n_attack
+    return int(_errors(counts)) / n, plugin_mutual_info(table), hits / n_attack, n_attack
 
 
 def check_attack_rounds(protocol: Protocol, n: int) -> None:
-    """Raise ValueError unless n sifted rounds hold MIN_ROUNDS attack-basis rounds in expectation."""
-    _check_rounds(n * protocol.attack_basis_count // protocol.basis_count)
+    """Raise ValueError unless n sifted rounds hold MIN_ROUNDS attack-basis rounds four sigma below their mean.
+
+    Their count is binomial(n, p), p = attack_basis_count / basis_count; sigma is 0 for bb84 and sarg04 (p = 1).
+    """
+    p = protocol.attack_basis_count / protocol.basis_count
+    expected = n * protocol.attack_basis_count // protocol.basis_count
+    low = expected - 4 * np.sqrt(n * p * (1 - p))
+    _check_rounds(low, expected if low == expected else f"{expected} expected, {low:.0f} four sigma below")
 
 
-def _check_rounds(n: int) -> None:
-    if n < MIN_ROUNDS:
+def _check_rounds(low: float, n: object) -> None:
+    if low < MIN_ROUNDS:
         raise ValueError(f"need at least {MIN_ROUNDS} attack-basis rounds for stable estimates, got {n}; raise n_rounds")
 
 
@@ -238,14 +249,8 @@ def sampled_estimates(jd: JointDistribution, n: int, seed: int) -> tuple[float, 
     The adversary figures use the attack rounds, whose basis enters the
     attack estimator: all rounds, or for six-state, whose estimator reads
     only the first ``attack_basis_count`` bases, the rounds with
-    theta < attack_basis_count.  Both come from one count table
-    (empirical_stats); attack_rounds counts the theta field chunk by chunk.
+    theta < attack_basis_count.  All four come from one count table, the
+    one empirical_stats reads.
     """
     protocol = jd.protocol
-    samples = sample_rounds(jd, n, seed)
-    stats = empirical_stats(samples, jd.basis_count, protocol.key_on_basis, protocol.attack_basis_count)
-    theta = samples["theta"]
-    attack_rounds = sum(
-        int(np.count_nonzero(theta[s : s + _CHUNK] < protocol.attack_basis_count)) for s in range(0, n, _CHUNK)
-    )
-    return *stats, attack_rounds
+    return _estimates(sample_rounds(jd, n, seed), jd.basis_count, protocol.key_on_basis, protocol.attack_basis_count)

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 import qkdattack.optimizer as op
-from qkdattack import keyrate
-from qkdattack.cli import cmd_threshold
+from qkdattack import cli, keyrate
 from qkdattack.information import binary_entropy, conditional_probs, holevo_chi
 from qkdattack.keyrate import bb84_closed_form_iae, find_threshold, key_rate
 from qkdattack.linalg import partial_trace
@@ -227,8 +226,8 @@ def test_criterion_8_monte_carlo(bb84_attacks, report):
 
 def test_criterion_9_threshold_determinism(tmp_path, report):
     cfg = OptimizerConfig(restarts=8, alpha_grid_points=9, alpha_refine_iters=2)
-    a = cmd_threshold(SIX_STATE, 2e-3, cfg, str(tmp_path / "a.json"))
-    b = cmd_threshold(SIX_STATE, 2e-3, cfg, str(tmp_path / "b.json"))
+    a, _ = cli.run("threshold", SIX_STATE, cfg, str(tmp_path / "a.json"), tolerance=2e-3)
+    b, _ = cli.run("threshold", SIX_STATE, cfg, str(tmp_path / "b.json"), tolerance=2e-3)
     a["manifest"].pop("duration_seconds")
     b["manifest"].pop("duration_seconds")
     same = a == b and f"{a['threshold_q']:.17g}" == f"{b['threshold_q']:.17g}"

@@ -1,4 +1,8 @@
+import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from qkdattack import cli, keyrate
 from qkdattack.cli import main
 from qkdattack.information import Povm
 from qkdattack.keyrate import bb84_closed_form_iae
-from qkdattack.optimizer import AttackResult
+from qkdattack.optimizer import AttackResult, OptimizerConfig
 
 LIGHT = ["--restarts", "8", "--alpha-grid-points", "9"]
 
@@ -278,3 +282,63 @@ def test_curve_closed_form_column(tmp_path, monkeypatch, protocol, scale):
     grid = np.linspace(0.0, 0.4, 9)
     assert closed == ["%.10g" % bb84_closed_form_iae(scale * q) if scale * q <= 0.25 else "" for q in grid]
     assert ("" in closed) == (protocol == "bb84")
+
+
+def test_simulate_sixstate_counts_the_spread_of_attack_rounds(tmp_path, monkeypatch, capsys):
+    # 1500 six-state rounds hold 1000 attack-basis rounds only on average; about half the
+    # samples fall short, so the rule asks for 1000 at four standard deviations below the mean
+    def no_ascent(*args):
+        raise AssertionError("an ascent ran before the attack-basis rounds were checked")
+
+    monkeypatch.setattr(cli, "optimize_attack", no_ascent)
+    out = tmp_path / "s.json"
+    rc = main(["simulate", "--protocol", "sixstate", "--q", "0.1", "--n-rounds", "1500", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: need at least 1000 attack-basis rounds for stable estimates, got 1000 expected, "
+        "927 four sigma below; raise n_rounds\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("argv", "params"),
+    [
+        (["curve", "--q-max", "0.2", "--steps", "3"], {"q_min": 0.0, "q_max": 0.2, "steps": 3}),
+        (["threshold"], {"tolerance": 1e-3}),
+        (["attack", "--q", "0.1"], {"q": 0.1}),
+        (["simulate", "--q", "0", "--n-rounds", "2000"], {"q": 0.0, "n_rounds": 2000, "sample_seed": 0}),
+    ],
+    ids=["curve", "threshold", "attack", "simulate"],
+)
+def test_manifest_of_each_command(tmp_path, monkeypatch, argv, params):
+    # i_ae = 0.5 puts the rate's zero inside the threshold bracket; best_alpha 1 is admissible at q = 0
+    def stub(protocol, q, config):
+        return dataclasses.replace(_result(protocol, q, True), i_ae=0.5)
+
+    monkeypatch.setattr(cli, "optimize_attack", stub)
+    monkeypatch.setattr(keyrate, "optimize_attack", stub)
+    out = tmp_path / "out"
+    assert main([argv[0], "--protocol", "bb84", "--restarts", "8", "--out", str(out)] + argv[1:]) == 0
+    if argv[0] == "curve":
+        manifest = _load(str(out) + ".manifest.json")
+    else:
+        report = _load(out)
+        assert next(iter(report)) == "manifest"
+        manifest = report["manifest"]
+    assert list(manifest["params"].items()) == list(params.items())
+    assert (manifest["command"], manifest["protocol"]) == (argv[0], "bb84")
+    assert manifest["config"] == dataclasses.asdict(OptimizerConfig(restarts=8))
+
+
+def test_module_entry_point_exit_code(tmp_path):
+    # python -m qkdattack.cli hands main's exit code to the shell
+    out = tmp_path / "x.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "qkdattack.cli", "attack", "--protocol", "bb84", "--q", "0.7", "--out", str(out)],
+        env={"PYTHONPATH": str(Path(cli.__file__).parents[1])}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr == "error: q=0.7 is outside [0, 0.5]: q must lie in that interval\n"
+    assert done.stdout == "" and not out.exists()

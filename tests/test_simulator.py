@@ -12,6 +12,7 @@ from qkdattack.simulator import (
     ROUND_DTYPE,
     JointDistribution,
     _GuideTable,
+    check_attack_rounds,
     empirical_stats,
     joint_distribution,
     sample_rounds,
@@ -413,3 +414,12 @@ def test_sampled_estimates_score_errors_on_every_round_and_the_adversary_on_atta
     _, i_ae_hat, accuracy = empirical_stats(attack, proto.attack_basis_count, proto.key_on_basis)
     expected = (np.mean(s["y"] != s["x"]), i_ae_hat, accuracy, len(attack))
     assert sampled_estimates(jd, 30_000, seed=4) == expected
+
+
+@pytest.mark.parametrize(("name", "minimum"), [("bb84", 1000), ("sarg04", 1000), ("sixstate", 1614)])
+def test_check_attack_rounds_minimum(name, minimum):
+    # six-state's attack-round count is binomial(n, 2/3), and four standard deviations below
+    # its mean must reach 1000; bb84 and sarg04 score every round, so their count has no spread
+    check_attack_rounds(PROTOCOLS[name], minimum)
+    with pytest.raises(ValueError, match="raise n_rounds"):
+        check_attack_rounds(PROTOCOLS[name], minimum - 1)
