@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL
+from .linalg import TOL, is_hermitian
 from .states import PurifiedState, eve_conditional_state
 
 
@@ -42,7 +42,7 @@ class Povm:
             raise ValueError(f"POVM elements must be stacked square matrices, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("POVM elements must be finite")
-        if np.max(np.abs(m - m.conj().transpose(0, 2, 1))) > TOL.hermiticity:
+        if not is_hermitian(m):
             raise ValueError("POVM elements must be Hermitian")
         total = m.sum(axis=0)
         if np.max(np.abs(total - np.eye(self.dim))) > TOL.completeness:

@@ -99,10 +99,9 @@ def joint_distribution(ps: PurifiedState, povm: Povm) -> JointDistribution:
     p = np.empty((2, b, 2, povm.n_outcomes))
     for x in (0, 1):
         for theta in range(b):
-            rho_be = bob_eve_conditional_state(ps, x, theta)
-            for y in (0, 1):
-                ops = np.kron(bob_bit_projector(protocol, y, theta)[None], povm.elements)
-                p[x, theta, y] = np.real(np.einsum("kij,ji->k", ops, rho_be))
+            rho_be = bob_eve_conditional_state(ps, x, theta).reshape(2, 4, 2, 4)
+            bob = np.array([bob_bit_projector(protocol, y, theta) for y in (0, 1)])
+            p[x, theta] = np.real(np.einsum("yij,kmn,jnim->yk", bob, povm.elements, rho_be))
     p = np.clip(p, 0.0, None) / (2 * b)
     return JointDistribution(p, protocol)
 
@@ -233,7 +232,7 @@ def check_attack_rounds(protocol: Protocol, n: int) -> None:
     """
     p = protocol.attack_basis_count / protocol.basis_count
     expected = n * protocol.attack_basis_count // protocol.basis_count
-    low = expected - 4 * np.sqrt(n * p * (1 - p))
+    low = expected - 4 * np.sqrt(max(n, 0) * p * (1 - p))
     _check_rounds(low, expected if low == expected else f"{expected} expected, {low:.0f} four sigma below")
 
 

@@ -121,11 +121,8 @@ class BellDiagonalParams:
     @property
     def rho(self) -> np.ndarray:
         """The Bell-diagonal state sum_i w_i |bell_i><bell_i|."""
-        rho = np.zeros((4, 4), dtype=complex)
-        for w, vec in zip(self.weights, bell_basis()):
-            if w > 0:
-                rho += w * np.outer(vec, vec.conj())
-        return rho
+        bell = bell_basis()
+        return (bell.T * np.clip(self.weights, 0.0, None)) @ bell.conj()
 
 
 @dataclass
@@ -209,17 +206,12 @@ def rho_ab(protocol: Protocol, q: float, alpha: float) -> tuple[np.ndarray, Bell
 def purify(params: BellDiagonalParams) -> PurifiedState:
     """Purification with the adversary register copying the Bell index.
 
-    |psi> = sum_i sqrt(w_i) |bell_i>_AB |e_i>_E with |e_i> the computational
-    basis of the 4-dimensional register E.  Any valid Bell weights are
-    accepted, on or off the protocol family; the result is checked against
-    ``params.rho``.
+    |psi> = sum_i sqrt(w_i) |bell_i>_AB |e_i>_E, |e_i> the computational basis
+    of the 4-dimensional register E, so <ab, e_i|psi> = sqrt(w_i) <ab|bell_i>.
+    Any valid Bell weights are accepted, on or off the protocol family; the
+    result is checked against ``params.rho``.
     """
-    bell = bell_basis()
-    eye4 = np.eye(4, dtype=complex)
-    psi = np.zeros(16, dtype=complex)
-    for i, w in enumerate(params.weights):
-        if w > 0:
-            psi += np.sqrt(w) * np.kron(bell[i], eye4[i])
+    psi = (bell_basis().T * np.sqrt(np.clip(params.weights, 0.0, None))).ravel()
     norm = float(np.real(np.vdot(psi, psi)))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"purification norm {norm} != 1")
@@ -234,11 +226,11 @@ def purified_state(protocol: Protocol, q: float, alpha: float) -> PurifiedState:
     return purify(_family_params(protocol, q, alpha))
 
 
-def _conditioned(ps: PurifiedState, x: int, theta: int, keep: list[int]) -> tuple[np.ndarray, float]:
-    proj = basis_projector(ps.protocol, x, theta)
-    op = np.kron(np.kron(proj, np.eye(2, dtype=complex)), np.eye(4, dtype=complex))
-    rho_abe = np.outer(ps.psi, ps.psi.conj())
-    unnorm = partial_trace(op @ rho_abe, [2, 2, 4], keep=keep)
+def _conditioned(ps: PurifiedState, x: int, theta: int, kept: int) -> tuple[np.ndarray, float]:
+    # on a pure state, projecting A and tracing out all but the last `kept` dimensions is one
+    # contraction: chi = P psi, rows over what is traced out, and the state is chi^T conj(chi)
+    chi = (basis_projector(ps.protocol, x, theta) @ ps.psi.reshape(2, 8)).reshape(-1, kept)
+    unnorm = chi.T @ chi.conj()
     p = float(np.real(np.trace(unnorm)))
     if p < TOL.probability_floor:
         raise ValueError(f"conditioning on (x={x}, theta={theta}) has probability {p:.3e}")
@@ -252,12 +244,12 @@ def eve_conditional_state(ps: PurifiedState, x: int, theta: int) -> tuple[np.nda
     every member of the family since the sender's marginal is maximally
     mixed.
     """
-    return _conditioned(ps, x, theta, keep=[2])
+    return _conditioned(ps, x, theta, kept=4)
 
 
 def bob_eve_conditional_state(ps: PurifiedState, x: int, theta: int) -> np.ndarray:
     """Joint receiver-adversary state (dims [2, 4]) given (x, theta)."""
-    rho_be, _ = _conditioned(ps, x, theta, keep=[1, 2])
+    rho_be, _ = _conditioned(ps, x, theta, kept=8)
     return rho_be
 
 

@@ -253,17 +253,19 @@ def test_simulate_too_few_attack_rounds(tmp_path, capsys):
 
 
 def test_simulate_checks_attack_rounds_before_the_optimizer(tmp_path, monkeypatch, capsys):
-    # 1200 six-state rounds pass a plain 1000-round floor but hold only 800 attack-basis rounds
+    # 1200 six-state rounds pass a plain 1000-round floor but hold only 800 attack-basis rounds;
+    # a negative count must fail the same check, not slip past it as NaN
     def no_ascent(*args):
         raise AssertionError("an ascent ran before the attack-basis rounds were checked")
 
     monkeypatch.setattr(cli, "optimize_attack", no_ascent)
     out = tmp_path / "s.json"
-    rc = main(["simulate", "--protocol", "sixstate", "--q", "0.1", "--n-rounds", "1200", "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: need at least 1000 attack-basis rounds for stable estimates, got 800")
-    assert not out.exists()
+    for n_rounds, attack_rounds in ((1200, 800), (-5, -4)):
+        argv = ["simulate", "--protocol", "sixstate", "--q", "0.1", "--n-rounds", str(n_rounds), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: need at least 1000 attack-basis rounds for stable estimates, got {attack_rounds}")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(("protocol", "scale"), [("bb84", 1.0), ("sixstate", 0.5), ("sarg04", None)])
@@ -337,7 +339,7 @@ def test_module_entry_point_exit_code(tmp_path):
     out = tmp_path / "x.json"
     done = subprocess.run(
         [sys.executable, "-m", "qkdattack.cli", "attack", "--protocol", "bb84", "--q", "0.7", "--out", str(out)],
-        env={"PYTHONPATH": str(Path(cli.__file__).parents[1])}, capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(Path(cli.__file__).parents[1]), "PYTHONDONTWRITEBYTECODE": "1"}, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 2
     assert done.stderr == "error: q=0.7 is outside [0, 0.5]: q must lie in that interval\n"

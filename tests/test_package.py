@@ -116,7 +116,7 @@ def test_cli_import_loads_no_process_machinery():
     # the worker pool and its modules come with the first sharded ascent, not with the import
     src = str(PACKAGE_DIR.parent)
     done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE], env={"PYTHONPATH": src}, capture_output=True, text=True,
+        [sys.executable, "-c", _IMPORT_PROBE], env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}, capture_output=True, text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr

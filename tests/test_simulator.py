@@ -24,6 +24,8 @@ from qkdattack.states import (
     SARG04,
     BellDiagonalParams,
     alpha_range,
+    bob_bit_projector,
+    bob_eve_conditional_state,
     purified_state,
     purify,
     qber_in_basis,
@@ -35,6 +37,24 @@ def _jd(protocol_name: str, q: float, seed: int = 17) -> JointDistribution:
     proto = PROTOCOLS[protocol_name]
     ps = purified_state(proto, q, sum(alpha_range(proto, q)) / 2)
     return joint_distribution(ps, random_povm(4, 4, seed))
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_joint_distribution_matches_the_kron_trace_formula(name):
+    # p(x, theta, y, k) = Tr[(P_y^theta (x) M_k) rho_BE^(x,theta)] / (2 B), one y at a time
+    proto = PROTOCOLS[name]
+    povm = random_povm(4, 4, 23)
+    for q in (0.0, 0.1, 0.3):
+        ps = purified_state(proto, q, sum(alpha_range(proto, q)) / 2)
+        expected = np.empty((2, proto.basis_count, 2, 4))
+        for x in (0, 1):
+            for theta in range(proto.basis_count):
+                rho_be = bob_eve_conditional_state(ps, x, theta)
+                for y in (0, 1):
+                    ops = np.kron(bob_bit_projector(proto, y, theta)[None], povm.elements)
+                    expected[x, theta, y] = np.real(np.einsum("kij,ji->k", ops, rho_be))
+        expected = np.clip(expected, 0.0, None) / (2 * proto.basis_count)
+        assert np.max(np.abs(joint_distribution(ps, povm).probs - expected)) <= 1e-15
 
 
 def _one_shot_sample(jd: JointDistribution, n: int, seed: int) -> np.ndarray:
@@ -421,5 +441,6 @@ def test_check_attack_rounds_minimum(name, minimum):
     # six-state's attack-round count is binomial(n, 2/3), and four standard deviations below
     # its mean must reach 1000; bb84 and sarg04 score every round, so their count has no spread
     check_attack_rounds(PROTOCOLS[name], minimum)
-    with pytest.raises(ValueError, match="raise n_rounds"):
-        check_attack_rounds(PROTOCOLS[name], minimum - 1)
+    for n in (minimum - 1, -5):
+        with pytest.raises(ValueError, match="raise n_rounds"):
+            check_attack_rounds(PROTOCOLS[name], n)

@@ -287,3 +287,31 @@ def test_bob_eve_conditional_state():
     rho_be = bob_eve_conditional_state(ps, 0, 0)
     flip = np.kron(bob_bit_projector(BB84, 1, 0), np.eye(4))
     assert abs(np.real(np.trace(rho_be @ flip)) - 0.1) < 1e-12
+
+
+def _textbook_conditioned(ps, x, theta, keep):
+    # the definition, on the 16x16 density: project A, then trace out every subsystem not kept
+    op = np.kron(basis_projector(ps.protocol, x, theta), np.eye(8))
+    unnorm = partial_trace(op @ np.outer(ps.psi, ps.psi.conj()), [2, 2, 4], keep)
+    p = float(np.real(np.trace(unnorm)))
+    return unnorm / p, p
+
+
+@pytest.mark.parametrize("proto", PROTOCOLS.values(), ids=lambda p: p.name)
+def test_state_layer_matches_its_textbook_definitions(proto):
+    bell, eye4 = bell_basis(), np.eye(4)
+    grid = [(q, alpha) for q in np.linspace(0.0, 0.5, 6) for alpha in np.linspace(*alpha_range(proto, q), 3)]
+    for q, alpha in grid:
+        ps = purified_state(proto, float(q), float(alpha))
+        params = ps.params
+        expected_psi = sum(np.sqrt(w) * np.kron(bell[i], eye4[i]) for i, w in enumerate(params.weights) if w > 0)
+        assert np.array_equal(ps.psi, expected_psi)
+        expected_rho = sum(w * np.outer(v, v.conj()) for w, v in zip(params.weights, bell) if w > 0)
+        assert np.max(np.abs(params.rho - expected_rho)) <= 1e-15
+        for x in (0, 1):
+            for theta in range(proto.basis_count):
+                rho_e, p = eve_conditional_state(ps, x, theta)
+                expected_e, expected_p = _textbook_conditioned(ps, x, theta, [2])
+                assert np.max(np.abs(rho_e - expected_e)) <= 1e-15 and abs(p - expected_p) <= 1e-15
+                expected_be, _ = _textbook_conditioned(ps, x, theta, [1, 2])
+                assert np.max(np.abs(bob_eve_conditional_state(ps, x, theta) - expected_be)) <= 1e-15
