@@ -61,7 +61,7 @@ def _curve(protocol: Protocol, config: OptimizerConfig, q_min: float, q_max: flo
     analytic optimum wherever it is defined (s q <= 1/4).  Returns the CSV
     text, its row count and its count of non-robust points.
     """
-    points = tabulate_curve(protocol, np.linspace(q_min, q_max, steps), config)
+    points = tabulate_curve(protocol, np.linspace(q_min, q_max, max(steps, 0)), config)
     scale = protocol.closed_form_q_scale
     lines = ["q,i_ab,i_ae,rate,alpha,robust" + (",i_ae_closed_form" if scale is not None else "")]
     for pt in points:

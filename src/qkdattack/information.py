@@ -111,23 +111,13 @@ def binary_entropy(p: float) -> float:
     return float(lambda_fn(p) + lambda_fn(1.0 - p))
 
 
-def conditional_probs(
-    povm: Povm, ps: PurifiedState, basis_count: int | None = None
-) -> ConditionalDistribution:
+def conditional_probs(povm: Povm, ps: PurifiedState) -> ConditionalDistribution:
     """Outcome distribution of ``povm`` on the adversary's conditional states.
 
-    ``basis_count`` defaults to the protocol's attack basis count, matching
-    the estimator the attack optimizer maximizes; pass
-    ``ps.protocol.basis_count`` to tabulate every announced basis instead.
+    theta runs over the protocol's attack bases, as in the estimator the attack optimizer maximizes.
     """
-    b = ps.protocol.attack_basis_count if basis_count is None else basis_count
-    if not 1 <= b <= ps.protocol.basis_count:
-        raise ValueError(f"basis_count={b} outside [1, {ps.protocol.basis_count}]")
-    p = np.empty((povm.n_outcomes, 2, b))
-    for x in (0, 1):
-        for theta in range(b):
-            rho, _ = eve_conditional_state(ps, x, theta)
-            p[:, x, theta] = np.real(np.einsum("kij,ji->k", povm.elements, rho))
+    rho, _ = eve_conditional_state(ps, [[0], [1]], np.arange(ps.protocol.attack_basis_count))
+    p = np.real(np.einsum("kij,xtji->kxt", povm.elements, rho))
     return ConditionalDistribution(np.clip(p, 0.0, 1.0))
 
 

@@ -1,7 +1,7 @@
 """Small dense linear algebra helpers for low-dimensional quantum states.
 
-Everything here works on explicit numpy arrays (complex128); dimensions
-never exceed 16, so clarity and strict validation win over cleverness.
+Everything here works on explicit numpy arrays, complex128 states or float64
+optimizer stacks; dimensions never exceed 16, so clarity and strict checks win over cleverness.
 """
 
 from __future__ import annotations

@@ -123,8 +123,7 @@ def _conditional_stack(ps: PurifiedState) -> np.ndarray:
     entering the adversary's estimator.  This is the one place the optimizer
     reads ``key_on_basis``.  Raises ValueError unless every state is real.
     """
-    b = ps.protocol.attack_basis_count
-    out = np.array([[eve_conditional_state(ps, x, theta)[0] for theta in range(b)] for x in (0, 1)])
+    out, _ = eve_conditional_state(ps, [[0], [1]], np.arange(ps.protocol.attack_basis_count))
     if out.imag.any():
         raise ValueError(f"{ps.protocol.name}: the optimizer needs real conditional states, and these are complex")
     return out.real.transpose(1, 0, 2, 3) if ps.protocol.key_on_basis else out.real
@@ -220,7 +219,7 @@ class _Batch:
     the batch.
     """
 
-    def __init__(self, factors: np.ndarray, rho_xt: np.ndarray, group: np.ndarray, bound: np.ndarray | None = None):
+    def __init__(self, factors: np.ndarray, rho_xt: np.ndarray, group: np.ndarray, bound: np.ndarray):
         self._rho = rho_xt.reshape(*rho_xt.shape[:3], -1)[group]
         self._a, m = _renormalize(factors)
         self._f, self._w = _objective(_probs(m, self._rho))
@@ -229,7 +228,7 @@ class _Batch:
         self._v = np.zeros_like(self._a)
         self._step = np.full(n, _INIT_STEP)
         self._stall = np.zeros(n, dtype=int)
-        self._bound = np.full(n, np.inf) if bound is None else bound[group] + 1e-9
+        self._bound = bound[group] + 1e-9
         self._best = -np.inf
         self._done_a = np.empty_like(self._a)
         self._done_f = np.empty(n)

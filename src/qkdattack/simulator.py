@@ -94,14 +94,11 @@ def joint_distribution(ps: PurifiedState, povm: Povm) -> JointDistribution:
     """
     if povm.dim != 4:
         raise ValueError(f"adversary POVM must act on the 4-dim register, got dim {povm.dim}")
-    protocol = ps.protocol
-    b = protocol.basis_count
-    p = np.empty((2, b, 2, povm.n_outcomes))
-    for x in (0, 1):
-        for theta in range(b):
-            rho_be = bob_eve_conditional_state(ps, x, theta).reshape(2, 4, 2, 4)
-            bob = np.array([bob_bit_projector(protocol, y, theta) for y in (0, 1)])
-            p[x, theta] = np.real(np.einsum("yij,kmn,jnim->yk", bob, povm.elements, rho_be))
+    protocol, b = ps.protocol, ps.protocol.basis_count
+    bits, theta = [[0], [1]], np.arange(b)
+    rho_be = bob_eve_conditional_state(ps, bits, theta).reshape(2, b, 2, 4, 2, 4)
+    bob = bob_bit_projector(protocol, bits, theta)
+    p = np.real(np.einsum("ytij,kmn,xtjnim->xtyk", bob, povm.elements, rho_be))
     p = np.clip(p, 0.0, None) / (2 * b)
     return JointDistribution(p, protocol)
 
@@ -162,16 +159,14 @@ def sample_rounds(jd: JointDistribution, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def empirical_stats(
-    samples: np.ndarray, basis_count: int, key_on_basis: bool = False, attack_basis_count: int | None = None
-) -> tuple[float, float, float]:
+def empirical_stats(samples: np.ndarray, basis_count: int, key_on_basis: bool = False) -> tuple[float, float, float]:
     """(qber_hat, i_ae_hat, guess_accuracy) from sampled rounds.
 
     The key is x and the revealed side value theta, or with ``key_on_basis``
     the key is theta and the side value x.  qber_hat is the fraction of
     rounds with y != x.  Both adversary figures are plug-in estimates from
-    the (key, k side) table of counts over the attack rounds: every round,
-    or with ``attack_basis_count`` those with theta < attack_basis_count.
+    the (key, k side) table of counts over every round; to score only the
+    attack bases, filter the rounds to theta < attack_basis_count first.
     They carry no bias correction, so choose n accordingly:
 
     - i_ae_hat estimates I(Key : K, Side); with t table cells its bias is
@@ -184,17 +179,16 @@ def empirical_stats(
       binary key.
 
     Each chunk of _CHUNK rounds is binned once by its (x, theta, y, k) cell;
-    the errors (over the whole count table) and the (key, k side) table
-    (information.key_side_table over its theta < attack_basis_count slice)
-    are exact integer sums, so the estimates equal those of one pass over all
-    rounds, and memory beyond ``samples`` is O(_CHUNK).  Fewer than
-    MIN_ROUNDS attack rounds, a round with x or y outside {0, 1}, theta
+    the errors and the (key, k side) table (information.key_side_table) are
+    exact integer sums over the count table, so the estimates equal those of
+    one pass over all rounds, and memory beyond ``samples`` is O(_CHUNK).
+    Fewer than MIN_ROUNDS rounds, a round with x or y outside {0, 1}, theta
     outside [0, basis_count) or a negative k raises ValueError.
     """
-    return _estimates(samples, basis_count, key_on_basis, attack_basis_count)[:3]
+    return _estimates(samples, basis_count, key_on_basis, basis_count)[:3]
 
 
-def _estimates(samples: np.ndarray, basis_count: int, key_on_basis: bool, attack_basis_count: int | None) -> tuple:
+def _estimates(samples: np.ndarray, basis_count: int, key_on_basis: bool, attack_basis_count: int) -> tuple:
     """empirical_stats' three figures and the number of attack rounds, all read off one count table."""
     n = len(samples)
     shape = (2, basis_count, 2, int(samples["k"].max(initial=0)) + 1)

@@ -153,20 +153,24 @@ def bell_basis() -> np.ndarray:
     )
 
 
-def basis_projector(protocol: Protocol, x: int, theta: int) -> np.ndarray:
-    """Rank-1 projector onto the sender's state for bit x in basis theta."""
-    if x not in (0, 1):
-        raise ValueError(f"x={x} is not a bit")
-    if not 0 <= theta < protocol.basis_count:
-        raise ValueError(
-            f"theta={theta} out of range for {protocol.name} ({protocol.basis_count} bases)"
-        )
+def basis_projector(protocol: Protocol, x, theta) -> np.ndarray:
+    """Rank-1 projector onto the sender's state for bit x in basis theta.
+
+    x and theta broadcast against each other, so x=[[0], [1]] and
+    theta=np.arange(b) give the (2, b, 2, 2) stack of every (x, theta).
+    """
+    x, theta = np.asarray(x), np.asarray(theta)
+    bad_x, bad_theta = (x != 0) & (x != 1), (theta < 0) | (theta >= protocol.basis_count)
+    if bad_x.any():
+        raise ValueError(f"x={x[bad_x][0]} is not a bit")
+    if bad_theta.any():
+        raise ValueError(f"theta={theta[bad_theta][0]} out of range for {protocol.name} ({protocol.basis_count} bases)")
     v = _BASIS_VECTORS[theta, x]
-    return np.outer(v, v.conj())
+    return v[..., :, None] * v[..., None, :].conj()
 
 
-def bob_bit_projector(protocol: Protocol, y: int, theta: int) -> np.ndarray:
-    """Receiver-side projector announcing bit y in basis theta.
+def bob_bit_projector(protocol: Protocol, y, theta) -> np.ndarray:
+    """Receiver-side projector announcing bit y in basis theta, broadcast like basis_projector.
 
     The entanglement picture correlates the receiver with the complex
     conjugate of the sender's state, so announced bits use the conjugated
@@ -226,39 +230,42 @@ def purified_state(protocol: Protocol, q: float, alpha: float) -> PurifiedState:
     return purify(_family_params(protocol, q, alpha))
 
 
-def _conditioned(ps: PurifiedState, x: int, theta: int, kept: int) -> tuple[np.ndarray, float]:
+def _conditioned(ps: PurifiedState, x, theta, kept: int) -> tuple[np.ndarray, np.ndarray | float]:
     # on a pure state, projecting A and tracing out all but the last `kept` dimensions is one
     # contraction: chi = P psi, rows over what is traced out, and the state is chi^T conj(chi)
-    chi = (basis_projector(ps.protocol, x, theta) @ ps.psi.reshape(2, 8)).reshape(-1, kept)
-    unnorm = chi.T @ chi.conj()
-    p = float(np.real(np.trace(unnorm)))
-    if p < TOL.probability_floor:
-        raise ValueError(f"conditioning on (x={x}, theta={theta}) has probability {p:.3e}")
-    return unnorm / p, p
+    proj = basis_projector(ps.protocol, x, theta)
+    chi = (proj @ ps.psi.reshape(2, 8)).reshape(*proj.shape[:-2], -1, kept)
+    unnorm = chi.swapaxes(-1, -2) @ chi.conj()
+    p = np.trace(unnorm, axis1=-2, axis2=-1).real
+    low = p < TOL.probability_floor
+    if low.any():
+        x_low, theta_low = (np.broadcast_to(v, p.shape)[low][0] for v in (x, theta))
+        raise ValueError(f"conditioning on (x={x_low}, theta={theta_low}) has probability {p[low][0]:.3e}")
+    return unnorm / p[..., None, None], p if p.ndim else float(p)
 
 
-def eve_conditional_state(ps: PurifiedState, x: int, theta: int) -> tuple[np.ndarray, float]:
+def eve_conditional_state(ps: PurifiedState, x, theta) -> tuple[np.ndarray, np.ndarray | float]:
     """Adversary register state given the sender's bit x in basis theta.
 
     Returns (rho_E, probability of that bit); the probability is 1/2 for
     every member of the family since the sender's marginal is maximally
-    mixed.
+    mixed.  x and theta broadcast as in basis_projector: x=[[0], [1]] and
+    theta=np.arange(b) give the (2, b, 4, 4) stack and its (2, b)
+    probabilities in one call.
     """
     return _conditioned(ps, x, theta, kept=4)
 
 
-def bob_eve_conditional_state(ps: PurifiedState, x: int, theta: int) -> np.ndarray:
-    """Joint receiver-adversary state (dims [2, 4]) given (x, theta)."""
-    rho_be, _ = _conditioned(ps, x, theta, kept=8)
-    return rho_be
+def bob_eve_conditional_state(ps: PurifiedState, x, theta) -> np.ndarray:
+    """Joint receiver-adversary state (dims [2, 4]) given (x, theta), broadcast like eve_conditional_state."""
+    return _conditioned(ps, x, theta, kept=8)[0]
 
 
 def qber_in_basis(rho: np.ndarray, protocol: Protocol, theta: int) -> float:
     """Probability that announced bits disagree when both measure basis theta."""
     if not is_psd(rho):
         raise ValueError("qber_in_basis: state is not PSD within tolerance")
-    err = 0.0
-    for x in (0, 1):
-        op = np.kron(basis_projector(protocol, x, theta), bob_bit_projector(protocol, 1 - x, theta))
-        err += float(np.real(np.trace(rho @ op)))
-    return err
+    x = np.array([0, 1])
+    # the operators P_x (x) P_{1-x}, entry [x, (a, b), (a', b')] = P_x[a, a'] P_{1-x}[b, b']
+    ops = np.einsum("xac,xbd->xabcd", basis_projector(protocol, x, theta), bob_bit_projector(protocol, 1 - x, theta))
+    return float(np.trace(rho @ ops.reshape(2, 4, 4), axis1=-2, axis2=-1).real.sum())

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import qkdattack.optimizer as op
+from povm_helpers import every_basis_probs
 from qkdattack import cli, keyrate
-from qkdattack.information import binary_entropy, conditional_probs, holevo_chi
+from qkdattack.information import binary_entropy, holevo_chi
 from qkdattack.keyrate import bb84_closed_form_iae, find_threshold, key_rate
 from qkdattack.linalg import partial_trace
 from qkdattack.optimizer import OptimizerConfig, optimize_attack
@@ -189,9 +190,9 @@ def test_criterion_7_structural_invariants(bb84_attacks, report):
         lo, hi = alpha_range(proto, 0.09)
         ps = purified_state(proto, 0.09, (lo + hi) / 2)
         jd = joint_distribution(ps, povm)
-        cd = conditional_probs(povm, ps, basis_count=proto.basis_count)
+        probs = every_basis_probs(povm, ps)
         recovered = jd.probs.sum(axis=2).transpose(2, 0, 1) * (2 * proto.basis_count)
-        two_path = max(two_path, float(np.max(np.abs(recovered - cd.probs))))
+        two_path = max(two_path, float(np.max(np.abs(recovered - probs))))
     checks.append(two_path <= 1e-10)
 
     ok = all(checks)

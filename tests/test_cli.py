@@ -64,6 +64,15 @@ def test_curve_rejects_bad_range(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_curve_rejects_an_empty_grid_with_the_library_message(tmp_path, capsys, steps):
+    out = tmp_path / "x.csv"
+    rc = main(["curve", "--protocol", "bb84", "--steps", steps, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: grid must hold at least one error rate\n"
+    assert not out.exists()
+
+
 def test_curve_unwritable_path():
     rc = main(["curve", "--protocol", "bb84", "--q-max", "0.1", "--steps", "2",
                "--out", "/nonexistent-dir/x.csv", "--restarts", "4"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from povm_helpers import every_basis_probs, random_povm
 from qkdattack.information import (
     ConditionalDistribution,
     Povm,
@@ -99,22 +100,22 @@ def test_conditional_probs_computational_baseline():
     ps = purified_state(SIX_STATE, 0.1, 0.85)
     eye = np.eye(4, dtype=complex)
     povm = Povm(np.stack([np.outer(eye[k], eye[k]) for k in range(4)]))
-    cd = conditional_probs(povm, ps, basis_count=SIX_STATE.basis_count)
-    assert cd.probs.shape == (4, 2, 3)
+    probs = every_basis_probs(povm, ps)
+    assert probs.shape == (4, 2, 3)
     for x in (0, 1):
         for theta in range(3):
-            assert np.allclose(cd.probs[:, x, theta], [0.85, 0.05, 0.05, 0.05], atol=1e-10)
-    assert mutual_info_ae(cd) == pytest.approx(0.0, abs=1e-12)
+            assert np.allclose(probs[:, x, theta], [0.85, 0.05, 0.05, 0.05], atol=1e-10)
+    assert mutual_info_ae(ConditionalDistribution(probs)) == pytest.approx(0.0, abs=1e-12)
+    assert mutual_info_ae(conditional_probs(povm, ps)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_conditional_probs_default_attack_bases():
+    # the table covers the attack bases: the first two of six-state's three
     ps = purified_state(SIX_STATE, 0.1, 0.85)
-    eye = np.eye(4, dtype=complex)
-    povm = Povm(np.stack([np.outer(eye[k], eye[k]) for k in range(4)]))
+    povm = random_povm(4, 4, 11)
     cd = conditional_probs(povm, ps)
-    assert cd.probs.shape[2] == SIX_STATE.attack_basis_count == 2
-    with pytest.raises(ValueError, match="basis_count"):
-        conditional_probs(povm, ps, basis_count=4)
+    assert cd.probs.shape == (4, 2, SIX_STATE.attack_basis_count) == (4, 2, 2)
+    assert np.max(np.abs(cd.probs - every_basis_probs(povm, ps)[:, :, :2])) <= 1e-15
 
 
 def test_entropies_uniform_table():

@@ -26,6 +26,11 @@ def _state_rows(rho_xt, group):
     return rho_xt.reshape(*rho_xt.shape[:3], -1)[group]
 
 
+def _batch(factors, rho_xt, group):
+    """A _Batch with no bound on any stack, so no row retires."""
+    return op._Batch(factors, rho_xt, group, np.full(len(rho_xt), np.inf))
+
+
 def _real_povm(n_outcomes, seed):
     """Re of a random complex POVM: again a POVM, and real like the optimizer's."""
     return Povm(random_povm(4, n_outcomes, seed).elements.real)
@@ -98,7 +103,7 @@ def test_local_search_monotone_and_complete():
     rho = np.stack([op._conditional_stack(purified_state(BB84, 0.1, a)) for a in (0.8, 0.85)])
     group = np.array([0, 0, 1, 1])
     factors = np.stack([op._random_factors(np.random.default_rng(9 + r), 4, 4) for r in range(group.size)])
-    batch = op._Batch(factors, rho, group)
+    batch = _batch(factors, rho, group)
     trace = [batch.f.copy()]
     for step in range(1, 121):
         batch.step_once()
@@ -155,7 +160,7 @@ def test_restart_calibration_bb84():
     target = bb84_closed_form_iae(0.1)
     rho = op._conditional_stack(ps)[None]
     factors = np.stack([op._random_factors(np.random.default_rng(7 + r), 4, 4) for r in range(32)])
-    batch = op._Batch(factors, rho, np.zeros(32, dtype=int))
+    batch = _batch(factors, rho, np.zeros(32, dtype=int))
     batch.run(2000)
     hits = int(np.sum(np.abs(batch.f - target) <= 1e-4))
     assert hits >= 19  # 6/10 of restarts, with margin below the measured 70%
@@ -268,14 +273,14 @@ def test_row_trajectory_independent_of_batch(proto):
     lo, hi = alpha_range(proto, 0.1)
     rhos = np.stack([op._conditional_stack(purified_state(proto, 0.1, a)) for a in (lo, (lo + hi) / 2, hi)])
     starts = np.stack([op._random_factors(np.random.default_rng(7 + r), 4, 4) for r in range(n)])
-    alone = [op._Batch(starts[r : r + 1], rhos[1:2], np.zeros(1, dtype=int)) for r in range(n)]
+    alone = [_batch(starts[r : r + 1], rhos[1:2], np.zeros(1, dtype=int)) for r in range(n)]
     for batch in alone:
         batch.run(iters)
-    among = op._Batch(starts, rhos[1:2], np.zeros(n, dtype=int))
+    among = _batch(starts, rhos[1:2], np.zeros(n, dtype=int))
     among.run(iters)
-    multi = op._Batch(np.tile(starts, (3, 1, 1, 1)), rhos, np.repeat(np.arange(3), n))
+    multi = _batch(np.tile(starts, (3, 1, 1, 1)), rhos, np.repeat(np.arange(3), n))
     multi.run(iters)
-    interleaved = op._Batch(np.repeat(starts, 3, axis=0), rhos, np.tile(np.arange(3), n))
+    interleaved = _batch(np.repeat(starts, 3, axis=0), rhos, np.tile(np.arange(3), n))
     interleaved.run(iters)
     mid = slice(n, 2 * n)
     for attr in ("f", "m", "converged", "row_iters"):
@@ -302,7 +307,7 @@ def _compaction_batch(proto, rows_per_group=6):
 
 def _run_both(factors, rho, group, max_iters):
     """The reference batch after run(max_iters), checked row for row against _Batch."""
-    ref, batch = ReferenceBatch(factors, rho, group), op._Batch(factors, rho, group)
+    ref, batch = ReferenceBatch(factors, rho, group), _batch(factors, rho, group)
     ref.run(max_iters)
     batch.run(max_iters)
     for attr in ("f", "m", "active", "converged", "row_iters"):
@@ -334,7 +339,7 @@ def test_batch_fields_read_after_every_step():
     # the reference accepted a step
     factors, rho, group = _compaction_batch(SARG04)
     n = group.size
-    ref, batch = ReferenceBatch(factors, rho, group), op._Batch(factors, rho, group)
+    ref, batch = ReferenceBatch(factors, rho, group), _batch(factors, rho, group)
     final_f = {}
     while batch.active.any() and batch.iters < 400:
         f_before, ref_before = batch.f, ref.f.copy()
@@ -355,7 +360,7 @@ def test_momentum_restarts_on_every_rejected_step():
     # accepted, and exactly zero where its value did not rise, also across
     # the step on which the q = 0 group finishes and the batch compacts
     factors, rho, group = _compaction_batch(SARG04)
-    batch = op._Batch(factors, rho, group)
+    batch = _batch(factors, rho, group)
     compacted = accepted = rejected = 0
     while batch.active.any() and batch.iters < 400:
         rows_before, a_before, f_before = batch._rows.copy(), batch._a.copy(), batch.f
@@ -376,7 +381,7 @@ def test_one_alpha_work_count():
     # fails here (20713 row-steps without momentum, 12231 with it)
     rho = op._conditional_stack(purified_state(SARG04, 0.1, 0.7588))[None]
     factors = np.stack([op._random_factors(np.random.default_rng(7 + r), 4, 4) for r in range(32)])
-    batch = op._Batch(factors, rho, np.zeros(32, dtype=int))
+    batch = _batch(factors, rho, np.zeros(32, dtype=int))
     batch.run(2000)
     assert batch.row_iters.sum() <= 14000
     assert batch.f.max() >= 0.1996008822
@@ -538,7 +543,7 @@ def test_retired_rows_leave_the_other_rows_unchanged():
     group = np.tile(np.arange(len(alphas)), 6)
     factors = np.stack([op._random_factors(np.random.default_rng(7 + r), 4, 4) for r in range(group.size)])
     bound = holevo_chi(rho)
-    pruned, full = op._Batch(factors, rho, group, bound), op._Batch(factors, rho, group)
+    pruned, full = op._Batch(factors, rho, group, bound), _batch(factors, rho, group)
     while pruned.active.any() and pruned.iters < 600:
         pruned.step_once()
         full.step_once()

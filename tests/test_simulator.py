@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from povm_helpers import random_povm
+from povm_helpers import every_basis_probs, random_povm
 from qkdattack.information import Povm, conditional_probs, mutual_info_ae, plugin_mutual_info
 from qkdattack.optimizer import optimize_attack
 from qkdattack.simulator import (
@@ -98,9 +98,9 @@ def test_joint_distribution_matches_eve_only_trace():
     for name, proto in PROTOCOLS.items():
         jd = _jd(name, 0.12)
         ps = purified_state(proto, 0.12, sum(alpha_range(proto, 0.12)) / 2)
-        cd = conditional_probs(random_povm(4, 4, 17), ps, basis_count=proto.basis_count)
+        probs = every_basis_probs(random_povm(4, 4, 17), ps)
         recovered = jd.probs.sum(axis=2).transpose(2, 0, 1) * (2 * jd.basis_count)
-        assert np.max(np.abs(recovered - cd.probs)) < 1e-10
+        assert np.max(np.abs(recovered - probs)) < 1e-10
 
 
 def test_joint_distribution_receiver_error_rates():
@@ -331,18 +331,19 @@ def test_empirical_stats_key_on_basis_readout():
 def test_empirical_stats_equal_the_reference_on_exact_counts(name, key_on_basis):
     # rounds whose (x, theta, k) counts are 256 times a dyadic table of p(k | x, theta):
     # the sampled estimate and the exact reference read the same (key, k side) table,
-    # and six-state's third basis stays out of both
+    # and six-state's third basis, filtered out of the rounds, stays out of both
     proto = PROTOCOLS[name]
     ps = purify(BellDiagonalParams(proto, 0.1, 3 / 8, 3 / 8, 1 / 8, 1 / 8))
     v = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1]]) / np.sqrt(2)
     povm = Povm(np.einsum("ki,kj->kij", v, v).astype(complex))
-    table = 256 * conditional_probs(povm, ps, basis_count=proto.basis_count).probs  # [k, x, theta]
+    table = 256 * every_basis_probs(povm, ps)  # [k, x, theta]
     counts = np.round(table).astype(np.int64)
     assert np.max(np.abs(counts - table)) < 1e-9 and counts.min() == 0
     k, x, theta = (np.repeat(idx.ravel(), counts.ravel()) for idx in np.indices(counts.shape))
     s = np.zeros(len(k), dtype=ROUND_DTYPE)
     s["x"], s["theta"], s["y"], s["k"] = x, theta, x, k
-    _, i_ae_hat, _ = empirical_stats(s, proto.basis_count, key_on_basis, proto.attack_basis_count)
+    attack = s[s["theta"] < proto.attack_basis_count]
+    _, i_ae_hat, _ = empirical_stats(attack, proto.attack_basis_count, key_on_basis)
     i_ae = mutual_info_ae(conditional_probs(povm, ps), key_on_basis)
     assert i_ae > 0.3
     assert i_ae_hat == pytest.approx(i_ae, abs=1e-12)

@@ -8,6 +8,7 @@ from qkdattack.states import (
     SARG04,
     SIX_STATE,
     BellDiagonalParams,
+    PurifiedState,
     alpha_range,
     basis_projector,
     bell_basis,
@@ -287,6 +288,45 @@ def test_bob_eve_conditional_state():
     rho_be = bob_eve_conditional_state(ps, 0, 0)
     flip = np.kron(bob_bit_projector(BB84, 1, 0), np.eye(4))
     assert abs(np.real(np.trace(rho_be @ flip)) - 0.1) < 1e-12
+
+
+@pytest.mark.parametrize("proto", PROTOCOLS.values(), ids=lambda p: p.name)
+def test_grid_call_matches_scalar_calls_bit_for_bit(proto):
+    # one call over every (x, theta), six-state's circular basis included, gives each
+    # scalar call's projectors, E and BE states and probabilities to the last bit
+    bits, theta = [[0], [1]], np.arange(proto.basis_count)
+    cells = [(x, t) for x in (0, 1) for t in range(proto.basis_count)]
+    for projector in (basis_projector, bob_bit_projector):
+        grid = projector(proto, bits, theta)
+        assert grid.shape == (2, proto.basis_count, 2, 2)
+        assert all(np.array_equal(grid[x, t], projector(proto, x, t)) for x, t in cells)
+    for q in np.linspace(0.0, 0.5, 6):
+        for alpha in np.linspace(*alpha_range(proto, q), 3):
+            ps = purified_state(proto, float(q), float(alpha))
+            rho_e, p = eve_conditional_state(ps, bits, theta)
+            rho_be = bob_eve_conditional_state(ps, bits, theta)
+            assert rho_e.shape == (2, proto.basis_count, 4, 4) and p.shape == (2, proto.basis_count)
+            assert rho_be.shape == (2, proto.basis_count, 8, 8)
+            for x, t in cells:
+                scalar_e, scalar_p = eve_conditional_state(ps, x, t)
+                assert type(scalar_p) is float
+                assert np.array_equal(rho_e[x, t], scalar_e) and p[x, t] == scalar_p
+                assert np.array_equal(rho_be[x, t], bob_eve_conditional_state(ps, x, t))
+
+
+def test_grid_call_names_the_entry_that_fails():
+    ps = purified_state(SIX_STATE, 0.1, 0.85)
+    for call in (eve_conditional_state, bob_eve_conditional_state):
+        with pytest.raises(ValueError, match=r"^x=2 is not a bit$"):
+            call(ps, [[0], [2]], np.arange(3))
+        with pytest.raises(ValueError, match=r"^theta=3 out of range for sixstate \(3 bases\)$"):
+            call(ps, [[0], [1]], np.arange(4))
+    with pytest.raises(ValueError, match=r"^theta=2 out of range for bb84 \(2 bases\)$"):
+        bob_bit_projector(BB84, [[0], [1]], [0, 2])
+    # a product state holds A in |0>: the floor catches the one (x, theta) of zero probability
+    product = PurifiedState(np.eye(16, dtype=complex)[0], ps.params)
+    with pytest.raises(ValueError, match=r"^conditioning on \(x=1, theta=0\) has probability 0\.000e\+00$"):
+        eve_conditional_state(product, [[0], [1]], np.arange(3))
 
 
 def _textbook_conditioned(ps, x, theta, keep):
