@@ -1,10 +1,10 @@
 """Command-line front end emitting CSV curves and JSON reports.
 
-Subcommands: curve (key-rate sweep as CSV), threshold (bisection report),
-attack (single-point dump with the optimal POVM), simulate (Monte Carlo
-cross-check).  ``run`` executes any of them, builds its run manifest and
-writes its artifact: JSON embeds the manifest first, and a CSV gets a sidecar
-``<out>.manifest.json``.  Reruns with the same manifest arguments are
+Subcommands: curve (key-rate sweep as CSV), threshold (slope-steered search
+report), attack (single-point dump with the optimal POVM), simulate (Monte
+Carlo cross-check).  ``run`` executes any of them, builds its run manifest
+and writes its artifact: JSON embeds the manifest first, and a CSV gets a
+sidecar ``<out>.manifest.json``.  Reruns with the same manifest arguments are
 byte-identical except for the recorded duration.  ``main`` parses the
 arguments into a ``run`` call and prints its summary line.
 
@@ -74,7 +74,7 @@ def _curve(protocol: Protocol, config: OptimizerConfig, q_min: float, q_max: flo
 
 
 def _threshold(protocol: Protocol, config: OptimizerConfig, tolerance: float) -> dict:
-    """Report of the zero-crossing of the key rate."""
+    """Report of the zero-crossing of the key rate, with every probe of the search."""
     rep = find_threshold(protocol, tolerance, config)
     return {
         "threshold_q": rep.threshold_q,
@@ -83,6 +83,7 @@ def _threshold(protocol: Protocol, config: OptimizerConfig, tolerance: float) ->
         "rate_high": rep.rate_high,
         "estimator": "basis-keyed" if protocol.key_on_basis else "bit-keyed",
         "references": rep.references,
+        "probes": [asdict(p) for p in rep.probes],
     }
 
 
@@ -192,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--q-max", type=float, default=0.25)
     p_curve.add_argument("--steps", type=int, default=26)
 
-    p_thr = command("threshold", "bisection for the zero key-rate QBER, JSON output")
+    p_thr = command("threshold", "bracketed search for the zero key-rate QBER, JSON output")
     p_thr.add_argument("--tolerance", type=float, default=1e-3)
     p_att = command("attack", "optimized attack at a single QBER, JSON output")
     p_att.add_argument("--q", type=float, required=True)

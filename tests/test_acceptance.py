@@ -286,6 +286,15 @@ def test_threshold_bracket_holds_the_closed_form_root(protocol, thresholds):
     assert rep.bracket[0] <= root <= rep.bracket[1], (root, rep.bracket)
 
 
+@pytest.mark.parametrize("protocol", [BB84, SARG04, SIX_STATE], ids=lambda p: p.name)
+def test_threshold_search_takes_at_most_six_probes(protocol, thresholds):
+    # bisection takes 10 probes to a 1e-3 bracket; the slope-steered search,
+    # re-runs included, at most 6, and the key rate falls at every probe
+    rep, attacks = thresholds(protocol)
+    assert len(attacks) <= 6, [a.q for a in attacks]
+    assert all(p.slope < 0.0 for p in rep.probes), rep.probes
+
+
 def test_reported_attack_values_follow_rate_identity(bb84_attacks):
     # consistency of the shipped artifacts, not a numbered criterion: at the
     # published threshold the rate vanishes within band width

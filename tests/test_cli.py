@@ -211,6 +211,10 @@ def test_threshold_deterministic_reruns(tmp_path):
     assert a == b
     assert abs(a["threshold_q"] - 0.204) <= 0.003
     assert a["rate_low"] > 0 > a["rate_high"]
+    # each probe is reported with its q, rate, slope and re-run flag; the bracket ends are probes
+    probes = {p["q"]: p for p in a["probes"]}
+    assert all(list(p) == ["q", "rate", "slope", "rerun"] for p in a["probes"])
+    assert [probes[q]["rate"] for q in a["bracket"]] == [a["rate_low"], a["rate_high"]]
 
 
 def _result(protocol, q, trusted):

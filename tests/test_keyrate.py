@@ -1,3 +1,6 @@
+import math
+import types
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from qkdattack.keyrate import (
     reference_thresholds,
     tabulate_curve,
 )
-from qkdattack.optimizer import OptimizerConfig
+from qkdattack.optimizer import OptimizerConfig, optimize_attack
 from qkdattack.states import BB84, SARG04, SIX_STATE
 
 
@@ -132,3 +135,92 @@ def test_find_threshold_stable_under_restart_doubling():
     a = find_threshold(SIX_STATE, 1e-3, cfg)
     b = find_threshold(SIX_STATE, 1e-3, OptimizerConfig(restarts=12, alpha_grid_points=9, alpha_refine_iters=2))
     assert abs(a.threshold_q - b.threshold_q) <= 1e-3
+
+
+def _closed_form_rate(scale):
+    # above s q = 1/4 the two-basis optimum stays at its value there, 1/2
+    return lambda q: key_rate(q, bb84_closed_form_iae(min(scale * q, 0.25)))
+
+
+def _central_difference(f, h=1e-6):
+    return lambda q: (f(q + h) - f(q - h)) / (2 * h)
+
+
+@pytest.mark.parametrize(
+    ("protocol", "q"),
+    [(BB84, q) for q in (0.05, 0.10, 0.15, 0.20)] + [(SIX_STATE, q) for q in (0.05, 0.10, 0.20, 0.30)],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_rate_slope_matches_the_closed_form_derivative(protocol, q):
+    # the envelope slope of an optimized attack against d/dq of the closed-form rate
+    attack = optimize_attack(protocol, q, OptimizerConfig(restarts=12, alpha_grid_points=15, alpha_refine_iters=3))
+    exact = _central_difference(_closed_form_rate(protocol.closed_form_q_scale))(q)
+    assert abs(keyrate._rate_slope(attack) - exact) <= 1e-6
+
+
+# closed-form rates r(q) and slopes r'(q), each with one root in [0.05, 0.30]
+_SYNTHETIC_RATES = {
+    "bb84": (_closed_form_rate(1.0), _central_difference(_closed_form_rate(1.0))),
+    "sixstate": (_closed_form_rate(0.5), _central_difference(_closed_form_rate(0.5))),
+    "linear": (lambda q: 0.2 - q, lambda q: -1.0),
+    "steep_convex": (lambda q: math.exp(-40 * (q - 0.05)) - 0.01, lambda q: -40 * math.exp(-40 * (q - 0.05))),
+}
+
+
+def _synthetic_search(monkeypatch, rate, slope, tolerance):
+    """find_threshold on an attack stub whose key rate at q is rate(q) and whose slope is slope(q)."""
+    monkeypatch.setattr(
+        keyrate, "optimize_attack", lambda protocol, q, config: types.SimpleNamespace(q=q, i_ae=key_rate(q, rate(q)))
+    )
+    monkeypatch.setattr(keyrate, "_rate_slope", lambda result: slope(result.q))
+    return find_threshold(BB84, tolerance, OptimizerConfig(restarts=1))
+
+
+def _bisection(rate, tolerance):
+    """The probes of plain bisection on [0.05, 0.30], in order."""
+    lo, hi = keyrate._BRACKET
+    probes = [lo, hi]
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        probes.append(mid)
+        lo, hi = (mid, hi) if rate(mid) > 0.0 else (lo, mid)
+    return probes
+
+
+@pytest.mark.parametrize("tolerance", [1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("name", sorted(_SYNTHETIC_RATES))
+def test_search_brackets_the_root_within_bisections_probes(monkeypatch, name, tolerance):
+    rate, slope = _SYNTHETIC_RATES[name]
+    rep = _synthetic_search(monkeypatch, rate, slope, tolerance)
+    lo, hi = rep.bracket
+    assert hi - lo <= tolerance
+    assert rate(lo) > 0.0 > rate(hi)
+    assert (rep.rate_low, rep.rate_high) == pytest.approx((rate(lo), rate(hi)), abs=1e-12)
+    assert rep.threshold_q == 0.5 * (lo + hi)
+    assert len(rep.probes) <= len(_bisection(rate, tolerance))
+    assert [p.q for p in rep.probes[:2]] == list(keyrate._BRACKET)
+    assert not any(p.rerun for p in rep.probes)
+
+
+@pytest.mark.parametrize("bad_slope", [0.0, 1.0, math.nan])
+def test_search_without_a_usable_slope_is_bisection(monkeypatch, bad_slope):
+    for rate, _ in _SYNTHETIC_RATES.values():
+        for tolerance in (1e-4, 1e-3, 1e-2):
+            rep = _synthetic_search(monkeypatch, rate, lambda q: bad_slope, tolerance)
+            assert [p.q for p in rep.probes] == _bisection(rate, tolerance)
+
+
+def test_rerun_probe_reports_the_rerun_attack(monkeypatch):
+    # a probe whose rate exceeds the smaller-q rate is re-run at four times
+    # the restarts, and its rate and slope come from the re-run
+    def attack(protocol, q, config):
+        rate = 0.2 - q + (1.0 if q == 0.30 and config.restarts == 3 else 0.0)
+        return types.SimpleNamespace(q=q, i_ae=key_rate(q, rate), restarts=config.restarts)
+
+    monkeypatch.setattr(keyrate, "optimize_attack", attack)
+    monkeypatch.setattr(keyrate, "_rate_slope", lambda result: -1.0 / result.restarts)
+    rep = find_threshold(BB84, 1e-3, OptimizerConfig(restarts=3))
+    first, second = rep.probes[:2]
+    assert (first.rerun, first.slope) == (False, -1.0 / 3)
+    assert second.rerun and second.slope == -1.0 / 12
+    assert second.rate == pytest.approx(0.2 - 0.30, abs=1e-12)
