@@ -30,8 +30,9 @@ def main() -> None:
         row = "".join(f"{curves[name][i].i_ae:12.6f}" for name in curves)
         print(f"{q:.2f} {row}")
 
-    print("\nnote the sixstate i_ae column stays at or below bb84 at every q,")
-    print("so its rate column crosses zero later")
+    below = all(s.i_ae <= b.i_ae for s, b in zip(curves["sixstate"], curves["bb84"]))
+    print(f"\nthe sixstate i_ae column stays at or below bb84 at every q: {'yes' if below else 'NO'}")
+    print("(both rates are 1 - h(q) - i_ae, so the lower i_ae column's rate crosses zero later)")
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .information import binary_entropy, lambda_fn
-from .optimizer import AttackResult, OptimizerConfig, _conditional_stack, _objective, _probs, optimize_attack
-from .states import Protocol, alpha_range, purified_state
+from .optimizer import AttackResult, OptimizerConfig, info_slope, optimize_attack
+from .states import Protocol, alpha_range
 
 _BRACKET = (0.05, 0.30)
 _MONOTONE_SLACK = 1e-4
@@ -66,7 +66,7 @@ class ThresholdReport:
     rate_low: float
     rate_high: float
     references: dict[str, float]
-    probes: tuple[ThresholdProbe, ...] = ()
+    probes: tuple[ThresholdProbe, ...]
 
 
 def bb84_closed_form_iae(q: float) -> float:
@@ -109,23 +109,8 @@ def reference_thresholds(protocol: Protocol) -> dict[str, float]:
 
 
 def _rate_slope(result: AttackResult) -> float:
-    """dr/dq = -h'(q) - dI_AE/dq at an optimized attack, by the envelope theorem (Milgrom and Segal, 2002).
-
-    At the optimum, I_AE moves with q as I does with the attack's POVM held
-    fixed: a central difference at q +/- 1e-6 through the optimizer's
-    kernels, alpha held at an interior best_alpha or following its bound.
-    """
-    protocol, q, alpha = result.protocol, result.q, result.best_alpha
-    lo, hi = alpha_range(protocol, q)
-    m = result.best_povm.elements.real[None]
-
-    def info(q_side: float) -> float:
-        lo_side, hi_side = alpha_range(protocol, q_side)
-        a = lo_side if alpha <= lo else hi_side if alpha >= hi else min(max(alpha, lo_side), hi_side)
-        rho = _conditional_stack(purified_state(protocol, q_side, a))
-        return float(_objective(_probs(m, rho.reshape(1, *rho.shape[:2], -1)))[0][0])
-
-    return -math.log2((1.0 - q) / q) - (info(q + 1e-6) - info(q - 1e-6)) / 2e-6
+    """dr/dq = -h'(q) - dI_AE/dq at an optimized attack, with dI_AE/dq from optimizer.info_slope."""
+    return -math.log2((1.0 - result.q) / result.q) - info_slope(result)
 
 
 def _interpolated_probe(low: ThresholdProbe, high: ThresholdProbe, tolerance: float) -> float | None:

@@ -50,6 +50,10 @@ its batch retires its rows and is left out of the results, which keep their
 bits.  A retired alpha's value lies below that of another alpha in the same
 ascent, so neither the grid argmax nor a golden-section comparison changes,
 and an ascent of one alpha never retires it.
+
+info_slope, the slope dI_AE/dq that keyrate's threshold search steers by,
+runs the same kernels at the reported POVM, so only this module knows their
+state-row layout.
 """
 
 from __future__ import annotations
@@ -460,3 +464,23 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
         converged=converged,
         robust=4 * agreeing >= config.restarts,
     )
+
+
+def info_slope(result: AttackResult) -> float:
+    """dI_AE/dq at an optimized attack, by the envelope theorem (Milgrom and Segal, 2002).
+
+    At the optimum, I_AE moves with q as I does with the attack's POVM held
+    fixed: a central difference at q +/- 1e-6 through the step kernels,
+    alpha held at an interior best_alpha or following its bound.
+    """
+    protocol, q, alpha = result.protocol, result.q, result.best_alpha
+    lo, hi = alpha_range(protocol, q)
+    m = result.best_povm.elements.real[None]
+
+    def info(q_side: float) -> float:
+        lo_side, hi_side = alpha_range(protocol, q_side)
+        a = lo_side if alpha <= lo else hi_side if alpha >= hi else min(max(alpha, lo_side), hi_side)
+        rho = _conditional_stack(purified_state(protocol, q_side, a))
+        return float(_objective(_probs(m, rho.reshape(1, *rho.shape[:2], -1)))[0][0])
+
+    return (info(q + 1e-6) - info(q - 1e-6)) / 2e-6

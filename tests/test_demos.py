@@ -1,8 +1,9 @@
 """The demos run against the current API.
 
-Demo 01 is fast and runs in full; demos 02-05 run optimizers for up to a
-minute, so they are loaded, which checks their imports, and demo 05's
-``run`` also runs at a reduced round count and restart budget.
+Demo 01 is fast and runs in full; demos 02-05 run optimizers for 5-15 s
+each, so they are loaded, which checks their imports, and demo 02's
+``main`` and demo 05's ``run`` also run at a reduced restart budget (demo 05
+also at a reduced round count).
 """
 
 import runpy
@@ -30,11 +31,21 @@ def test_demo_loads(name):
     assert callable(namespace["main"])
 
 
+REDUCED = OptimizerConfig(restarts=2, alpha_grid_points=3, alpha_refine_iters=1, max_iters=200)
+
+
+def test_bb84_attack_demo_runs(capsys):
+    runpy.run_path(str(DEMOS / "02_bb84_attack.py"))["main"](REDUCED)
+    out = capsys.readouterr().out
+    assert "optimal POVM at q = 0.10 (4 outcomes on dim 4)" in out
+    assert "in the basis it reads" in out
+    assert "in the other: an exact tie" in out or "in the other: a near tie, not an exact one" in out
+
+
 def test_monte_carlo_demo_runs(capsys):
     run = runpy.run_path(str(DEMOS / "05_monte_carlo.py"))["run"]
-    config = OptimizerConfig(restarts=2, alpha_grid_points=3, alpha_refine_iters=1, max_iters=200)
     for seed, name in enumerate(("bb84", "sixstate", "sarg04")):
-        run(name, 0.10, seed=seed, n_rounds=30_000, config=config)
+        run(name, 0.10, seed=seed, n_rounds=30_000, config=REDUCED)
     out = capsys.readouterr().out
     for name in ("bb84", "sixstate", "sarg04"):
         assert f"{name} at q = 0.1, n = 30000" in out

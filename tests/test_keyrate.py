@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qkdattack.information import binary_entropy
-from qkdattack import keyrate
+from qkdattack import keyrate, optimizer
 from qkdattack.keyrate import (
     NumericalFailure,
     bb84_closed_form_iae,
@@ -156,6 +156,23 @@ def test_rate_slope_matches_the_closed_form_derivative(protocol, q):
     attack = optimize_attack(protocol, q, OptimizerConfig(restarts=12, alpha_grid_points=15, alpha_refine_iters=3))
     exact = _central_difference(_closed_form_rate(protocol.closed_form_q_scale))(q)
     assert abs(keyrate._rate_slope(attack) - exact) <= 1e-6
+
+
+def test_rate_slope_calls_the_kernels_through_the_optimizer_module(monkeypatch, light_config):
+    # the slope looks its kernels up as optimizer globals at call time, so a
+    # wrapper installed there (as the benchmark's tracer does) sees its calls
+    attack = optimize_attack(BB84, 0.10, light_config)
+    unpatched = keyrate._rate_slope(attack)
+    calls = dict.fromkeys(("_probs", "_objective"), 0)
+    for name in calls:
+
+        def counted(*args, name=name, kernel=getattr(optimizer, name)):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(optimizer, name, counted)
+    assert keyrate._rate_slope(attack) == unpatched
+    assert calls == {"_probs": 2, "_objective": 2}
 
 
 # closed-form rates r(q) and slopes r'(q), each with one root in [0.05, 0.30]
