@@ -8,7 +8,8 @@ sidecar ``<out>.manifest.json``.  Reruns with the same manifest arguments are
 byte-identical except for the recorded duration.  ``main`` parses the
 arguments into a ``run`` call and prints its summary line.
 
-Exit codes: 0 success, 2 usage or I/O error (ValueError), 3 numerical failure
+Exit codes: 0 success, 2 usage or I/O error (ValueError: a library input rule,
+or simulate's early --sample-seed check), 3 numerical failure
 (NumericalFailure: the search ran but its result cannot be trusted).  Exit 3
 comes from a curve with more than half its points non-robust (its CSV and
 manifest are still written), an attack neither robust nor converged, or a
@@ -37,7 +38,7 @@ _COMMON = {
     "protocol": {"required": True, "choices": sorted(PROTOCOLS)},
     "restarts": {"type": int, "default": OptimizerConfig.restarts},
     "seed": {"type": int, "default": OptimizerConfig.seed},
-    "alpha_grid_points": {"type": int, "default": OptimizerConfig.alpha_grid_points},
+    "alpha_grid_points": {"type": int, "default": OptimizerConfig.alpha_grid_points, "help": "grid size, at least 2"},
     "out": {"required": True, "help": "output file path"},
 }
 

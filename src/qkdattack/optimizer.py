@@ -93,8 +93,8 @@ class OptimizerConfig:
     alpha_refine_iters: int = 3
 
     def __post_init__(self) -> None:
-        if self.restarts < 1 or self.max_iters < 1 or self.alpha_grid_points < 1:
-            raise ValueError("restarts, max_iters and alpha_grid_points must be positive")
+        if self.restarts < 1 or self.max_iters < 1 or self.alpha_grid_points < 2:
+            raise ValueError("restarts and max_iters must be positive, and alpha_grid_points at least 2")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.alpha_refine_iters < 0:
@@ -110,7 +110,7 @@ class AttackResult:
     best_povm: Povm
     restarts_agreeing: int
     converged: bool
-    # a quarter of the restarts reaching the best value marks a consensus optimum
+    # a quarter of the restarts at the best value; always true at 4 restarts or fewer (the best alone)
     robust: bool
 
 
@@ -411,24 +411,23 @@ def _ascend(
 def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> AttackResult:
     """Maximize the adversary's information jointly over the source weight alpha and the POVM.
 
-    Coarse grid over the admissible alpha interval, then golden-section
-    refinement around the best grid point; the measurement is re-optimized
-    from the seeded starts at every probed alpha.  Alphas known together run
-    together: the grid points share one ascent, sharded over the available
-    CPUs, then the first golden-section pair shares one.  Each later
-    refinement step carries the surviving interior point and its value, so
-    alpha_refine_iters steps cost at most alpha_refine_iters + 1
-    evaluations, and a repeated alpha costs none: six-state's point interval
-    runs one ascent.  Grouping and sharding change no result: every restart's
-    trajectory depends only on its own start and alpha, and an ascent
-    retires only alphas that cannot hold the maximum.
+    A grid of at least two alphas over the admissible interval, then
+    golden-section refinement in the grid cells beside the best one, so every
+    alpha lies in the interval by construction (states raises on any other);
+    the POVM is re-optimized from the seeded starts at every alpha.  The grid
+    shares one ascent, sharded over the available CPUs, then the first
+    golden-section pair shares one.  Each later step carries the surviving
+    interior point and its value, so alpha_refine_iters steps cost at most
+    alpha_refine_iters + 1 evaluations, and a repeated alpha costs none:
+    six-state's point interval runs one ascent.  Grouping and sharding change
+    no result: every restart's trajectory depends only on its own start and
+    alpha, and an ascent retires only alphas that cannot hold the maximum.
     """
     lo, hi = alpha_range(protocol, q)
     n_out = protocol.povm_outcomes
     cache: dict[float, tuple[np.ndarray, float, int, bool]] = {}
 
-    def evaluate(alphas) -> list[float]:
-        alphas = [min(max(float(a), lo), hi) for a in alphas]
+    def evaluate(alphas: list[float]) -> list[float]:
         new = [a for a in dict.fromkeys(alphas) if a not in cache]
         if new:
             results = _ascend([purified_state(protocol, q, a) for a in new], n_out, config)
@@ -436,7 +435,7 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
             cache.update((a, r) for a, r in zip(new, results) if r is not None)
         return [cache[a][1] if a in cache else -math.inf for a in alphas]
 
-    grid = np.linspace(lo, hi, config.alpha_grid_points)
+    grid = np.linspace(lo, hi, config.alpha_grid_points).tolist()
     best_i = int(np.argmax(evaluate(grid)))
     a_lo = grid[max(best_i - 1, 0)]
     a_hi = grid[min(best_i + 1, len(grid) - 1)]
@@ -458,7 +457,7 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
         q=q,
         protocol=protocol,
         i_ae=f,
-        best_alpha=float(best_alpha),
+        best_alpha=best_alpha,
         best_povm=Povm(m),
         restarts_agreeing=agreeing,
         converged=converged,

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qkdattack.optimizer as op
 from povm_helpers import random_povm
 from qkdattack import cli, keyrate
 from qkdattack.cli import main
@@ -172,7 +174,9 @@ def test_simulate_rejects_negative_sample_seed(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "option", [["--restarts", "0"], ["--alpha-grid-points", "0"], ["--seed", "-1"]], ids=lambda o: " ".join(o)
+    "option",
+    [["--restarts", "0"], ["--alpha-grid-points", "0"], ["--alpha-grid-points", "1"], ["--seed", "-1"]],
+    ids=lambda o: " ".join(o),
 )
 def test_attack_rejects_bad_config(tmp_path, monkeypatch, capsys, option):
     def no_ascent(*args):
@@ -185,6 +189,29 @@ def test_attack_rejects_bad_config(tmp_path, monkeypatch, capsys, option):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["curve", "threshold"])
+def test_one_point_grid_is_rejected_before_any_ascent(tmp_path, monkeypatch, capsys, command):
+    def no_ascent(*args):
+        raise AssertionError("an ascent ran before the grid was checked")
+
+    monkeypatch.setattr(op, "_ascend", no_ascent)
+    out = tmp_path / "x.out"
+    rc = main([command, "--protocol", "sarg04", "--alpha-grid-points", "1", "--out", str(out)])
+    assert rc == 2
+    assert "alpha_grid_points at least 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_cli_lines_parse():
+    # a renamed or removed flag fails here before a reader runs the README's examples
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("qkdattack ")]
+    assert [argv[1] for argv in lines] == ["curve", "threshold", "attack", "simulate"]
+    for argv in lines:
+        assert cli._build_parser().parse_args(argv[1:]).command == argv[1]
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "1e-5", "inf", "0.3"])

@@ -61,6 +61,10 @@ def test_config_validation():
         OptimizerConfig(seed=-1)
     with pytest.raises(ValueError, match="alpha_refine_iters must be non-negative"):
         OptimizerConfig(alpha_refine_iters=-1)
+    # a one-point grid has no cell to refine, so its search would stop at alpha_lo
+    with pytest.raises(ValueError, match="alpha_grid_points at least 2"):
+        OptimizerConfig(alpha_grid_points=1)
+    assert OptimizerConfig(alpha_grid_points=2).alpha_grid_points == 2
     assert OptimizerConfig(seed=0, alpha_refine_iters=0).alpha_refine_iters == 0
     cfg = OptimizerConfig()
     assert cfg.restarts == 32 and cfg.alpha_grid_points == 41
@@ -400,25 +404,41 @@ def test_grid_batching_changes_no_result(proto, light_config, monkeypatch):
     assert np.array_equal(batched.best_povm.elements, single.best_povm.elements)
 
 
-@pytest.mark.parametrize(
-    ("proto", "most"), [pytest.param(p, most, id=p.name) for p, most in ((BB84, 19), (SARG04, 19), (SIX_STATE, 1))]
-)
-def test_golden_section_evaluates_each_alpha_once(proto, most, monkeypatch):
-    # grid 15 plus 3 refinement steps: the first step evaluates its pair, each
-    # later step carries one interior point and evaluates one new alpha;
-    # six-state's point interval runs one ascent of one alpha
-    seen = []
+@pytest.mark.parametrize("proto", [BB84, SARG04, SIX_STATE], ids=lambda p: p.name)
+def test_golden_section_evaluates_each_alpha_once(proto, monkeypatch):
+    # the grid plus 3 refinement steps: the first step evaluates its pair,
+    # each later step carries one interior point and evaluates one new alpha;
+    # six-state's point interval runs one ascent of one alpha.  Every alpha
+    # lies in the interval, and every refinement alpha in the grid cells
+    # beside the best grid point, so the search needs no clamp
+    seen, values = [], []
+    real_ascend = op._ascend
 
     def recording(protocol, q, alpha):
         seen.append(alpha)
         return purified_state(protocol, q, alpha)
 
+    def recording_ascend(states, n_outcomes, config):
+        results = real_ascend(states, n_outcomes, config)
+        values.extend(-np.inf if r is None else r[1] for r in results)
+        return results
+
     monkeypatch.setattr(op, "purified_state", recording)
-    cfg = OptimizerConfig(restarts=2, max_iters=100, alpha_grid_points=15, alpha_refine_iters=3)
-    optimize_attack(proto, 0.1, cfg)
-    alphas = np.sort(seen)
-    assert 1 <= len(alphas) <= most
-    assert np.all(np.diff(alphas) > 1e-12)
+    monkeypatch.setattr(op, "_ascend", recording_ascend)
+    lo, hi = alpha_range(proto, 0.1)
+    for grid in (2, 15):
+        seen.clear()
+        values.clear()
+        cfg = OptimizerConfig(restarts=2, max_iters=100, alpha_grid_points=grid, alpha_refine_iters=3)
+        optimize_attack(proto, 0.1, cfg)
+        assert 1 <= len(seen) <= (1 if lo == hi else grid + 4)
+        assert np.all(np.diff(np.sort(seen)) > 1e-12)
+        assert all(lo <= a <= hi for a in seen)
+        points = list(dict.fromkeys(np.linspace(lo, hi, grid).tolist()))
+        assert seen[: len(points)] == points
+        best = int(np.argmax(values[: len(points)]))
+        cell = points[max(best - 1, 0)], points[min(best + 1, len(points) - 1)]
+        assert all(cell[0] <= a <= cell[1] for a in seen[len(points) :])
 
 
 def _alone_and_shared(monkeypatch, run):
