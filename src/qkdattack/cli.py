@@ -89,7 +89,11 @@ def _threshold(protocol: Protocol, config: OptimizerConfig, tolerance: float) ->
 
 
 def _attack(protocol: Protocol, config: OptimizerConfig, q: float) -> dict:
-    """The optimized attack at one error rate, POVM included; an attack neither robust nor converged fails."""
+    """The optimized attack at one error rate, POVM included; an attack neither robust nor converged fails.
+
+    ``alpha_slope`` is the [min, max] of dI/dalpha at best_alpha (null where
+    no difference is usable), and ``alpha_stop`` what ended the alpha search.
+    """
     result = optimize_attack(protocol, q, config)
     if not result.robust and not result.converged:
         raise NumericalFailure(
@@ -102,6 +106,8 @@ def _attack(protocol: Protocol, config: OptimizerConfig, q: float) -> dict:
         "i_ab": point.i_ab,
         "rate": point.rate,
         "best_alpha": result.best_alpha,
+        "alpha_slope": result.alpha_slope,
+        "alpha_stop": result.alpha_stop,
         "restarts_agreeing": result.restarts_agreeing,
         "converged": result.converged,
         "robust": result.robust,

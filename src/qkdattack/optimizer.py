@@ -24,11 +24,10 @@ symmetric rho, Re M_k is again a POVM with the same p(k | key, side), so the
 best real POVM is as good as any complex one.
 
 Restarts advance in lockstep through stacked (rows, n_outcomes, d, d) arrays,
-and so do the restarts of several source weights alpha: optimize_attack hands
-the alphas it already knows it needs (the grid, then the first golden-section
-pair) to one ascent, where the restarts of each alpha form a row group with
-its own conditional-state stack, and every row carries its own copy of that
-stack.  The step kernels (batched per-row matmuls for the probabilities and
+and so do the restarts of several source weights alpha: optimize_attack
+hands its grid of alphas to one ascent, where the restarts of each alpha form
+a row group with its own conditional-state stack, and every row carries its
+own copy of that stack.  The step kernels (batched per-row matmuls for the probabilities and
 the gradient, stacked matmuls and eigh for the retraction) compute every row
 independently of the others, so each restart's trajectory depends only on
 its own start and its own alpha.
@@ -48,12 +47,15 @@ An ascent drops alphas that cannot win: a row's value only rises, so an
 alpha whose Holevo bound (holevo_chi) + 1e-9 falls below the best value in
 its batch retires its rows and is left out of the results, which keep their
 bits.  A retired alpha's value lies below that of another alpha in the same
-ascent, so neither the grid argmax nor a golden-section comparison changes,
-and an ascent of one alpha never retires it.
+ascent, so the grid argmax does not change, and an ascent of one alpha never
+retires it.
 
-info_slope, the slope dI_AE/dq that keyrate's threshold search steers by,
-runs the same kernels at the reported POVM, so only this module knows their
-state-row layout.
+The envelope theorem turns the optimized value's slopes into fixed-POVM
+differences through the same kernels (_fixed_povm_info): in alpha, over an
+alpha's agreeing restarts, for the search's certificate and secant
+(_alpha_slope), and in q, at the reported POVM, for info_slope, the slope
+dI_AE/dq that keyrate's threshold search steers by.  So only this module
+knows the kernels' state-row layout.
 """
 
 from __future__ import annotations
@@ -81,7 +83,12 @@ _AGREE_TOL = 1e-6
 # per row (one CPU), so a smaller shard would spend most of its time on the
 # fixed part
 _MIN_SHARD_ROWS = 16
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# steps of the fixed-POVM alpha difference: the first inside the interval, both at a bound
+_ALPHA_STEPS = (1e-6, 1e-8)
+# a one-sided slope whose size grows by more than this from the first step to
+# the second is singular: a square-root term grows tenfold, and the logarithm
+# of a vanishing probability about 1.3-fold (bb84 at q = 0.25)
+_SLOPE_GROWTH = 2.0
 
 
 @dataclass(frozen=True)
@@ -112,6 +119,11 @@ class AttackResult:
     converged: bool
     # a quarter of the restarts at the best value; always true at 4 restarts or fewer (the best alone)
     robust: bool
+    # [min, max] of dI/dalpha over the agreeing restarts' POVMs at best_alpha: its left and right
+    # slopes; None at a point interval, or at a bound where the difference is singular
+    alpha_slope: tuple[float, float] | None
+    # what ended the alpha search: "bound" or "stationary" (a certified alpha), or "budget"
+    alpha_stop: str
 
 
 def _lam(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
@@ -363,8 +375,11 @@ def _run_shard(
 
 def _ascend(
     states: list[PurifiedState], n_outcomes: int, config: OptimizerConfig
-) -> list[tuple[np.ndarray, float, int, bool] | None]:
-    """(best POVM, its value, agreeing restarts, converged) at each state, or None where retired.
+) -> list[tuple[np.ndarray, float, bool] | None]:
+    """(agreeing POVMs, best value, best converged) at each state, or None where retired.
+
+    The agreeing POVMs (agreeing, k, d, d) are those of the restarts within
+    _AGREE_TOL of the best value, the best restart's first.
 
     Every state gets the same config.restarts seeded starts, as one row
     group per state; restart r of state i is row r * len(states) + i.  This
@@ -401,31 +416,100 @@ def _ascend(
             results.append(None)
             continue
         f_group = f[i::n_states]
-        best = int(np.argmax(f_group)) * n_states + i
-        f_best = float(f[best])
-        agreeing = int(np.count_nonzero(f_group >= f_best - _AGREE_TOL))
-        results.append((m[best], max(f_best, 0.0), agreeing, bool(converged[best])))
+        best = int(np.argmax(f_group))
+        agree = np.flatnonzero(f_group >= f_group[best] - _AGREE_TOL)
+        povms = m[i::n_states][np.concatenate(([best], agree[agree != best]))]
+        results.append((povms, max(float(f_group[best]), 0.0), bool(converged[best * n_states + i])))
     return results
+
+
+def _fixed_povm_info(m: np.ndarray, states: list[PurifiedState]) -> np.ndarray:
+    """I(Key : K, Side) of each POVM in m (r, k, d, d), held fixed, at each state: an (r, len(states)) table.
+
+    One _probs and one _objective call over every (POVM, state) pair.
+    """
+    rho = np.stack([_conditional_stack(ps) for ps in states])
+    rows = np.tile(rho.reshape(*rho.shape[:3], -1), (len(m), 1, 1, 1))
+    f, _ = _objective(_probs(np.repeat(m, len(states), axis=0), rows))
+    return f.reshape(len(m), len(states))
+
+
+def _alpha_slope(protocol: Protocol, q: float, alpha: float, povms: np.ndarray) -> tuple[float, float] | None:
+    """[min, max] over ``povms`` of dI/dalpha with the POVM held fixed, or None where unusable.
+
+    Over the POVMs of an alpha's agreeing restarts these are, by the
+    envelope theorem (Danskin, 1967), its left and right slopes of the
+    optimal value.  The difference is central at _ALPHA_STEPS[0] inside the
+    interval and one-sided at a bound.  Every bound is a point where a Bell
+    weight vanishes, and its square root can make the slope singular there,
+    so at a bound the slopes are read at both steps, and one that grows by
+    more than _SLOPE_GROWTH as the step shrinks makes the interval unusable.
+    """
+    lo, hi = alpha_range(protocol, q)
+    steps = _ALPHA_STEPS if alpha in (lo, hi) else _ALPHA_STEPS[:1]
+    stencil = [(max(alpha - h, lo), min(alpha + h, hi)) for h in steps]
+    f = _fixed_povm_info(povms, [purified_state(protocol, q, a) for ends in stencil for a in ends])
+    coarse, *fine = ((f[:, 2 * i + 1] - f[:, 2 * i]) / (b - a) for i, (a, b) in enumerate(stencil))
+    if any(np.any(np.abs(s) > _SLOPE_GROWTH * np.abs(coarse)) for s in fine):
+        return None
+    return float(coarse.min()), float(coarse.max())
+
+
+def _rising_side(s: tuple[float, float] | None, alpha: float, lo: float, hi: float) -> int:
+    """+1 or -1 where the value rises right or left of alpha in [lo, hi], 0 where its slope interval s certifies alpha.
+
+    It rises to the right only if max(s) > 0 and to the left only if
+    min(s) < 0; an interval that allows neither side, or both (it straddles
+    0), certifies alpha.  An unusable interval, which only a bound gives,
+    points into the interval.
+    """
+    if s is None:
+        return 1 if alpha == lo else -1
+    up, down = s[1] > 0.0 and alpha < hi, s[0] < 0.0 and alpha > lo
+    return 0 if up == down else 1 if up else -1
+
+
+def _secant_probe(a: float, b: float, slopes: dict[float, float]) -> float:
+    """The next alpha strictly inside the bracket (a, b), steered by ``slopes`` (alpha: slope, newest last).
+
+    The secant root of the two newest slopes; else, where both ends carry a
+    slope of the bracket's sign change, regula falsi on the ends; else the
+    midpoint.  So every alpha lies in the bracket by construction.
+    """
+    if len(slopes) >= 2:
+        (x1, g1), (x2, g2) = list(slopes.items())[-2:]
+        if g1 != g2 and a < (c := x2 - g2 * (x2 - x1) / (g2 - g1)) < b:
+            return c
+    ga, gb = slopes.get(a, 0.0), slopes.get(b, 0.0)
+    if ga > 0.0 > gb and a < (c := a + (b - a) * ga / (ga - gb)) < b:
+        return c
+    return 0.5 * (a + b)
 
 
 def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> AttackResult:
     """Maximize the adversary's information jointly over the source weight alpha and the POVM.
 
-    A grid of at least two alphas over the admissible interval, then
-    golden-section refinement in the grid cells beside the best one, so every
-    alpha lies in the interval by construction (states raises on any other);
-    the POVM is re-optimized from the seeded starts at every alpha.  The grid
-    shares one ascent, sharded over the available CPUs, then the first
-    golden-section pair shares one.  Each later step carries the surviving
-    interior point and its value, so alpha_refine_iters steps cost at most
-    alpha_refine_iters + 1 evaluations, and a repeated alpha costs none:
-    six-state's point interval runs one ascent.  Grouping and sharding change
-    no result: every restart's trajectory depends only on its own start and
+    A grid of at least two alphas over the admissible interval shares one
+    ascent, sharded over the available CPUs; the POVM is re-optimized from
+    the seeded starts at every alpha.  At the best grid point the slope
+    interval of the value in alpha (_alpha_slope) says on which side it
+    rises (_rising_side).  Where it certifies alpha, as ``"bound"`` at an
+    interval end or ``"stationary"`` inside, no ascent follows: bb84
+    certifies alpha_lo.  Otherwise a secant on the slope refines inside the
+    grid cell on the rising side (_secant_probe), one single-alpha ascent
+    per step, until a slope interval certifies its alpha (``"stationary"``)
+    or alpha_refine_iters steps are spent (``"budget"``).  A bound whose
+    slope is unusable, or a neighbour that retired in the grid, is an end
+    without a slope.  So every alpha lies in the interval by construction
+    (states raises on any other), and a search evaluates at most the grid
+    plus alpha_refine_iters alphas.  Grouping and sharding change no
+    result: every restart's trajectory depends only on its own start and
     alpha, and an ascent retires only alphas that cannot hold the maximum.
     """
     lo, hi = alpha_range(protocol, q)
     n_out = protocol.povm_outcomes
-    cache: dict[float, tuple[np.ndarray, float, int, bool]] = {}
+    cache: dict[float, tuple[np.ndarray, float, bool]] = {}
+    slopes: dict[float, tuple[float, float] | None] = {}
 
     def evaluate(alphas: list[float]) -> list[float]:
         new = [a for a in dict.fromkeys(alphas) if a not in cache]
@@ -435,33 +519,46 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
             cache.update((a, r) for a, r in zip(new, results) if r is not None)
         return [cache[a][1] if a in cache else -math.inf for a in alphas]
 
+    def slope(alpha: float) -> tuple[float, float] | None:
+        if alpha not in slopes:
+            slopes[alpha] = None if lo == hi else _alpha_slope(protocol, q, alpha, cache[alpha][0])
+        return slopes[alpha]
+
     grid = np.linspace(lo, hi, config.alpha_grid_points).tolist()
     best_i = int(np.argmax(evaluate(grid)))
-    a_lo = grid[max(best_i - 1, 0)]
-    a_hi = grid[min(best_i + 1, len(grid) - 1)]
-    x1 = x2 = None
-    for _ in range(config.alpha_refine_iters):
-        if x1 is None:
-            x1 = a_hi - _INVPHI * (a_hi - a_lo)
-        if x2 is None:
-            x2 = a_lo + _INVPHI * (a_hi - a_lo)
-        f1, f2 = evaluate([x1, x2])
-        if f1 >= f2:
-            a_hi, x1, x2 = x2, None, x1
-        else:
-            a_lo, x1, x2 = x1, x2, None
+    x = grid[best_i]
+    # a point interval has no side to refine
+    side = 0 if lo == hi else _rising_side(slope(x), x, lo, hi)
+    stop = "bound" if x in (lo, hi) else "stationary"
+    if side:
+        stop = "budget"
+        neighbour = grid[best_i + side]
+        a, b = sorted((x, neighbour))
+        # the usable slopes' interval midpoints, newest last
+        steer = {c: 0.5 * sum(slope(c)) for c in (neighbour, x) if c in cache and slope(c) is not None}
+        for _ in range(config.alpha_refine_iters):
+            c = _secant_probe(a, b, steer)
+            evaluate([c])
+            rise = _rising_side(slope(c), c, lo, hi)
+            if not rise:
+                stop = "stationary"
+                break
+            a, b = (c, b) if rise > 0 else (a, c)
+            steer[c] = 0.5 * sum(slope(c))
 
     best_alpha = max(cache, key=lambda a: cache[a][1])
-    m, f, agreeing, converged = cache[best_alpha]
+    povms, f, converged = cache[best_alpha]
     return AttackResult(
         q=q,
         protocol=protocol,
         i_ae=f,
         best_alpha=best_alpha,
-        best_povm=Povm(m),
-        restarts_agreeing=agreeing,
+        best_povm=Povm(povms[0]),
+        restarts_agreeing=len(povms),
         converged=converged,
-        robust=4 * agreeing >= config.restarts,
+        robust=4 * len(povms) >= config.restarts,
+        alpha_slope=slope(best_alpha),
+        alpha_stop=stop,
     )
 
 
@@ -470,16 +567,18 @@ def info_slope(result: AttackResult) -> float:
 
     At the optimum, I_AE moves with q as I does with the attack's POVM held
     fixed: a central difference at q +/- 1e-6 through the step kernels,
-    alpha held at an interior best_alpha or following its bound.
+    alpha held at an interior best_alpha or following its bound.  Holding
+    an interior alpha is exact only where dI/dalpha is 0; the search ends
+    there when it reports ``"stationary"``, and ``alpha_slope`` bounds the
+    slope that holding it ignores otherwise.
     """
     protocol, q, alpha = result.protocol, result.q, result.best_alpha
     lo, hi = alpha_range(protocol, q)
-    m = result.best_povm.elements.real[None]
 
-    def info(q_side: float) -> float:
+    def state(q_side: float) -> PurifiedState:
         lo_side, hi_side = alpha_range(protocol, q_side)
         a = lo_side if alpha <= lo else hi_side if alpha >= hi else min(max(alpha, lo_side), hi_side)
-        rho = _conditional_stack(purified_state(protocol, q_side, a))
-        return float(_objective(_probs(m, rho.reshape(1, *rho.shape[:2], -1)))[0][0])
+        return purified_state(protocol, q_side, a)
 
-    return (info(q + 1e-6) - info(q - 1e-6)) / 2e-6
+    up, down = _fixed_povm_info(result.best_povm.elements.real[None], [state(q + 1e-6), state(q - 1e-6)])[0]
+    return (float(up) - float(down)) / 2e-6

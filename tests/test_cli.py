@@ -102,6 +102,19 @@ def test_attack_matches_closed_form(tmp_path):
     assert abs(report["i_ae"] - bb84_closed_form_iae(0.1)) <= 1e-4
     assert report["robust"] is True
     assert report["manifest"]["params"] == {"q": 0.1}
+    # bb84's value falls away from alpha_lo, and the slope interval certifies that bound
+    assert report["best_alpha"] == 0.8 and report["alpha_stop"] == "bound"
+    assert len(report["alpha_slope"]) == 2 and max(report["alpha_slope"]) < 0
+
+
+def test_attack_reports_how_the_alpha_search_ended(tmp_path):
+    # sarg04's optimum is interior: the secant ends on its budget or at a slope interval around 0
+    out = tmp_path / "attack.json"
+    assert main(["attack", "--protocol", "sarg04", "--q", "0.1", "--out", str(out)] + LIGHT) == 0
+    report = _load(out)
+    low, high = report["alpha_slope"]
+    assert low <= high
+    assert report["alpha_stop"] == ("stationary" if low <= 0 <= high else "budget")
 
 
 def test_attack_rejects_bad_q(tmp_path):
@@ -249,6 +262,7 @@ def _result(protocol, q, trusted):
     return AttackResult(
         q=q, protocol=protocol, i_ae=0.0, best_alpha=1.0, best_povm=random_povm(4, 4, 0),
         restarts_agreeing=8 if trusted else 1, converged=trusted, robust=trusted,
+        alpha_slope=None, alpha_stop="bound",
     )
 
 

@@ -17,8 +17,8 @@ from qkdattack.states import BB84, SARG04, SIX_STATE, alpha_range, purified_stat
 
 def _optimize_povm(ps, n_outcomes, config):
     """(best POVM elements, value) of config.restarts ascents at one state."""
-    m, f, _, _ = op._ascend([ps], n_outcomes, config)[0]
-    return m, f
+    povms, f, _ = op._ascend([ps], n_outcomes, config)[0]
+    return povms[0], f
 
 
 def _state_rows(rho_xt, group):
@@ -404,41 +404,95 @@ def test_grid_batching_changes_no_result(proto, light_config, monkeypatch):
     assert np.array_equal(batched.best_povm.elements, single.best_povm.elements)
 
 
-@pytest.mark.parametrize("proto", [BB84, SARG04, SIX_STATE], ids=lambda p: p.name)
-def test_golden_section_evaluates_each_alpha_once(proto, monkeypatch):
-    # the grid plus 3 refinement steps: the first step evaluates its pair,
-    # each later step carries one interior point and evaluates one new alpha;
-    # six-state's point interval runs one ascent of one alpha.  Every alpha
-    # lies in the interval, and every refinement alpha in the grid cells
-    # beside the best grid point, so the search needs no clamp
-    seen, values = [], []
-    real_ascend = op._ascend
+def _recording_alphas(monkeypatch):
+    """Record the alphas of every state the search builds, and the (alphas, values) of each ascent.
 
-    def recording(protocol, q, alpha):
-        seen.append(alpha)
-        return purified_state(protocol, q, alpha)
+    Returns (asked, ascents): every alpha passed to purified_state, ascent
+    and slope stencil alike, and per ascent its alphas and values, -inf
+    where retired.
+    """
+    asked, ascents, alpha_of = [], [], {}
+    build, ascend = op.purified_state, op._ascend
 
-    def recording_ascend(states, n_outcomes, config):
-        results = real_ascend(states, n_outcomes, config)
-        values.extend(-np.inf if r is None else r[1] for r in results)
+    def building(protocol, q, alpha):
+        ps = build(protocol, q, alpha)
+        asked.append(alpha)
+        alpha_of[id(ps)] = alpha
+        return ps
+
+    def ascending(states, *args):
+        results = ascend(states, *args)
+        ascents.append(([alpha_of[id(ps)] for ps in states], [-np.inf if r is None else r[1] for r in results]))
         return results
 
-    monkeypatch.setattr(op, "purified_state", recording)
-    monkeypatch.setattr(op, "_ascend", recording_ascend)
+    monkeypatch.setattr(op, "purified_state", building)
+    monkeypatch.setattr(op, "_ascend", ascending)
+    return asked, ascents
+
+
+@pytest.mark.parametrize("proto", [BB84, SARG04, SIX_STATE], ids=lambda p: p.name)
+def test_secant_evaluates_each_alpha_once(proto, monkeypatch):
+    # the grid shares one ascent, then each secant step runs one ascent of a
+    # new alpha, at most alpha_refine_iters of them; six-state's point
+    # interval runs one ascent of one alpha.  Every alpha the search asks
+    # for, slope stencils included, lies in the interval, and every
+    # refinement alpha strictly inside a grid cell beside the best grid
+    # point, so the search needs no clamp
+    asked, ascents = _recording_alphas(monkeypatch)
     lo, hi = alpha_range(proto, 0.1)
-    for grid in (2, 15):
-        seen.clear()
-        values.clear()
+    for grid in (2, 3, 15):
+        asked.clear()
+        ascents.clear()
         cfg = OptimizerConfig(restarts=2, max_iters=100, alpha_grid_points=grid, alpha_refine_iters=3)
-        optimize_attack(proto, 0.1, cfg)
-        assert 1 <= len(seen) <= (1 if lo == hi else grid + 4)
-        assert np.all(np.diff(np.sort(seen)) > 1e-12)
-        assert all(lo <= a <= hi for a in seen)
+        result = optimize_attack(proto, 0.1, cfg)
+        assert all(lo <= a <= hi for a in asked)
         points = list(dict.fromkeys(np.linspace(lo, hi, grid).tolist()))
-        assert seen[: len(points)] == points
-        best = int(np.argmax(values[: len(points)]))
+        (first, values), *steps = ascents
+        assert first == points
+        refined = [alphas[0] for alphas, _ in steps]
+        assert all(len(alphas) == 1 for alphas, _ in steps)
+        assert len(refined) <= cfg.alpha_refine_iters
+        assert len(set(points + refined)) == len(points) + len(refined)
+        best = int(np.argmax(values))
         cell = points[max(best - 1, 0)], points[min(best + 1, len(points) - 1)]
-        assert all(cell[0] <= a <= cell[1] for a in seen[len(points) :])
+        assert all(cell[0] < a < cell[1] for a in refined)
+        assert result.alpha_stop in ("bound", "stationary", "budget")
+        if lo == hi:
+            assert ascents == [([lo], values)]
+            assert (result.alpha_stop, result.alpha_slope) == ("bound", None)
+
+
+def test_bb84_certifies_alpha_lo_in_one_ascent(light_config, monkeypatch):
+    # bb84's value falls away from alpha_lo, with slopes near -2.7 at both
+    # steps, so the grid's ascent is the only one
+    calls = _recording_ascend(monkeypatch)
+    result = optimize_attack(BB84, 0.1, light_config)
+    assert calls == [(light_config.alpha_grid_points, calls[0][1])]
+    assert result.best_alpha == alpha_range(BB84, 0.1)[0]
+    assert result.alpha_stop == "bound"
+    assert -3.0 < result.alpha_slope[0] <= result.alpha_slope[1] < -2.5
+
+
+def test_singular_slope_at_a_bound_certifies_nothing():
+    # sarg04 at q = 0.10 on a grid of 3: the best grid point is alpha_lo,
+    # where a Bell weight vanishes.  I* rises into the interval like
+    # sqrt(alpha - alpha_lo), but the fixed-POVM slope of the best restart
+    # points out of it, ten times as steeply at a hundredth of the step;
+    # other agreeing restarts point in.  Certifying alpha_lo by that slope
+    # would report its value, 0.18288; the secant reaches 0.19932
+    cfg = OptimizerConfig(restarts=8, alpha_grid_points=3, alpha_refine_iters=3)
+    lo, _ = alpha_range(SARG04, 0.1)
+    povms = op._ascend([purified_state(SARG04, 0.1, lo)], 4, cfg)[0][0]
+    f = op._fixed_povm_info(povms, [purified_state(SARG04, 0.1, a) for a in (lo, lo + 1e-6, lo + 1e-8)])
+    coarse, fine = (f[:, 1] - f[:, 0]) / 1e-6, (f[:, 2] - f[:, 0]) / 1e-8
+    assert fine[0] < 5 * coarse[0] < 0
+    assert coarse.min() < 0 < coarse.max()
+    assert op._alpha_slope(SARG04, 0.1, lo, povms) is None
+    assert op._alpha_slope(SARG04, 0.1, lo, povms[:1]) is None
+    result = optimize_attack(SARG04, 0.1, cfg)
+    assert result.best_alpha > lo
+    assert result.alpha_stop != "bound"
+    assert result.i_ae > 0.199
 
 
 def _alone_and_shared(monkeypatch, run):
@@ -501,8 +555,9 @@ def test_group_straddling_a_shard_boundary(monkeypatch):
     states = [purified_state(SARG04, 0.1, a) for a in (lo, (lo + hi) / 2, hi)]
     assert op._shards(36, 2) == [(0, 18), (18, 36)]
     alone, shared = _alone_and_shared(monkeypatch, lambda: op._ascend(states, 4, cfg))
-    for (m_a, f_a, agree_a, conv_a), (m_s, f_s, agree_s, conv_s) in zip(alone, shared):
-        assert (f_s, agree_s, conv_s) == (f_a, agree_a, conv_a)
+    for (m_a, f_a, conv_a), (m_s, f_s, conv_s) in zip(alone, shared):
+        assert (f_s, conv_s) == (f_a, conv_a)
+        # the agreeing restarts' POVMs, in the same order
         assert np.array_equal(m_s, m_a)
 
 
@@ -527,14 +582,14 @@ def _recording_ascend(monkeypatch):
 @pytest.mark.parametrize("proto", [BB84, SIX_STATE, SARG04], ids=lambda p: p.name)
 def test_holevo_bounds_every_searched_value(proto, light_config, monkeypatch):
     # Holevo's bound, averaged over side values, caps the value of every
-    # restart at every alpha the search visits, grid and golden section
+    # restart at every alpha the search visits, grid and secant
     ascend, gaps = op._ascend, []
     _unpruned(monkeypatch)
 
     def checking(states, *args):
         results = ascend(states, *args)
         chi = holevo_chi(np.stack([op._conditional_stack(ps) for ps in states]))
-        gaps.extend(f - c for (_, f, _, _), c in zip(results, chi))
+        gaps.extend(f - c for (_, f, _), c in zip(results, chi))
         return results
 
     monkeypatch.setattr(op, "_ascend", checking)
@@ -582,22 +637,29 @@ def test_retired_rows_leave_the_other_rows_unchanged():
     assert (pruned.f[~kept] <= full.f[~kept]).all()
 
 
-def test_golden_section_never_reuses_a_retired_alpha(light_config, monkeypatch):
-    # with _INVPHI = 1 the first golden-section pair is bb84's best grid
-    # point, alpha_lo, and its neighbour; that neighbour's bound is set below
-    # every value, so it retires in the grid ascent and must be run again, in
-    # full, to give the same result as the unpruned search
-    monkeypatch.setattr(op, "_INVPHI", 1.0)
+def test_secant_never_reads_a_retired_neighbour(monkeypatch):
+    # sarg04's best grid point at q = 0.10 is interior, and the first secant
+    # step is regula falsi on its slope and that of the neighbour on the
+    # rising side.  Retired in the grid ascent, that neighbour is an end
+    # without a slope: the first step is the cell's midpoint, and the
+    # neighbour is never read from the cache or run again
+    cfg = OptimizerConfig(restarts=8, alpha_grid_points=15, alpha_refine_iters=2)
     _unpruned(monkeypatch)
-    reference = optimize_attack(BB84, 0.1, light_config)
-    monkeypatch.setattr(op, "holevo_chi", lambda rho: np.where(np.arange(len(rho)) == 1, -1.0, np.inf))
-    calls = _recording_ascend(monkeypatch)
-    result = optimize_attack(BB84, 0.1, light_config)
-    assert calls[0] == (light_config.alpha_grid_points, [1])
-    assert calls[1] == (1, [])
-    for field in ("i_ae", "best_alpha", "restarts_agreeing", "converged", "robust"):
-        assert getattr(result, field) == getattr(reference, field), field
-    assert np.array_equal(result.best_povm.elements, reference.best_povm.elements)
+    _, ascents = _recording_alphas(monkeypatch)
+    optimize_attack(SARG04, 0.1, cfg)
+    (grid, values), ([first], _), *_ = ascents
+    best = int(np.argmax(values))
+    k = best + (1 if first > grid[best] else -1)
+    assert 0 < best < len(grid) - 1 and first != 0.5 * (grid[best] + grid[k])
+    ascents.clear()
+    monkeypatch.setattr(
+        op, "holevo_chi", lambda rho: np.where((len(rho) == len(grid)) & (np.arange(len(rho)) == k), -1.0, np.inf)
+    )
+    result = optimize_attack(SARG04, 0.1, cfg)
+    assert ascents[0][1][k] == -np.inf
+    assert ascents[1][0] == [0.5 * (grid[best] + grid[k])]
+    assert all(grid[k] not in alphas for alphas, _ in ascents[1:])
+    assert result.best_alpha != grid[k]
 
 
 def test_sharded_ascent_leaves_no_worker(monkeypatch):
