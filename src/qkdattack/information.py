@@ -147,11 +147,11 @@ def plugin_mutual_info(table: np.ndarray) -> float:
     return math.fsum(p[mask] * np.log2(p[mask] / (pa * pb)[mask]))
 
 
-def mutual_info_ae(cd: ConditionalDistribution, key_on_basis: bool = False) -> float:
+def mutual_info_ae(cd: ConditionalDistribution, key_on_basis: bool) -> float:
     """Adversary's information per sifted bit, I(Key : K, Side).
 
-    I(X : K, Theta) by default; I(Theta : K, X) when the key bit is the
-    basis choice (``key_on_basis``).  Entries of p(k | x, theta) at or below
+    I(X : K, Theta) for a bit-keyed protocol; I(Theta : K, X) when the key
+    bit is the basis choice (``key_on_basis``).  Entries of p(k | x, theta) at or below
     TOL.probability_floor are rounding noise of the trace and count as zero,
     as in lambda_fn.
     """

@@ -25,30 +25,31 @@ best real POVM is as good as any complex one.
 
 Restarts advance in lockstep through stacked (rows, n_outcomes, d, d) arrays,
 and so do the restarts of several source weights alpha: optimize_attack
-hands its grid of alphas to one ascent, where the restarts of each alpha form
-a row group with its own conditional-state stack, and every row carries its
-own copy of that stack.  The step kernels (batched per-row matmuls for the probabilities and
-the gradient, stacked matmuls and eigh for the retraction) compute every row
-independently of the others, so each restart's trajectory depends only on
-its own start and its own alpha.
+hands its grid of alphas to one ascent.  Every row carries its own
+conditional states and its own upper bound on their value, so a batch knows
+nothing of alphas.  The step kernels (batched per-row matmuls for the
+probabilities and the gradient, stacked matmuls and eigh for the retraction)
+compute every row independently of the others, so each restart's trajectory
+depends only on its own start and its own states.
 
-That independence lets one ascent split its rows over processes.  The rows
-are laid out alpha-fastest, so that every shard holds every alpha and its
-best value rises like the whole batch's, and cut into one contiguous shard
-per process used: one process per CPU in the process's affinity mask, but
-only as many as leave every shard _MIN_SHARD_ROWS rows.  The calling process
-steps the first shard as one lockstep batch while a forked pool, opened for
-this ascent only, steps the others; best value, restart agreement and
-convergence are then reduced per group over the reassembled rows.  Results
+That independence lets one ascent split its rows over processes.  _ascend
+lays the rows out restart-major, alpha-fastest, so that every shard holds
+every alpha and its best value rises like the whole batch's, and cuts them
+into one contiguous shard per process used: one process per CPU in the
+process's affinity mask, but only as many as leave every shard
+_MIN_SHARD_ROWS rows.  The calling process steps the first shard as one
+lockstep batch while a forked pool, opened for this ascent only, steps the
+others; _ascend then reshapes the reassembled rows to (restart, alpha) and
+reduces best value, restart agreement and convergence per alpha.  Results
 are therefore the same bits for any CPU count, and a one-CPU mask
 (``taskset -c 0``) runs everything in the calling process.
 
-An ascent drops alphas that cannot win: a row's value only rises, so an
-alpha whose Holevo bound (holevo_chi) + 1e-9 falls below the best value in
-its batch retires its rows and is left out of the results, which keep their
-bits.  A retired alpha's value lies below that of another alpha in the same
-ascent, so the grid argmax does not change, and an ascent of one alpha never
-retires it.
+An ascent drops alphas that cannot win: a row's value only rises, so a row
+whose Holevo bound (holevo_chi) + 1e-9 falls below the best value in its
+batch retires, and an alpha with a retired row is left out of the results,
+which keep their bits.  A retired alpha's value lies below that of another
+alpha in the same ascent, so the grid argmax does not change, and an ascent
+of one alpha never retires it.
 
 The envelope theorem turns the optimized value's slopes into fixed-POVM
 differences through the same kernels (_fixed_povm_info): in alpha, over an
@@ -221,22 +222,21 @@ def _gradient(w: np.ndarray, rho_rows: np.ndarray) -> np.ndarray:
 class _Batch:
     """Lockstep state of several independent local searches.
 
-    ``group[i]`` picks row i's conditional-state stack from ``rho_xt``, and
-    each row carries its own copy of that stack's state rows, so groups need
-    not be contiguous.  A step works on dense arrays of the rows still
-    running, the live rows: their accepted factors, the gradient weights and
-    value at those factors, velocities, step sizes, stall counts and state
-    rows.  These are compacted only on a step where rows finish or retire; a
-    finished or retired row's factors and value are kept in full-length
-    arrays.  ``f``, ``m`` and ``row_iters`` give every row in the batch's
-    order, like ``active``, ``converged`` and ``retired``.  Given an upper
-    ``bound`` on each stack's value, a live row retires, neither active nor
-    converged, once its stack's bound + 1e-9 falls below the best value in
-    the batch.
+    Row i ascends from ``factors[i]`` on its own state rows ``rho_rows[i]``
+    (key, side, d^2): its conditional states, each matrix flattened.  A step
+    works on dense arrays of the rows still running, the live rows: their
+    accepted factors, the gradient weights and value at those factors,
+    velocities, step sizes, stall counts and state rows.  These are
+    compacted only on a step where rows finish or retire; a finished or
+    retired row's factors and value are kept in full-length arrays.  ``f``,
+    ``m`` and ``row_iters`` give every row in the batch's order, like
+    ``active``, ``converged`` and ``retired``.  Given an upper ``bound`` on
+    each row's value, a live row retires, neither active nor converged, once
+    its bound + 1e-9 falls below the best value in the batch.
     """
 
-    def __init__(self, factors: np.ndarray, rho_xt: np.ndarray, group: np.ndarray, bound: np.ndarray):
-        self._rho = rho_xt.reshape(*rho_xt.shape[:3], -1)[group]
+    def __init__(self, factors: np.ndarray, rho_rows: np.ndarray, bound: np.ndarray):
+        self._rho = rho_rows
         self._a, m = _renormalize(factors)
         self._f, self._w = _objective(_probs(m, self._rho))
         n = factors.shape[0]
@@ -244,7 +244,7 @@ class _Batch:
         self._v = np.zeros_like(self._a)
         self._step = np.full(n, _INIT_STEP)
         self._stall = np.zeros(n, dtype=int)
-        self._bound = bound[group] + 1e-9
+        self._bound = bound + 1e-9
         self._best = -np.inf
         self._done_a = np.empty_like(self._a)
         self._done_f = np.empty(n)
@@ -365,10 +365,10 @@ def _shards(rows: int, processes: int) -> list[tuple[int, int]]:
 
 
 def _run_shard(
-    factors: np.ndarray, rho_xt: np.ndarray, group: np.ndarray, max_iters: int, bound: np.ndarray
+    factors: np.ndarray, rho_rows: np.ndarray, bound: np.ndarray, max_iters: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(f, m, converged, retired) of every row after one lockstep ascent."""
-    batch = _Batch(factors, rho_xt, group, bound)
+    batch = _Batch(factors, rho_rows, bound)
     batch.run(max_iters)
     return batch.f, batch.m, batch.converged, batch.retired
 
@@ -381,13 +381,14 @@ def _ascend(
     The agreeing POVMs (agreeing, k, d, d) are those of the restarts within
     _AGREE_TOL of the best value, the best restart's first.
 
-    Every state gets the same config.restarts seeded starts, as one row
-    group per state; restart r of state i is row r * len(states) + i.  This
-    process steps the first shard (see _shards) and a pool opened for this
-    ascent steps the others; results are reduced per group.  Rows retire
-    against holevo_chi (see _Batch).  Outcomes keep the order the ascent left
-    them in: the objective is invariant under relabeling, and no caller
-    reads meaning into a label.
+    Every state gets the same config.restarts seeded starts; restart r of
+    state i is row r * len(states) + i, and its bound is the state's
+    holevo_chi (see _Batch).  This process steps the first shard (see
+    _shards) and a pool opened for this ascent steps the others, each shard
+    given only its own rows' starts, states and bounds; the reassembled rows
+    are reduced per state over a (restart, state) reshape.  Outcomes keep
+    the order the ascent left them in: the objective is invariant under
+    relabeling, and no caller reads meaning into a label.
     """
     n, n_states = config.restarts, len(states)
     starts = np.stack(
@@ -395,12 +396,13 @@ def _ascend(
     )
     rho = np.stack([_conditional_stack(ps) for ps in states])
     bound = holevo_chi(rho)
-    rows = np.arange(n * n_states)
+    rho = rho.reshape(*rho.shape[:3], -1)
 
     def shard_args(s: int, e: int) -> tuple:
-        return starts[rows[s:e] // n_states], rho, rows[s:e] % n_states, config.max_iters, bound
+        restart, state = np.divmod(np.arange(s, e), n_states)
+        return starts[restart], rho[state], bound[state], config.max_iters
 
-    own, *others = _shards(rows.size, _process_count())
+    own, *others = _shards(n * n_states, _process_count())
     if others:
         with _pool(len(others)) as pool:
             # submit the workers' shards first, so that they run while this process runs its own
@@ -408,18 +410,17 @@ def _ascend(
             parts = [_run_shard(*shard_args(*own))] + [future.result() for future in futures]
     else:
         parts = [_run_shard(*shard_args(*own))]
-    f, m, converged, retired = (np.concatenate(a) for a in zip(*parts))
+    columns = (np.concatenate(a).reshape(n, n_states, *a[0].shape[1:]).swapaxes(0, 1) for a in zip(*parts))
 
     results = []
-    for i in range(n_states):
-        if retired[i::n_states].any():
+    for f, m, converged, retired in zip(*columns):
+        if retired.any():
             results.append(None)
             continue
-        f_group = f[i::n_states]
-        best = int(np.argmax(f_group))
-        agree = np.flatnonzero(f_group >= f_group[best] - _AGREE_TOL)
-        povms = m[i::n_states][np.concatenate(([best], agree[agree != best]))]
-        results.append((povms, max(float(f_group[best]), 0.0), bool(converged[best * n_states + i])))
+        best = int(np.argmax(f))
+        agree = np.flatnonzero(f >= f[best] - _AGREE_TOL)
+        povms = m[np.concatenate(([best], agree[agree != best]))]
+        results.append((povms, max(float(f[best]), 0.0), bool(converged[best])))
     return results
 
 
@@ -472,39 +473,38 @@ def _rising_side(s: tuple[float, float] | None, alpha: float, lo: float, hi: flo
 def _secant_probe(a: float, b: float, slopes: dict[float, float]) -> float:
     """The next alpha strictly inside the bracket (a, b), steered by ``slopes`` (alpha: slope, newest last).
 
-    The secant root of the two newest slopes; else, where both ends carry a
-    slope of the bracket's sign change, regula falsi on the ends; else the
-    midpoint.  So every alpha lies in the bracket by construction.
+    The secant root of the two newest slopes where it lies inside the
+    bracket, else the midpoint.  So every alpha lies in the bracket by
+    construction.
     """
     if len(slopes) >= 2:
         (x1, g1), (x2, g2) = list(slopes.items())[-2:]
         if g1 != g2 and a < (c := x2 - g2 * (x2 - x1) / (g2 - g1)) < b:
             return c
-    ga, gb = slopes.get(a, 0.0), slopes.get(b, 0.0)
-    if ga > 0.0 > gb and a < (c := a + (b - a) * ga / (ga - gb)) < b:
-        return c
     return 0.5 * (a + b)
 
 
 def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> AttackResult:
     """Maximize the adversary's information jointly over the source weight alpha and the POVM.
 
-    A grid of at least two alphas over the admissible interval shares one
-    ascent, sharded over the available CPUs; the POVM is re-optimized from
-    the seeded starts at every alpha.  At the best grid point the slope
-    interval of the value in alpha (_alpha_slope) says on which side it
-    rises (_rising_side).  Where it certifies alpha, as ``"bound"`` at an
-    interval end or ``"stationary"`` inside, no ascent follows: bb84
-    certifies alpha_lo.  Otherwise a secant on the slope refines inside the
-    grid cell on the rising side (_secant_probe), one single-alpha ascent
-    per step, until a slope interval certifies its alpha (``"stationary"``)
-    or alpha_refine_iters steps are spent (``"budget"``).  A bound whose
-    slope is unusable, or a neighbour that retired in the grid, is an end
-    without a slope.  So every alpha lies in the interval by construction
-    (states raises on any other), and a search evaluates at most the grid
-    plus alpha_refine_iters alphas.  Grouping and sharding change no
-    result: every restart's trajectory depends only on its own start and
-    alpha, and an ascent retires only alphas that cannot hold the maximum.
+    A grid of alpha_grid_points alphas over the admissible interval, or its
+    one alpha where the interval is a point (six-state's, and every
+    protocol's at q = 0), shares one ascent, sharded over the available
+    CPUs; the POVM is re-optimized from the seeded starts at every alpha.
+    At the best grid point the slope interval of the value in alpha
+    (_alpha_slope) says on which side it rises (_rising_side).  Where it
+    certifies alpha, as ``"bound"`` at an interval end or ``"stationary"``
+    inside, no ascent follows: bb84 certifies alpha_lo.  Otherwise a secant
+    on the slope refines inside the grid cell on the rising side
+    (_secant_probe), one ascent of one new alpha per step, until a slope
+    interval certifies its alpha (``"stationary"``) or alpha_refine_iters
+    steps are spent (``"budget"``).  A bound whose slope is unusable, or a
+    neighbour that retired in the grid, is an end without a slope.  So
+    every alpha lies in the interval by construction (states raises on any
+    other), and a search evaluates at most the grid plus alpha_refine_iters
+    alphas.  Batching and sharding change no result: every restart's
+    trajectory depends only on its own start and alpha, and an ascent
+    retires only alphas that cannot hold the maximum.
     """
     lo, hi = alpha_range(protocol, q)
     n_out = protocol.povm_outcomes
@@ -512,11 +512,8 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
     slopes: dict[float, tuple[float, float] | None] = {}
 
     def evaluate(alphas: list[float]) -> list[float]:
-        new = [a for a in dict.fromkeys(alphas) if a not in cache]
-        if new:
-            results = _ascend([purified_state(protocol, q, a) for a in new], n_out, config)
-            # a retired alpha stays out of the cache, so evaluating it again runs it in full
-            cache.update((a, r) for a, r in zip(new, results) if r is not None)
+        results = _ascend([purified_state(protocol, q, a) for a in alphas], n_out, config)
+        cache.update((a, r) for a, r in zip(alphas, results) if r is not None)
         return [cache[a][1] if a in cache else -math.inf for a in alphas]
 
     def slope(alpha: float) -> tuple[float, float] | None:
@@ -524,7 +521,7 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
             slopes[alpha] = None if lo == hi else _alpha_slope(protocol, q, alpha, cache[alpha][0])
         return slopes[alpha]
 
-    grid = np.linspace(lo, hi, config.alpha_grid_points).tolist()
+    grid = [lo] if lo == hi else np.linspace(lo, hi, config.alpha_grid_points).tolist()
     best_i = int(np.argmax(evaluate(grid)))
     x = grid[best_i]
     # a point interval has no side to refine

@@ -159,7 +159,7 @@ def sample_rounds(jd: JointDistribution, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def empirical_stats(samples: np.ndarray, basis_count: int, key_on_basis: bool = False) -> tuple[float, float, float]:
+def empirical_stats(samples: np.ndarray, basis_count: int, key_on_basis: bool) -> tuple[float, float, float]:
     """(qber_hat, i_ae_hat, guess_accuracy) from sampled rounds.
 
     The key is x and the revealed side value theta, or with ``key_on_basis``

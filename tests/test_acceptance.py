@@ -214,7 +214,7 @@ def test_criterion_8_monte_carlo(bb84_attacks, report):
     ps = purified_state(BB84, 0.10, result.best_alpha)
     jd = joint_distribution(ps, result.best_povm)
     samples = sample_rounds(jd, 10**6, seed=2024)
-    qhat, ihat, _ = empirical_stats(samples, BB84.basis_count)
+    qhat, ihat, _ = empirical_stats(samples, BB84.basis_count, BB84.key_on_basis)
     band = 3 * np.sqrt(0.1 * 0.9 / 10**6)
     ok = abs(qhat - 0.10) <= band and abs(ihat - result.i_ae) <= 0.01
     report(

@@ -105,8 +105,8 @@ def test_conditional_probs_computational_baseline():
     for x in (0, 1):
         for theta in range(3):
             assert np.allclose(probs[:, x, theta], [0.85, 0.05, 0.05, 0.05], atol=1e-10)
-    assert mutual_info_ae(ConditionalDistribution(probs)) == pytest.approx(0.0, abs=1e-12)
-    assert mutual_info_ae(conditional_probs(povm, ps)) == pytest.approx(0.0, abs=1e-12)
+    assert mutual_info_ae(ConditionalDistribution(probs), key_on_basis=False) == pytest.approx(0.0, abs=1e-12)
+    assert mutual_info_ae(conditional_probs(povm, ps), key_on_basis=False) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_conditional_probs_default_attack_bases():
@@ -121,7 +121,7 @@ def test_conditional_probs_default_attack_bases():
 def test_entropies_uniform_table():
     # every cell of the (key, k side) table equals the product of its marginals
     cd = ConditionalDistribution(np.full((4, 2, 2), 0.25))
-    assert mutual_info_ae(cd) == 0.0
+    assert mutual_info_ae(cd, key_on_basis=False) == 0.0
     assert mutual_info_ae(cd, key_on_basis=True) == 0.0
     assert plugin_mutual_info(np.full((2, 8), 3)) == 0.0
 
@@ -143,7 +143,7 @@ def test_mutual_info_perfect_bit_readout():
     for x in (0, 1):
         p[x, x, :] = 1.0
     cd = ConditionalDistribution(p)
-    assert mutual_info_ae(cd) == pytest.approx(1.0)
+    assert mutual_info_ae(cd, key_on_basis=False) == pytest.approx(1.0)
     assert mutual_info_ae(cd, key_on_basis=True) == pytest.approx(0.0)
 
 
@@ -154,7 +154,7 @@ def test_mutual_info_counts_rounding_noise_as_zero():
     for x in (0, 1):
         p[x, x, :] = 1.0
     p[0, 1, 0], p[1, 1, 0] = 3e-15, 1.0 - 3e-15
-    assert mutual_info_ae(ConditionalDistribution(p)) == 1.0
+    assert mutual_info_ae(ConditionalDistribution(p), key_on_basis=False) == 1.0
 
 
 def test_mutual_info_perfect_basis_readout():
@@ -163,7 +163,7 @@ def test_mutual_info_perfect_basis_readout():
     for theta in (0, 1):
         p[theta, :, theta] = 1.0
     cd = ConditionalDistribution(p)
-    assert mutual_info_ae(cd) == pytest.approx(0.0)
+    assert mutual_info_ae(cd, key_on_basis=False) == pytest.approx(0.0)
     assert mutual_info_ae(cd, key_on_basis=True) == pytest.approx(1.0)
 
 
@@ -174,4 +174,4 @@ def test_mutual_info_from_bb84_attack_state():
     eye = np.eye(4, dtype=complex)
     povm = Povm(np.stack([np.outer(eye[k], eye[k]) for k in range(4)]))
     cd = conditional_probs(povm, ps)
-    assert mutual_info_ae(cd) == pytest.approx(0.0, abs=1e-12)
+    assert mutual_info_ae(cd, key_on_basis=False) == pytest.approx(0.0, abs=1e-12)

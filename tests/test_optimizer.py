@@ -27,8 +27,8 @@ def _state_rows(rho_xt, group):
 
 
 def _batch(factors, rho_xt, group):
-    """A _Batch with no bound on any stack, so no row retires."""
-    return op._Batch(factors, rho_xt, group, np.full(len(rho_xt), np.inf))
+    """A _Batch of row i at stack rho_xt[group[i]], with no bound on any row, so no row retires."""
+    return op._Batch(factors, _state_rows(rho_xt, group), np.full(group.size, np.inf))
 
 
 def _real_povm(n_outcomes, seed):
@@ -144,7 +144,7 @@ def test_optimize_povm_beats_fixed_reference():
     _, f = _optimize_povm(ps, 4, OptimizerConfig(restarts=6))
     eye = np.eye(4, dtype=complex)
     reference = Povm(np.stack([np.outer(eye[k], eye[k]) for k in range(4)]))
-    f_ref = mutual_info_ae(conditional_probs(reference, ps))
+    f_ref = mutual_info_ae(conditional_probs(reference, ps), key_on_basis=False)
     assert f >= f_ref - 1e-12
 
 
@@ -433,18 +433,19 @@ def _recording_alphas(monkeypatch):
 @pytest.mark.parametrize("proto", [BB84, SARG04, SIX_STATE], ids=lambda p: p.name)
 def test_secant_evaluates_each_alpha_once(proto, monkeypatch):
     # the grid shares one ascent, then each secant step runs one ascent of a
-    # new alpha, at most alpha_refine_iters of them; six-state's point
-    # interval runs one ascent of one alpha.  Every alpha the search asks
-    # for, slope stencils included, lies in the interval, and every
-    # refinement alpha strictly inside a grid cell beside the best grid
-    # point, so the search needs no clamp
+    # new alpha, at most alpha_refine_iters of them; a point interval
+    # (six-state's, and every protocol's at q = 0) runs one ascent of one
+    # alpha.  Every alpha the search asks for, slope stencils included, lies
+    # in the interval, and every refinement alpha strictly inside a grid
+    # cell beside the best grid point, so the search needs no clamp
     asked, ascents = _recording_alphas(monkeypatch)
-    lo, hi = alpha_range(proto, 0.1)
-    for grid in (2, 3, 15):
+    for q, grid in itertools.product((0.0, 0.1), (2, 3, 15)):
+        lo, hi = alpha_range(proto, q)
+        assert (lo == hi) == (q == 0.0 or proto is SIX_STATE)
         asked.clear()
         ascents.clear()
         cfg = OptimizerConfig(restarts=2, max_iters=100, alpha_grid_points=grid, alpha_refine_iters=3)
-        result = optimize_attack(proto, 0.1, cfg)
+        result = optimize_attack(proto, q, cfg)
         assert all(lo <= a <= hi for a in asked)
         points = list(dict.fromkeys(np.linspace(lo, hi, grid).tolist()))
         (first, values), *steps = ascents
@@ -546,19 +547,24 @@ def test_sharding_changes_no_povm_result(monkeypatch):
 
 
 def test_group_straddling_a_shard_boundary(monkeypatch):
-    # three alphas of 12 restarts, laid out alpha-fastest: the two shards
-    # meet at row 18, so each holds six restarts of every alpha; no alpha
-    # retires, so every group's reduction spans both shards
+    # three states of 12 restarts, at two error rates, laid out
+    # state-fastest: the two shards meet at row 18, so each holds six
+    # restarts of every state; no state retires, so every state's reduction
+    # spans both shards.  Each state's result is also that of an ascent of
+    # it alone, so rows at different q share one batch bit for bit
     _unpruned(monkeypatch)
     cfg = OptimizerConfig(restarts=12, max_iters=600)
     lo, hi = alpha_range(SARG04, 0.1)
-    states = [purified_state(SARG04, 0.1, a) for a in (lo, (lo + hi) / 2, hi)]
+    points = [(0.1, lo), (0.05, sum(alpha_range(SARG04, 0.05)) / 2), (0.1, hi)]
+    states = [purified_state(SARG04, q, a) for q, a in points]
     assert op._shards(36, 2) == [(0, 18), (18, 36)]
     alone, shared = _alone_and_shared(monkeypatch, lambda: op._ascend(states, 4, cfg))
-    for (m_a, f_a, conv_a), (m_s, f_s, conv_s) in zip(alone, shared):
-        assert (f_s, conv_s) == (f_a, conv_a)
+    monkeypatch.setattr(op, "_process_count", lambda: 1)
+    single = [op._ascend([ps], 4, cfg)[0] for ps in states]
+    for (m_a, f_a, conv_a), (m_s, f_s, conv_s), (m_1, f_1, conv_1) in zip(alone, shared, single):
+        assert (f_s, conv_s) == (f_a, conv_a) == (f_1, conv_1)
         # the agreeing restarts' POVMs, in the same order
-        assert np.array_equal(m_s, m_a)
+        assert np.array_equal(m_s, m_a) and np.array_equal(m_1, m_a)
 
 
 def _unpruned(monkeypatch):
@@ -618,7 +624,7 @@ def test_retired_rows_leave_the_other_rows_unchanged():
     group = np.tile(np.arange(len(alphas)), 6)
     factors = np.stack([op._random_factors(np.random.default_rng(7 + r), 4, 4) for r in range(group.size)])
     bound = holevo_chi(rho)
-    pruned, full = op._Batch(factors, rho, group, bound), _batch(factors, rho, group)
+    pruned, full = op._Batch(factors, _state_rows(rho, group), bound[group]), _batch(factors, rho, group)
     while pruned.active.any() and pruned.iters < 600:
         pruned.step_once()
         full.step_once()
@@ -639,8 +645,8 @@ def test_retired_rows_leave_the_other_rows_unchanged():
 
 def test_secant_never_reads_a_retired_neighbour(monkeypatch):
     # sarg04's best grid point at q = 0.10 is interior, and the first secant
-    # step is regula falsi on its slope and that of the neighbour on the
-    # rising side.  Retired in the grid ascent, that neighbour is an end
+    # step is the root of its slope and that of the neighbour on the rising
+    # side.  Retired in the grid ascent, that neighbour is an end
     # without a slope: the first step is the cell's midpoint, and the
     # neighbour is never read from the cache or run again
     cfg = OptimizerConfig(restarts=8, alpha_grid_points=15, alpha_refine_iters=2)

@@ -212,7 +212,7 @@ def test_theta_check_sees_the_last_chunk():
     s = sample_rounds(_jd("bb84", 0.1), 3 * _CHUNK + 1, seed=5)
     s["theta"][-1] = 2
     with pytest.raises(ValueError, match="theta must lie below basis_count=2; filter rounds to the attack bases"):
-        empirical_stats(s, 2)
+        empirical_stats(s, 2, key_on_basis=False)
 
 
 def test_sampling_and_counting_memory_is_bounded():
@@ -224,7 +224,7 @@ def test_sampling_and_counting_memory_is_bounded():
         sample_peak = tracemalloc.get_traced_memory()[1] - s.nbytes
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        empirical_stats(s, 2)
+        empirical_stats(s, 2, key_on_basis=False)
         stats_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -248,7 +248,7 @@ def test_empirical_qber_binomial_band():
     outside = 0
     for seed in range(20):
         s = sample_rounds(jd, n, seed=seed)
-        qhat, _, _ = empirical_stats(s, 2)
+        qhat, _, _ = empirical_stats(s, 2, key_on_basis=False)
         outside += abs(qhat - q) > band
     assert outside <= 1
 
@@ -257,7 +257,7 @@ def test_empirical_stats_requires_volume():
     jd = _jd("bb84", 0.1)
     s = sample_rounds(jd, 999, seed=0)
     with pytest.raises(ValueError, match="1000"):
-        empirical_stats(s, 2)
+        empirical_stats(s, 2, key_on_basis=False)
 
 
 @pytest.mark.parametrize("drop_cell", [False, True], ids=["numpy-error", "silent"])
@@ -270,8 +270,8 @@ def test_empirical_stats_rejects_theta_beyond_basis_count(drop_cell):
     if drop_cell:
         s = s[~((s["x"] == 1) & (s["k"] == 3) & (s["theta"] == 2))]
     with pytest.raises(ValueError, match="theta must lie below basis_count=2; filter rounds to the attack bases"):
-        empirical_stats(s, 2)
-    assert empirical_stats(s, 3)[1] > 0.0
+        empirical_stats(s, 2, key_on_basis=False)
+    assert empirical_stats(s, 3, key_on_basis=False)[1] > 0.0
 
 
 @pytest.mark.parametrize(
@@ -283,7 +283,7 @@ def test_empirical_stats_rejects_malformed_rounds(field, value):
     s = sample_rounds(_jd("bb84", 0.1), 2000, seed=0)
     s[field][np.flatnonzero(s["x"] == 0)[:500]] = value
     with pytest.raises(ValueError, match=f"^{field} must .*, got {value}$"):
-        empirical_stats(s, 2)
+        empirical_stats(s, 2, key_on_basis=False)
 
 
 def test_empirical_stats_perfect_correlation():
@@ -292,7 +292,7 @@ def test_empirical_stats_perfect_correlation():
     s["x"] = np.arange(n) % 2
     s["k"] = s["x"]
     s["y"] = s["x"]
-    qhat, ihat, acc = empirical_stats(s, 1)
+    qhat, ihat, acc = empirical_stats(s, 1, key_on_basis=False)
     assert qhat == 0.0
     assert ihat == pytest.approx(1.0, abs=1e-12)
     assert acc == 1.0
@@ -306,7 +306,7 @@ def test_empirical_stats_independent_samples():
     s["theta"] = rng.integers(0, 2, n)
     s["k"] = rng.integers(0, 4, n)
     s["y"] = s["x"]
-    _, ihat, acc = empirical_stats(s, 2)
+    _, ihat, acc = empirical_stats(s, 2, key_on_basis=False)
     assert ihat <= 0.01
     assert acc == pytest.approx(0.5, abs=0.02)
 
@@ -401,7 +401,7 @@ def test_guess_accuracy_uninformed_at_zero_noise():
     ps = purified_state(BB84, 0.0, 1.0)
     jd = joint_distribution(ps, random_povm(4, 4, 5))
     s = sample_rounds(jd, 10_000, seed=2)
-    _, _, acc = empirical_stats(s, 2)
+    _, _, acc = empirical_stats(s, 2, key_on_basis=False)
     assert acc == pytest.approx(0.5, abs=0.02)
 
 
@@ -421,7 +421,7 @@ def test_monte_carlo_matches_analytic_bb84(light_config):
     ps = purified_state(BB84, 0.1, result.best_alpha)
     jd = joint_distribution(ps, result.best_povm)
     s = sample_rounds(jd, 10**6, seed=77)
-    qhat, ihat, _ = empirical_stats(s, 2)
+    qhat, ihat, _ = empirical_stats(s, 2, key_on_basis=False)
     assert abs(qhat - 0.1) <= 3 * np.sqrt(0.1 * 0.9 / 10**6)
     assert abs(ihat - result.i_ae) <= 0.01
 
