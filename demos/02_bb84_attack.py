@@ -14,7 +14,7 @@ from qkdattack import (
     purified_state,
 )
 
-CONFIG = OptimizerConfig(restarts=8, alpha_grid_points=9, alpha_refine_iters=2)
+CONFIG = OptimizerConfig(restarts=8)
 POVM_Q = 0.10
 
 

@@ -7,7 +7,7 @@ import numpy as np
 
 from qkdattack import PROTOCOLS, OptimizerConfig, tabulate_curve
 
-CONFIG = OptimizerConfig(restarts=8, alpha_grid_points=9, alpha_refine_iters=2)
+CONFIG = OptimizerConfig(restarts=8)
 
 
 def main() -> None:

@@ -5,7 +5,7 @@ Run:  python3 demos/04_thresholds.py   (about 7 s on 2 CPUs)
 
 from qkdattack import PROTOCOLS, OptimizerConfig, bb84_closed_form_iae, find_threshold, key_rate
 
-CONFIG = OptimizerConfig(restarts=12, alpha_grid_points=15, alpha_refine_iters=3)
+CONFIG = OptimizerConfig(restarts=12)
 
 
 def closed_form_root(scale: float) -> float:

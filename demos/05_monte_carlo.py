@@ -13,7 +13,7 @@ import numpy as np
 
 from qkdattack import PROTOCOLS, OptimizerConfig, joint_distribution, optimize_attack, purified_state, sampled_estimates
 
-CONFIG = OptimizerConfig(restarts=8, alpha_grid_points=9, alpha_refine_iters=2)
+CONFIG = OptimizerConfig(restarts=8)
 N_ROUNDS = 400_000
 
 

@@ -38,7 +38,7 @@ _COMMON = {
     "protocol": {"required": True, "choices": sorted(PROTOCOLS)},
     "restarts": {"type": int, "default": OptimizerConfig.restarts},
     "seed": {"type": int, "default": OptimizerConfig.seed},
-    "alpha_grid_points": {"type": int, "default": OptimizerConfig.alpha_grid_points, "help": "grid size, at least 2"},
+    "alpha_grid_points": {"type": int, "default": OptimizerConfig.alpha_grid_points, "help": "at least 2; changes no result"},
     "out": {"required": True, "help": "output file path"},
 }
 
@@ -91,8 +91,10 @@ def _threshold(protocol: Protocol, config: OptimizerConfig, tolerance: float) ->
 def _attack(protocol: Protocol, config: OptimizerConfig, q: float) -> dict:
     """The optimized attack at one error rate, POVM included; an attack neither robust nor converged fails.
 
-    ``alpha_slope`` is the [min, max] of dI/dalpha at best_alpha (null where
-    no difference is usable), and ``alpha_stop`` what ended the alpha search.
+    ``alpha_slope`` is the best restart's dI/du in the angle u of
+    alpha = lo + (hi - lo) sin^2 u, with the sign of dI/dalpha (null at a
+    point interval), and ``alpha_stop`` says whether alpha ended at a
+    bound, at a converged interior point, or at the iteration cap.
     """
     result = optimize_attack(protocol, q, config)
     if not result.robust and not result.converged:

@@ -15,6 +15,7 @@ basis (|0> +- i|1>)/sqrt2 with x = 0 mapped to the +i state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,6 +229,57 @@ def purify(params: BellDiagonalParams) -> PurifiedState:
 def purified_state(protocol: Protocol, q: float, alpha: float) -> PurifiedState:
     """Convenience: family state at (q, alpha), purified."""
     return purify(_family_params(protocol, q, alpha))
+
+
+def conditional_tensor(protocol: Protocol, x, theta) -> np.ndarray:
+    """The protocol-only tensor T of the adversary's conditional states, broadcast like basis_projector.
+
+    A purification sum_i s_i |bell_i>|e_i> with real amplitudes s gives
+    rho_E^(x,theta) = sum_ij s_i s_j T_ij |e_i><e_j|, where
+    T_ij = 2 <P bell_j|P bell_i>, P = basis_projector(x, theta) on A, and
+    the 2 is 1/p(x).  T depends on neither q nor alpha: a family state enters
+    only through its amplitudes (see amplitude_map).
+    """
+    chi = basis_projector(protocol, x, theta)[..., None, :, :] @ bell_basis().reshape(4, 2, 2)
+    return 2.0 * np.einsum("...iab,...jab->...ij", chi, chi.conj())
+
+
+def amplitude_map(protocol: Protocol, q: float) -> np.ndarray:
+    """Coefficients (4, 4) of the purification amplitudes along alpha = lo + (hi - lo) sin^2 u.
+
+    Row i is (r0, r2, c_sin, c_cos), and amplitudes(row, u) is
+    s_i = sqrt(r0 + r2 sin^2 u) + c_sin sin u + c_cos cos u.  A Bell weight
+    c_alpha (alpha - lo) that vanishes at lo gets the signed amplitude
+    sqrt(|c_alpha| (hi - lo)) sin u, one that vanishes at hi the same with
+    cos u, and every other keeps sqrt(w(alpha(u))).  So s is smooth in every
+    real u, alpha(u) lies in [lo, hi] with no clamp, and sum s_i^2 = 1.  A
+    point interval's amplitudes do not depend on u.
+    """
+    lo, hi = alpha_range(protocol, q)
+    c = np.array(protocol.bell_weights)
+    w_lo, w_hi = (c[:, 0] + c[:, 1] * q + c[:, 2] * a for a in (lo, hi))
+    span = c[:, 2] * (hi - lo)
+    at_lo = (span != 0.0) & (np.abs(w_lo) <= 1e-12)
+    at_hi = (span != 0.0) & (np.abs(w_hi) <= 1e-12) & ~at_lo
+    root = ~(at_lo | at_hi)
+    scale = np.sqrt(np.abs(span))
+    r0, r2 = np.where(root, np.clip(w_lo, 0.0, None), 0.0), np.where(root, span, 0.0)
+    return np.stack([r0, r2, at_lo * scale, at_hi * scale], axis=-1)
+
+
+def amplitudes(coeffs: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes s (..., 4) and ds/du at angles u (...), for amplitude_map rows coeffs (..., 4, 4)."""
+    sin, cos = np.sin(u)[..., None], np.cos(u)[..., None]
+    r0, r2, c_sin, c_cos = np.moveaxis(coeffs, -1, 0)
+    root = np.sqrt(np.maximum(r0 + r2 * sin**2, 0.0))
+    d_root = np.divide(r2 * sin * cos, root, out=np.zeros_like(root), where=root > 0.0)
+    return root + c_sin * sin + c_cos * cos, d_root + c_sin * cos - c_cos * sin
+
+
+def alpha_at(protocol: Protocol, q: float, u: float) -> float:
+    """The source weight alpha = lo + (hi - lo) sin^2 u of amplitude_map's angle u."""
+    lo, hi = alpha_range(protocol, q)
+    return lo + (hi - lo) * math.sin(u) ** 2
 
 
 def _conditioned(ps: PurifiedState, x, theta, kept: int) -> tuple[np.ndarray, np.ndarray | float]:

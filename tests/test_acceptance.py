@@ -33,10 +33,10 @@ from qkdattack.states import (
 C1_GRID = (0.02, 0.05, 0.08, 0.10, 0.12, 0.15, 0.20, 0.25)
 C6_GRID = (0.02, 0.05, 0.08, 0.10, 0.12)
 
-# default restart budget on a thinned alpha grid; the envelope slope at the
-# best grid point certifies an optimum at an interval endpoint (bb84 at
-# q=0.10), and a secant on it refines one inside the interval (sarg04,
-# alpha* ~ 0.7596 at q=0.10)
+# the benchmark's restart budgets; alpha is a coordinate of every restart's
+# ascent, so the alpha grid fields, which the benchmark still passes, change
+# no result.  bb84's optimum sits at an interval endpoint (alpha_lo at
+# q=0.10), sarg04's inside the interval (alpha* ~ 0.7596 at q=0.10)
 ATTACK_CONFIG = OptimizerConfig(restarts=32, alpha_grid_points=15, alpha_refine_iters=3)
 THRESHOLD_CONFIG = OptimizerConfig(restarts=12, alpha_grid_points=15, alpha_refine_iters=3)
 

@@ -102,19 +102,18 @@ def test_attack_matches_closed_form(tmp_path):
     assert abs(report["i_ae"] - bb84_closed_form_iae(0.1)) <= 1e-4
     assert report["robust"] is True
     assert report["manifest"]["params"] == {"q": 0.1}
-    # bb84's value falls away from alpha_lo, and the slope interval certifies that bound
+    # bb84's value falls away from alpha_lo, and the reported alpha snaps to that bound
     assert report["best_alpha"] == 0.8 and report["alpha_stop"] == "bound"
-    assert len(report["alpha_slope"]) == 2 and max(report["alpha_slope"]) < 0
+    assert -1e-5 < report["alpha_slope"] <= 0
 
 
 def test_attack_reports_how_the_alpha_search_ended(tmp_path):
-    # sarg04's optimum is interior: the secant ends on its budget or at a slope interval around 0
+    # sarg04's optimum is interior: the best restart ends there, converged or at the iteration cap
     out = tmp_path / "attack.json"
     assert main(["attack", "--protocol", "sarg04", "--q", "0.1", "--out", str(out)] + LIGHT) == 0
     report = _load(out)
-    low, high = report["alpha_slope"]
-    assert low <= high
-    assert report["alpha_stop"] == ("stationary" if low <= 0 <= high else "budget")
+    assert abs(report["alpha_slope"]) < 1e-4
+    assert report["alpha_stop"] == ("stationary" if report["converged"] else "budget")
 
 
 def test_attack_rejects_bad_q(tmp_path):

@@ -31,7 +31,7 @@ def test_demo_loads(name):
     assert callable(namespace["main"])
 
 
-REDUCED = OptimizerConfig(restarts=2, alpha_grid_points=3, alpha_refine_iters=1, max_iters=200)
+REDUCED = OptimizerConfig(restarts=2, max_iters=200)
 
 
 def test_bb84_attack_demo_runs(capsys):

@@ -1,7 +1,6 @@
 import dataclasses
-import itertools
+import math
 import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -12,23 +11,35 @@ from povm_helpers import random_povm
 from qkdattack.information import Povm, conditional_probs, holevo_chi, mutual_info_ae
 from qkdattack.keyrate import bb84_closed_form_iae
 from qkdattack.optimizer import AttackResult, OptimizerConfig, optimize_attack
-from qkdattack.states import BB84, SARG04, SIX_STATE, alpha_range, purified_state
+from qkdattack.states import BB84, SARG04, SIX_STATE, alpha_at, alpha_range, amplitude_map, amplitudes, purified_state
 
 
-def _optimize_povm(ps, n_outcomes, config):
-    """(best POVM elements, value) of config.restarts ascents at one state."""
-    povms, f, _ = op._ascend([ps], n_outcomes, config)[0]
-    return povms[0], f
-
-
-def _state_rows(rho_xt, group):
-    """Row i's state rows as _Batch lays them out: rho_xt[group[i]], matrices flattened to d^2 entries."""
+def _flat_rows(rho_xt, group):
+    """Row i's state rows as the kernels read them: rho_xt[group[i]], matrices flattened to d^2 entries."""
     return rho_xt.reshape(*rho_xt.shape[:3], -1)[group]
 
 
-def _batch(factors, rho_xt, group):
-    """A _Batch of row i at stack rho_xt[group[i]], with no bound on any row, so no row retires."""
-    return op._Batch(factors, _state_rows(rho_xt, group), np.full(group.size, np.inf))
+def _seeded(n, seed=7, n_outcomes=4):
+    """Factors and angles of n seeded restarts, each drawn from its own stream seed + r as _ascend draws them."""
+    rngs = [np.random.default_rng(seed + r) for r in range(n)]
+    factors = np.stack([op._random_factors(rng, n_outcomes, 4) for rng in rngs])
+    return factors, np.arcsin(np.sqrt([rng.uniform() for rng in rngs]))
+
+
+def _maps(proto, qs, group):
+    """Row i's amplitude map: that of qs[group[i]]."""
+    return np.stack([amplitude_map(proto, q) for q in qs])[group]
+
+
+def _batch(proto, factors, coeffs, u=None):
+    return op._Batch(factors, op._conditional_tensor(proto), coeffs, u)
+
+
+def _fixed_batch(proto, q, alpha, factors):
+    """A batch whose rows carry no angle and all hold the family state at (q, alpha)."""
+    w = purified_state(proto, q, alpha).params.weights
+    point = np.stack([np.clip(w, 0.0, None), *np.zeros((3, 4))], axis=-1)
+    return _batch(proto, factors, np.broadcast_to(point, (len(factors), 4, 4)))
 
 
 def _real_povm(n_outcomes, seed):
@@ -52,6 +63,23 @@ def test_circular_attack_basis_is_rejected():
     circular = dataclasses.replace(SIX_STATE, attack_basis_count=3)
     with pytest.raises(ValueError, match="real conditional states"):
         op._conditional_stack(purified_state(circular, 0.1, 1 - 1.5 * 0.1))
+    with pytest.raises(ValueError, match="real conditional states"):
+        op._conditional_tensor(circular)
+
+
+@pytest.mark.parametrize("proto", [BB84, SIX_STATE, SARG04], ids=lambda p: p.name)
+def test_state_rows_are_the_conditional_stack(proto):
+    # rho = sum_ij s_i s_j T_ij along the amplitude map reproduces the state
+    # layer's conditional states at alpha(u): at lo, at 30% of the range and
+    # at hi, up to sarg04's lo clipped to 0 at q = 0.45
+    tensor = op._conditional_tensor(proto)
+    for q in (0.0, 0.05, 0.1, 0.175, 0.3, 0.45):
+        coeffs = amplitude_map(proto, q)[None]
+        for frac in (0.0, 0.3, 1.0):
+            u = math.asin(math.sqrt(frac))
+            rows, _ = op._state_rows(tensor, coeffs, np.array([u]))
+            ref = op._conditional_stack(purified_state(proto, q, alpha_at(proto, q, u)))
+            assert np.max(np.abs(rows[0] - _flat_rows(ref[None], [0])[0])) <= 1e-14, (q, frac)
 
 
 def test_config_validation():
@@ -61,7 +89,7 @@ def test_config_validation():
         OptimizerConfig(seed=-1)
     with pytest.raises(ValueError, match="alpha_refine_iters must be non-negative"):
         OptimizerConfig(alpha_refine_iters=-1)
-    # a one-point grid has no cell to refine, so its search would stop at alpha_lo
+    # kept and checked as before, though neither changes a result
     with pytest.raises(ValueError, match="alpha_grid_points at least 2"):
         OptimizerConfig(alpha_grid_points=1)
     assert OptimizerConfig(alpha_grid_points=2).alpha_grid_points == 2
@@ -88,7 +116,7 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
     for proto in (BB84, SARG04):
         ps = purified_state(proto, 0.1, sum(alpha_range(proto, 0.1)) / 2)
-        rho_rows = _state_rows(op._conditional_stack(ps)[None], np.zeros(1, dtype=int))
+        rho_rows = _flat_rows(op._conditional_stack(ps)[None], np.zeros(1, dtype=int))
         m = _real_povm(4, seed=5).elements[None]
         h = rng.standard_normal((4, 4, 4))
         h = (h + h.mT) / 2
@@ -101,13 +129,30 @@ def test_gradient_matches_finite_differences():
         assert analytic == pytest.approx(numeric, abs=2e-6)
 
 
+@pytest.mark.parametrize("proto", [BB84, SARG04], ids=lambda p: p.name)
+def test_angle_slope_matches_finite_differences(proto):
+    # dI/du with the POVM held, at both bounds (where a signed amplitude
+    # crosses zero), inside, and past the interval on either side
+    tensor, coeffs = op._conditional_tensor(proto), amplitude_map(proto, 0.1)[None]
+    m = _real_povm(4, seed=5).elements[None]
+
+    def info(u):
+        rows, d_rows = op._state_rows(tensor, coeffs, np.array([u]))
+        f, w = op._objective(op._probs(m, rows))
+        return f[0], op._angle_slope(m, w, d_rows)[0]
+
+    for u in (0.0, 0.4, math.pi / 2, -0.3, 2.0):
+        eps = 1e-6
+        numeric = (info(u + eps)[0] - info(u - eps)[0]) / (2 * eps)
+        assert info(u)[1] == pytest.approx(numeric, abs=1e-7), u
+
+
 def test_local_search_monotone_and_complete():
-    # every row of a lockstep batch is its own accept/reject ascent: two
-    # alphas, two seeded restarts each
-    rho = np.stack([op._conditional_stack(purified_state(BB84, 0.1, a)) for a in (0.8, 0.85)])
+    # every row of a lockstep batch is its own accept/reject ascent in its
+    # factors and its angle: two error rates, two seeded restarts each
+    factors, u = _seeded(2, seed=9)
     group = np.array([0, 0, 1, 1])
-    factors = np.stack([op._random_factors(np.random.default_rng(9 + r), 4, 4) for r in range(group.size)])
-    batch = _batch(factors, rho, group)
+    batch = _batch(BB84, np.tile(factors, (2, 1, 1, 1)), _maps(BB84, (0.1, 0.05), group), np.tile(u, 2))
     trace = [batch.f.copy()]
     for step in range(1, 121):
         batch.step_once()
@@ -118,41 +163,43 @@ def test_local_search_monotone_and_complete():
     assert np.all(np.diff(trace, axis=0) >= 0)
     assert np.all(trace[-1] > trace[0])
     assert np.array_equal(batch.row_iters, np.full(group.size, 120))
+    assert not np.array_equal(batch.u, np.tile(u, 2))
     # real arithmetic throughout: no array of the batch is complex
-    arrays = [x for x in (factors, batch.f, batch.m, *vars(batch).values()) if isinstance(x, np.ndarray)]
+    arrays = [x for x in (factors, batch.f, batch.m, batch.u, *vars(batch).values()) if isinstance(x, np.ndarray)]
     assert all(x.dtype.kind in "biu" or x.dtype == np.float64 for x in arrays)
 
 
 def test_optimize_povm_zero_noise():
-    for proto, alpha in ((BB84, 1.0), (SIX_STATE, 1.0), (SARG04, 1.0)):
-        ps = purified_state(proto, 0.0, alpha)
-        _, f = _optimize_povm(ps, 4, OptimizerConfig(restarts=4, max_iters=300))
-        assert f <= 1e-8
+    # at q = 0 every protocol's alpha interval is a point, so no row carries an angle
+    for proto in (BB84, SIX_STATE, SARG04):
+        batch = op._ascend(proto, 0.0, OptimizerConfig(restarts=4, max_iters=300))
+        assert not batch.u.any()
+        assert batch.f.max() <= 1e-8
 
 
 def test_optimize_povm_deterministic():
-    ps = purified_state(BB84, 0.1, 0.8)
     cfg = OptimizerConfig(restarts=6)
-    m_a, f_a = _optimize_povm(ps, 4, cfg)
-    m_b, f_b = _optimize_povm(ps, 4, cfg)
-    assert f_a == f_b
-    assert np.array_equal(m_a, m_b)
+    a, b = op._ascend(BB84, 0.1, cfg), op._ascend(BB84, 0.1, cfg)
+    for attr in ("f", "m", "u", "converged", "row_iters"):
+        assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
 
 
 def test_optimize_povm_beats_fixed_reference():
-    ps = purified_state(BB84, 0.1, 0.8)
-    _, f = _optimize_povm(ps, 4, OptimizerConfig(restarts=6))
+    # the ascent over (POVM, alpha) reaches at least what a fixed POVM reads at a fixed alpha
+    f = op._ascend(BB84, 0.1, OptimizerConfig(restarts=6)).f.max()
     eye = np.eye(4, dtype=complex)
     reference = Povm(np.stack([np.outer(eye[k], eye[k]) for k in range(4)]))
-    f_ref = mutual_info_ae(conditional_probs(reference, ps), key_on_basis=False)
+    f_ref = mutual_info_ae(conditional_probs(reference, purified_state(BB84, 0.1, 0.8)), key_on_basis=False)
     assert f >= f_ref - 1e-12
 
 
 def test_outcome_doubling_does_not_help():
-    ps = purified_state(BB84, 0.1, 0.8)
-    _, f4 = _optimize_povm(ps, 4, OptimizerConfig(restarts=10))
-    _, f8 = _optimize_povm(ps, 8, OptimizerConfig(restarts=10))
-    assert f8 - f4 <= 1e-5
+    values = []
+    for n_outcomes in (4, 8):
+        batch = _fixed_batch(BB84, 0.1, 0.8, _seeded(10, n_outcomes=n_outcomes)[0])
+        batch.run(2000)
+        values.append(batch.f.max())
+    assert values[1] - values[0] <= 1e-5
 
 
 def test_restart_calibration_bb84():
@@ -160,11 +207,8 @@ def test_restart_calibration_bb84():
     # starts at the optimal alpha, 45 of 64 seeded restarts reach the
     # closed-form optimum within 1e-4 (the rest sit at a lower critical
     # point near 0.2567); the multi-start maximum is what ships
-    ps = purified_state(BB84, 0.1, 0.8)
     target = bb84_closed_form_iae(0.1)
-    rho = op._conditional_stack(ps)[None]
-    factors = np.stack([op._random_factors(np.random.default_rng(7 + r), 4, 4) for r in range(32)])
-    batch = _batch(factors, rho, np.zeros(32, dtype=int))
+    batch = _fixed_batch(BB84, 0.1, 0.8, _seeded(32)[0])
     batch.run(2000)
     hits = int(np.sum(np.abs(batch.f - target) <= 1e-4))
     assert hits >= 19  # 6/10 of restarts, with margin below the measured 70%
@@ -241,7 +285,7 @@ def test_objective_matches_reference_estimator(proto):
     rho_xt = op._conditional_stack(ps)[None]
     b = proto.attack_basis_count
     assert rho_xt.shape[1:3] == ((b, 2) if proto.key_on_basis else (2, b))
-    rho_rows = _state_rows(rho_xt, np.zeros(1, dtype=int))
+    rho_rows = _flat_rows(rho_xt, np.zeros(1, dtype=int))
     for seed in range(5):
         povm = _real_povm(proto.povm_outcomes, seed=40 + seed)
         f = op._objective(op._probs(povm.elements[None], rho_rows))[0][0]
@@ -255,7 +299,7 @@ def test_kernels_match_einsum_on_shared_and_grouped_stacks():
     for proto in (BB84, SARG04, SIX_STATE):
         lo, hi = alpha_range(proto, 0.1)
         rhos = np.stack([op._conditional_stack(purified_state(proto, 0.1, a)) for a in (lo, (lo + hi) / 2, hi)])
-        shared_rows, rho_rows = _state_rows(rhos[1:2], shared), _state_rows(rhos, group)
+        shared_rows, rho_rows = _flat_rows(rhos[1:2], shared), _flat_rows(rhos, group)
         p_shared = op._probs(m, shared_rows)
         assert np.max(np.abs(p_shared - _einsum_probs(m, rhos[1]))) <= 1e-14
         g_shared = op._gradient(op._objective(p_shared)[1], shared_rows)
@@ -270,24 +314,24 @@ def test_kernels_match_einsum_on_shared_and_grouped_stacks():
 
 @pytest.mark.parametrize("proto", [BB84, SARG04], ids=lambda p: p.name)
 def test_row_trajectory_independent_of_batch(proto):
-    # the same seeded restarts alone, among 32, as the middle group of a
-    # three-alpha batch and interleaved with the other two alphas' rows must
-    # follow bit-identical trajectories
+    # the same seeded restarts alone, among 32, as the middle block of a
+    # batch whose other rows sit at two other error rates, and interleaved
+    # with those rows must follow bit-identical trajectories
     n, iters = 32, 300
-    lo, hi = alpha_range(proto, 0.1)
-    rhos = np.stack([op._conditional_stack(purified_state(proto, 0.1, a)) for a in (lo, (lo + hi) / 2, hi)])
-    starts = np.stack([op._random_factors(np.random.default_rng(7 + r), 4, 4) for r in range(n)])
-    alone = [_batch(starts[r : r + 1], rhos[1:2], np.zeros(1, dtype=int)) for r in range(n)]
+    qs = (0.05, 0.1, 0.175)
+    factors, u = _seeded(n)
+    coeffs = amplitude_map(proto, 0.1)
+    alone = [_batch(proto, factors[r : r + 1], coeffs[None], u[r : r + 1]) for r in range(n)]
     for batch in alone:
         batch.run(iters)
-    among = _batch(starts, rhos[1:2], np.zeros(n, dtype=int))
+    among = _batch(proto, factors, np.broadcast_to(coeffs, (n, 4, 4)), u)
     among.run(iters)
-    multi = _batch(np.tile(starts, (3, 1, 1, 1)), rhos, np.repeat(np.arange(3), n))
+    multi = _batch(proto, np.tile(factors, (3, 1, 1, 1)), _maps(proto, qs, np.repeat(np.arange(3), n)), np.tile(u, 3))
     multi.run(iters)
-    interleaved = _batch(np.repeat(starts, 3, axis=0), rhos, np.tile(np.arange(3), n))
+    interleaved = _batch(proto, np.repeat(factors, 3, axis=0), _maps(proto, qs, np.tile(np.arange(3), n)), np.repeat(u, 3))
     interleaved.run(iters)
     mid = slice(n, 2 * n)
-    for attr in ("f", "m", "converged", "row_iters"):
+    for attr in ("f", "m", "u", "converged", "row_iters"):
         single = np.stack([getattr(batch, attr)[0] for batch in alone])
         assert np.array_equal(single, getattr(among, attr)), attr
         assert np.array_equal(single, getattr(multi, attr)[mid]), attr
@@ -295,26 +339,43 @@ def test_row_trajectory_independent_of_batch(proto):
     assert among.iters == multi.row_iters[mid].max() == max(batch.iters for batch in alone)
 
 
+def test_rows_at_different_q_share_one_batch():
+    # the restarts of two attacks' ascents, sarg04 at q = 0.05 and 0.10,
+    # stepped as one batch end the same bits as each attack's own ascent
+    cfg = OptimizerConfig(restarts=12, max_iters=600)
+    factors, u = _seeded(cfg.restarts)
+    group = np.repeat([0, 1], cfg.restarts)
+    shared = _batch(SARG04, np.tile(factors, (2, 1, 1, 1)), _maps(SARG04, (0.05, 0.1), group), np.tile(u, 2))
+    shared.run(cfg.max_iters)
+    for i, q in enumerate((0.05, 0.1)):
+        own, rows = op._ascend(SARG04, q, cfg), group == i
+        for attr in ("f", "m", "u", "converged", "row_iters"):
+            assert np.array_equal(getattr(own, attr), getattr(shared, attr)[rows]), attr
+
+
 def _compaction_batch(proto, rows_per_group=6):
-    """(factors, rho_xt, group) of four row groups sharing seeded starts.
+    """(factors, coeffs, u, group) of four row groups sharing seeded starts.
 
     The second group sits at q = 0, where no step improves the value
     significantly, so all its rows finish together at the stall limit while
-    the groups around it, at q = 0.10 and 0.05, still run.
+    the groups around it, at q = 0.10 (the first from alpha_lo, u = 0) and
+    0.05, still run.
     """
-    lo, hi = alpha_range(proto, 0.1)
-    points = [(0.1, lo), (0.0, 1.0), (0.1, (lo + hi) / 2), (0.05, sum(alpha_range(proto, 0.05)) / 2)]
-    rho = np.stack([op._conditional_stack(purified_state(proto, q, a)) for q, a in points])
-    starts = np.stack([op._random_factors(np.random.default_rng(7 + r), 4, 4) for r in range(rows_per_group)])
-    return np.tile(starts, (len(points), 1, 1, 1)), rho, np.repeat(np.arange(len(points)), rows_per_group)
+    qs = (0.1, 0.0, 0.1, 0.05)
+    factors, u = _seeded(rows_per_group)
+    group = np.repeat(np.arange(len(qs)), rows_per_group)
+    u = np.tile(u, len(qs))
+    u[group == 0] = 0.0
+    return np.tile(factors, (len(qs), 1, 1, 1)), _maps(proto, qs, group), u, group
 
 
-def _run_both(factors, rho, group, max_iters):
+def _run_both(proto, factors, coeffs, u, max_iters):
     """The reference batch after run(max_iters), checked row for row against _Batch."""
-    ref, batch = ReferenceBatch(factors, rho, group), _batch(factors, rho, group)
+    tensor = op._conditional_tensor(proto)
+    ref, batch = ReferenceBatch(factors, tensor, coeffs, u), op._Batch(factors, tensor, coeffs, u)
     ref.run(max_iters)
     batch.run(max_iters)
-    for attr in ("f", "m", "active", "converged", "row_iters"):
+    for attr in ("f", "m", "u", "active", "converged", "row_iters"):
         assert np.array_equal(getattr(batch, attr), getattr(ref, attr)), attr
     assert batch.iters == ref.iters
     return ref
@@ -322,59 +383,64 @@ def _run_both(factors, rho, group, max_iters):
 
 @pytest.mark.parametrize("proto", [BB84, SARG04, SIX_STATE], ids=lambda p: p.name)
 def test_compacting_batch_matches_reference(proto):
-    factors, rho, group = _compaction_batch(proto)
-    ref = _run_both(factors, rho, group, 400)
+    factors, coeffs, u, group = _compaction_batch(proto)
+    ref = _run_both(proto, factors, coeffs, u, 250)
     # the cases compaction must handle all occur in this batch
     middle, outer = group == 1, group != 1
     assert ref.converged[middle].all() and ref.row_iters[middle].max() < ref.row_iters[outer].min()
     assert np.bincount(ref.row_iters[ref.converged]).max() >= 2
-    assert (~ref.converged).any() and (ref.row_iters[~ref.converged] == 400).all()
+    assert (~ref.converged).any() and (ref.row_iters[~ref.converged] == 250).all()
+    # rows that carry no angle
+    _run_both(proto, factors, coeffs, None, 250)
     # a one-row batch whose row finishes: a row of the q = 0 group
-    assert _run_both(factors[middle][:1], rho, group[middle][:1], 300).converged.all()
+    assert _run_both(proto, factors[middle][:1], coeffs[middle][:1], u[middle][:1], 300).converged.all()
     # a cap below the stall window, where no row finishes
     cap = op._STALL_LIMIT - 30
-    ref = _run_both(factors, rho, group, cap)
+    ref = _run_both(proto, factors, coeffs, u, cap)
     assert ref.active.all() and ref.iters == cap
 
 
 def test_batch_fields_read_after_every_step():
     # the fields a caller reads after each step keep one entry per row of
-    # the batch, finished rows keep their value, and f rises exactly where
-    # the reference accepted a step
-    factors, rho, group = _compaction_batch(SARG04)
+    # the batch, finished rows keep their value and angle, and f rises
+    # exactly where the reference accepted a step
+    factors, coeffs, u, group = _compaction_batch(SARG04)
     n = group.size
-    ref, batch = ReferenceBatch(factors, rho, group), _batch(factors, rho, group)
-    final_f = {}
+    tensor = op._conditional_tensor(SARG04)
+    ref, batch = ReferenceBatch(factors, tensor, coeffs, u), op._Batch(factors, tensor, coeffs, u)
+    final = {}
     while batch.active.any() and batch.iters < 400:
         f_before, ref_before = batch.f, ref.f.copy()
         batch.step_once()
         ref.step_once()
         f = batch.f
-        assert all(x.shape == (n,) for x in (f, batch.active, batch.converged, batch.row_iters))
+        assert all(x.shape == (n,) for x in (f, batch.u, batch.active, batch.converged, batch.row_iters))
         assert np.array_equal(f > f_before, ref.f > ref_before)
         assert np.array_equal(f != f_before, f > f_before)
         for row in np.flatnonzero(~batch.active):
-            assert f[row] == final_f.setdefault(row, f[row])
-    assert 0 < len(final_f) < n
+            assert (f[row], batch.u[row]) == final.setdefault(row, (f[row], batch.u[row]))
+    assert 0 < len(final) < n
     assert np.array_equal(batch.f, ref.f)
 
 
 def test_momentum_restarts_on_every_rejected_step():
-    # after each step a live row's velocity is _MOMENTUM times the move it
-    # accepted, and exactly zero where its value did not rise, also across
-    # the step on which the q = 0 group finishes and the batch compacts
-    factors, rho, group = _compaction_batch(SARG04)
-    batch = _batch(factors, rho, group)
+    # after each step a live row's velocities are _MOMENTUM times the move it
+    # accepted, in its factors and in its angle, and exactly zero where its
+    # value did not rise, also across the step on which the q = 0 group
+    # finishes and the batch compacts
+    factors, coeffs, u, group = _compaction_batch(SARG04)
+    batch = _batch(SARG04, factors, coeffs, u)
     compacted = accepted = rejected = 0
     while batch.active.any() and batch.iters < 400:
-        rows_before, a_before, f_before = batch._rows.copy(), batch._a.copy(), batch.f
+        rows_before, a_before, u_before, f_before = batch._rows.copy(), batch._a.copy(), batch._u.copy(), batch.f
         batch.step_once()
         live = np.isin(rows_before, batch._rows)
         compacted += not live.all()
         rose = batch.f[batch._rows] > f_before[batch._rows]
         moved = op._MOMENTUM * (batch._a - a_before[live])
         assert np.array_equal(batch._v[rose], moved[rose])
-        assert not batch._v[~rose].any()
+        assert np.array_equal(batch._vu[rose], op._MOMENTUM * (batch._u - u_before[live])[rose])
+        assert not batch._v[~rose].any() and not batch._vu[~rose].any()
         accepted, rejected = accepted + rose.sum(), rejected + (~rose).sum()
     assert compacted and accepted and rejected
 
@@ -383,320 +449,154 @@ def test_one_alpha_work_count():
     # a fixed sarg04 ascent at q = 0.10 and its interior optimum alpha: the
     # row-step count is deterministic, so a change that slows convergence
     # fails here (20713 row-steps without momentum, 12231 with it)
-    rho = op._conditional_stack(purified_state(SARG04, 0.1, 0.7588))[None]
-    factors = np.stack([op._random_factors(np.random.default_rng(7 + r), 4, 4) for r in range(32)])
-    batch = _batch(factors, rho, np.zeros(32, dtype=int))
+    batch = _fixed_batch(SARG04, 0.1, 0.7588, _seeded(32)[0])
     batch.run(2000)
     assert batch.row_iters.sum() <= 14000
     assert batch.f.max() >= 0.1996008822
+    # with alpha folded into their ascent, the same restarts find the peak
+    # over alpha in about as many row-steps (13409)
+    folded = op._ascend(SARG04, 0.1, OptimizerConfig(restarts=32))
+    assert folded.row_iters.sum() <= 15000
+    assert folded.f.max() >= 0.1996330
 
 
 @pytest.mark.parametrize("proto", [BB84, SARG04], ids=lambda p: p.name)
-def test_grid_batching_changes_no_result(proto, light_config, monkeypatch):
-    batched = optimize_attack(proto, 0.1, light_config)
-    batch_ascend = op._ascend
-    monkeypatch.setattr(op, "_ascend", lambda states, *args: [batch_ascend([ps], *args)[0] for ps in states])
-    single = optimize_attack(proto, 0.1, light_config)
-    assert batched.i_ae == single.i_ae
-    assert batched.best_alpha == single.best_alpha
-    assert batched.restarts_agreeing == single.restarts_agreeing
-    assert batched.converged == single.converged
-    assert np.array_equal(batched.best_povm.elements, single.best_povm.elements)
+def test_alpha_grid_options_change_no_result(proto):
+    # alpha_grid_points and alpha_refine_iters are accepted but inert
+    a = optimize_attack(proto, 0.1, OptimizerConfig(restarts=8, alpha_grid_points=9, alpha_refine_iters=2))
+    b = optimize_attack(proto, 0.1, OptimizerConfig(restarts=8, alpha_grid_points=41, alpha_refine_iters=0))
+    for field in dataclasses.fields(AttackResult):
+        if field.name != "best_povm":
+            assert getattr(a, field.name) == getattr(b, field.name), field.name
+    assert np.array_equal(a.best_povm.elements, b.best_povm.elements)
 
 
-def _recording_alphas(monkeypatch):
-    """Record the alphas of every state the search builds, and the (alphas, values) of each ascent.
+def test_benchmark_monte_carlo_config_reaches_the_sarg04_reference():
+    # the Monte Carlo workload's attack budget: 4 restarts of 400 steps.  The
+    # alpha search it replaced read 0.19135 here, 8e-3 below the reference
+    cfg = OptimizerConfig(restarts=4, alpha_grid_points=3, alpha_refine_iters=1, max_iters=400)
+    assert optimize_attack(SARG04, 0.1, cfg).i_ae >= 0.1996329806 - 1e-4
 
-    Returns (asked, ascents): every alpha passed to purified_state, ascent
-    and slope stencil alike, and per ascent its alphas and values, -inf
-    where retired.
-    """
-    asked, ascents, alpha_of = [], [], {}
-    build, ascend = op.purified_state, op._ascend
 
-    def building(protocol, q, alpha):
-        ps = build(protocol, q, alpha)
-        asked.append(alpha)
-        alpha_of[id(ps)] = alpha
-        return ps
+def _recording_ascend(monkeypatch):
+    """Wrap _ascend; returns the list of the batches it returned."""
+    batches, ascend = [], op._ascend
 
-    def ascending(states, *args):
-        results = ascend(states, *args)
-        ascents.append(([alpha_of[id(ps)] for ps in states], [-np.inf if r is None else r[1] for r in results]))
-        return results
+    def recording(*args):
+        batches.append(ascend(*args))
+        return batches[-1]
 
-    monkeypatch.setattr(op, "purified_state", building)
-    monkeypatch.setattr(op, "_ascend", ascending)
-    return asked, ascents
+    monkeypatch.setattr(op, "_ascend", recording)
+    return batches
 
 
 @pytest.mark.parametrize("proto", [BB84, SARG04, SIX_STATE], ids=lambda p: p.name)
-def test_secant_evaluates_each_alpha_once(proto, monkeypatch):
-    # the grid shares one ascent, then each secant step runs one ascent of a
-    # new alpha, at most alpha_refine_iters of them; a point interval
-    # (six-state's, and every protocol's at q = 0) runs one ascent of one
-    # alpha.  Every alpha the search asks for, slope stencils included, lies
-    # in the interval, and every refinement alpha strictly inside a grid
-    # cell beside the best grid point, so the search needs no clamp
-    asked, ascents = _recording_alphas(monkeypatch)
-    for q, grid in itertools.product((0.0, 0.1), (2, 3, 15)):
+def test_one_ascent_per_attack(proto, monkeypatch):
+    # an attack is one ascent; a point interval (six-state's, and every
+    # protocol's at q = 0) carries no angle, reports no slope and ends at its
+    # bound, and every reported alpha lies in the interval
+    batches = _recording_ascend(monkeypatch)
+    for q in (0.0, 0.1):
         lo, hi = alpha_range(proto, q)
-        assert (lo == hi) == (q == 0.0 or proto is SIX_STATE)
-        asked.clear()
-        ascents.clear()
-        cfg = OptimizerConfig(restarts=2, max_iters=100, alpha_grid_points=grid, alpha_refine_iters=3)
-        result = optimize_attack(proto, q, cfg)
-        assert all(lo <= a <= hi for a in asked)
-        points = list(dict.fromkeys(np.linspace(lo, hi, grid).tolist()))
-        (first, values), *steps = ascents
-        assert first == points
-        refined = [alphas[0] for alphas, _ in steps]
-        assert all(len(alphas) == 1 for alphas, _ in steps)
-        assert len(refined) <= cfg.alpha_refine_iters
-        assert len(set(points + refined)) == len(points) + len(refined)
-        best = int(np.argmax(values))
-        cell = points[max(best - 1, 0)], points[min(best + 1, len(points) - 1)]
-        assert all(cell[0] < a < cell[1] for a in refined)
+        point = q == 0.0 or proto is SIX_STATE
+        assert (lo == hi) == point
+        batches.clear()
+        result = optimize_attack(proto, q, OptimizerConfig(restarts=2, max_iters=100))
+        [batch] = batches
+        assert lo <= result.best_alpha <= hi
         assert result.alpha_stop in ("bound", "stationary", "budget")
-        if lo == hi:
-            assert ascents == [([lo], values)]
+        if point:
+            assert not batch._moves and not batch.u.any()
             assert (result.alpha_stop, result.alpha_slope) == ("bound", None)
+        else:
+            assert batch._moves and isinstance(result.alpha_slope, float)
+
+
+@pytest.mark.parametrize("proto", [BB84, SARG04, SIX_STATE], ids=lambda p: p.name)
+def test_reported_attack_is_rescored_at_its_alpha(proto, light_config):
+    # the reported POVM, read by the reference estimator at
+    # purified_state(best_alpha), gives i_ae: the best row's angle and sign
+    # frame are mapped back into the state every reader rebuilds, and
+    # bb84's alpha snaps to alpha_lo exactly
+    for q in (0.0, 0.02, 0.10, 0.175, 0.25):
+        r = optimize_attack(proto, q, light_config)
+        value = mutual_info_ae(conditional_probs(r.best_povm, purified_state(proto, q, r.best_alpha)), proto.key_on_basis)
+        assert abs(value - r.i_ae) <= 1e-9, q
+        if proto is BB84:
+            assert r.best_alpha == alpha_range(BB84, q)[0], q
+            assert r.alpha_stop == "bound", q
+
+
+@pytest.mark.parametrize("turn", [lambda u: u + math.pi, lambda u: -u, lambda u: math.pi - u], ids=["u+pi", "-u", "pi-u"])
+def test_reported_attack_is_the_same_from_every_quadrant(turn, light_config, monkeypatch):
+    # turning an angle to another quadrant flips the signs of sarg04's
+    # amplitudes that vanish at lo (sin u) and at hi (cos u): a reflection D
+    # of the register E.  With every row's factors reflected to match
+    # (M -> D M D), each row is the same attack, and the report, mapped back
+    # into [0, pi/2] with its own reflection, must not change
+    coeffs, ascend, plain = amplitude_map(SARG04, 0.1), op._ascend, optimize_attack(SARG04, 0.1, light_config)
+
+    def turned(*args):
+        batch = ascend(*args)
+        s, s_turned = amplitudes(coeffs, batch.u)[0], amplitudes(coeffs, turn(batch.u))[0]
+        d = np.where(s * s_turned < 0.0, -1.0, 1.0)[:, None, None, :]
+        batch._a, batch._done_a = batch._a * d[batch._rows], batch._done_a * d
+        batch._u, batch._done_u = turn(batch._u), turn(batch._done_u)
+        return batch
+
+    monkeypatch.setattr(op, "_ascend", turned)
+    result = optimize_attack(SARG04, 0.1, light_config)
+    assert plain.alpha_stop != "bound" and result.alpha_stop == plain.alpha_stop
+    for field in ("i_ae", "best_alpha", "alpha_slope"):
+        assert getattr(result, field) == pytest.approx(getattr(plain, field), abs=1e-10), field
+    assert np.max(np.abs(result.best_povm.elements - plain.best_povm.elements)) <= 1e-12
+
+
+@pytest.mark.parametrize("proto", [BB84, SIX_STATE, SARG04], ids=lambda p: p.name)
+def test_holevo_bounds_every_searched_value(proto, light_config):
+    # Holevo's bound, averaged over side values, caps the value of every
+    # restart at the alpha of its angle
+    batch = op._ascend(proto, 0.1, light_config)
+    states = [purified_state(proto, 0.1, alpha_at(proto, 0.1, u)) for u in batch.u]
+    chi = holevo_chi(np.stack([op._conditional_stack(ps) for ps in states]))
+    assert (batch.f <= chi + 1e-9).all()
 
 
 def test_bb84_certifies_alpha_lo_in_one_ascent(light_config, monkeypatch):
-    # bb84's value falls away from alpha_lo, with slopes near -2.7 at both
-    # steps, so the grid's ascent is the only one
-    calls = _recording_ascend(monkeypatch)
+    # bb84's value falls away from alpha_lo like u^2, so the best row stops a
+    # hair inside it with a small negative dI/du, and its POVM, which scores
+    # no lower at alpha_lo, reports alpha_lo exactly
+    batches = _recording_ascend(monkeypatch)
     result = optimize_attack(BB84, 0.1, light_config)
-    assert calls == [(light_config.alpha_grid_points, calls[0][1])]
+    assert len(batches) == 1
     assert result.best_alpha == alpha_range(BB84, 0.1)[0]
     assert result.alpha_stop == "bound"
-    assert -3.0 < result.alpha_slope[0] <= result.alpha_slope[1] < -2.5
+    assert -1e-5 < result.alpha_slope <= 0.0
 
 
 def test_singular_slope_at_a_bound_certifies_nothing():
-    # sarg04 at q = 0.10 on a grid of 3: the best grid point is alpha_lo,
-    # where a Bell weight vanishes.  I* rises into the interval like
-    # sqrt(alpha - alpha_lo), but the fixed-POVM slope of the best restart
-    # points out of it, ten times as steeply at a hundredth of the step;
-    # other agreeing restarts point in.  Certifying alpha_lo by that slope
-    # would report its value, 0.18288; the secant reaches 0.19932
-    cfg = OptimizerConfig(restarts=8, alpha_grid_points=3, alpha_refine_iters=3)
-    lo, _ = alpha_range(SARG04, 0.1)
-    povms = op._ascend([purified_state(SARG04, 0.1, lo)], 4, cfg)[0][0]
-    f = op._fixed_povm_info(povms, [purified_state(SARG04, 0.1, a) for a in (lo, lo + 1e-6, lo + 1e-8)])
-    coarse, fine = (f[:, 1] - f[:, 0]) / 1e-6, (f[:, 2] - f[:, 0]) / 1e-8
-    assert fine[0] < 5 * coarse[0] < 0
-    assert coarse.min() < 0 < coarse.max()
-    assert op._alpha_slope(SARG04, 0.1, lo, povms) is None
-    assert op._alpha_slope(SARG04, 0.1, lo, povms[:1]) is None
-    result = optimize_attack(SARG04, 0.1, cfg)
+    # sarg04 at q = 0.10: at alpha_lo a Bell weight vanishes, and I* rises
+    # into the interval like sqrt(alpha - alpha_lo), with a singular slope in
+    # alpha.  Its signed amplitude makes that linear in u, so rows started at
+    # alpha_lo (u = 0) leave it; certifying alpha_lo would report 0.18288
+    lo, hi = alpha_range(SARG04, 0.1)
+    batch = _batch(SARG04, _seeded(8)[0], np.broadcast_to(amplitude_map(SARG04, 0.1), (8, 4, 4)), np.zeros(8))
+    batch.run(2000)
+    best = int(np.argmax(batch.f))
+    assert alpha_at(SARG04, 0.1, batch.u[best]) > lo + 1e-3
+    assert batch.f[best] > 0.199
+    result = optimize_attack(SARG04, 0.1, OptimizerConfig(restarts=8, alpha_grid_points=3, alpha_refine_iters=3))
     assert result.best_alpha > lo
     assert result.alpha_stop != "bound"
     assert result.i_ae > 0.199
 
 
-def _alone_and_shared(monkeypatch, run):
-    """run() in one process, then in two: this one and a forked worker."""
-    monkeypatch.setattr(op, "_process_count", lambda: 1)
-    alone = run()
-    opened, real_pool = [], op._pool
-
-    def recording_pool(workers):
-        pool = real_pool(workers)
-        # queued ahead of the shards, so it runs in the worker that runs them
-        opened.append((workers, pool.submit(os.getpid)))
-        return pool
-
-    monkeypatch.setattr(op, "_pool", recording_pool)
-    monkeypatch.setattr(op, "_process_count", lambda: 2)
-    shared = run()
-    assert opened, "no shard was sent to a worker pool"
-    assert all(workers == 1 and pid.result(timeout=120) != os.getpid() for workers, pid in opened)
-    return alone, shared
+def _ascent_value(seed: int) -> float:
+    return float(op._ascend(BB84, 0.1, OptimizerConfig(restarts=32, max_iters=50, seed=seed)).f.max())
 
 
-def test_shard_layout():
-    row_counts = [1, 4, 15, 16, 31, 32, 36, 72, 129, 257, 480, 1000]
-    for rows, processes in itertools.product(row_counts, [1, 2, 3, 8]):
-        shards = op._shards(rows, processes)
-        assert len(shards) == max(1, min(processes, rows // op._MIN_SHARD_ROWS))
-        assert shards[0][0] == 0 and shards[-1][1] == rows
-        assert all(e == s for (_, e), (s, _) in zip(shards, shards[1:]))
-        sizes = [e - s for s, e in shards]
-        assert max(sizes) - min(sizes) <= 1
-        assert min(sizes) >= min(rows, op._MIN_SHARD_ROWS)
-
-
-@pytest.mark.parametrize("proto", [BB84, SARG04], ids=lambda p: p.name)
-def test_sharding_changes_no_attack_result(proto, light_config, monkeypatch):
-    alone, shared = _alone_and_shared(monkeypatch, lambda: optimize_attack(proto, 0.1, light_config))
-    assert shared.i_ae == alone.i_ae
-    assert shared.best_alpha == alone.best_alpha
-    assert shared.restarts_agreeing == alone.restarts_agreeing
-    assert shared.converged == alone.converged
-    assert np.array_equal(shared.best_povm.elements, alone.best_povm.elements)
-
-
-def test_sharding_changes_no_povm_result(monkeypatch):
-    # 32 restarts of one state: with two processes the group is cut in half
-    ps, cfg = purified_state(BB84, 0.1, 0.8), OptimizerConfig(restarts=32, max_iters=600)
-    alone, shared = _alone_and_shared(monkeypatch, lambda: _optimize_povm(ps, 4, cfg))
-    assert shared[1] == alone[1]
-    assert np.array_equal(shared[0], alone[0])
-
-
-def test_group_straddling_a_shard_boundary(monkeypatch):
-    # three states of 12 restarts, at two error rates, laid out
-    # state-fastest: the two shards meet at row 18, so each holds six
-    # restarts of every state; no state retires, so every state's reduction
-    # spans both shards.  Each state's result is also that of an ascent of
-    # it alone, so rows at different q share one batch bit for bit
-    _unpruned(monkeypatch)
-    cfg = OptimizerConfig(restarts=12, max_iters=600)
-    lo, hi = alpha_range(SARG04, 0.1)
-    points = [(0.1, lo), (0.05, sum(alpha_range(SARG04, 0.05)) / 2), (0.1, hi)]
-    states = [purified_state(SARG04, q, a) for q, a in points]
-    assert op._shards(36, 2) == [(0, 18), (18, 36)]
-    alone, shared = _alone_and_shared(monkeypatch, lambda: op._ascend(states, 4, cfg))
-    monkeypatch.setattr(op, "_process_count", lambda: 1)
-    single = [op._ascend([ps], 4, cfg)[0] for ps in states]
-    for (m_a, f_a, conv_a), (m_s, f_s, conv_s), (m_1, f_1, conv_1) in zip(alone, shared, single):
-        assert (f_s, conv_s) == (f_a, conv_a) == (f_1, conv_1)
-        # the agreeing restarts' POVMs, in the same order
-        assert np.array_equal(m_s, m_a) and np.array_equal(m_1, m_a)
-
-
-def _unpruned(monkeypatch):
-    """Disable the grid pruning: every Holevo bound reads +inf."""
-    monkeypatch.setattr(op, "holevo_chi", lambda rho: np.full(len(rho), np.inf))
-
-
-def _recording_ascend(monkeypatch):
-    """Wrap _ascend; returns the list of (alphas' count, retired states) of each call."""
-    calls, ascend = [], op._ascend
-
-    def recording(states, *args):
-        results = ascend(states, *args)
-        calls.append((len(states), [i for i, r in enumerate(results) if r is None]))
-        return results
-
-    monkeypatch.setattr(op, "_ascend", recording)
-    return calls
-
-
-@pytest.mark.parametrize("proto", [BB84, SIX_STATE, SARG04], ids=lambda p: p.name)
-def test_holevo_bounds_every_searched_value(proto, light_config, monkeypatch):
-    # Holevo's bound, averaged over side values, caps the value of every
-    # restart at every alpha the search visits, grid and secant
-    ascend, gaps = op._ascend, []
-    _unpruned(monkeypatch)
-
-    def checking(states, *args):
-        results = ascend(states, *args)
-        chi = holevo_chi(np.stack([op._conditional_stack(ps) for ps in states]))
-        gaps.extend(f - c for (_, f, _), c in zip(results, chi))
-        return results
-
-    monkeypatch.setattr(op, "_ascend", checking)
-    optimize_attack(proto, 0.1, light_config)
-    assert gaps and max(gaps) <= 1e-9
-
-
-@pytest.mark.parametrize("proto", [BB84, SARG04], ids=lambda p: p.name)
-def test_pruning_changes_no_attack_result(proto, light_config, monkeypatch):
-    calls = _recording_ascend(monkeypatch)
-    pruned = optimize_attack(proto, 0.1, light_config)
-    assert calls[0][1], "the grid ascent retired no alpha"
-    _unpruned(monkeypatch)
-    for full in _alone_and_shared(monkeypatch, lambda: optimize_attack(proto, 0.1, light_config)):
-        for field in ("i_ae", "best_alpha", "restarts_agreeing", "converged", "robust"):
-            assert getattr(full, field) == getattr(pruned, field), field
-        assert np.array_equal(full.best_povm.elements, pruned.best_povm.elements)
-
-
-def test_retired_rows_leave_the_other_rows_unchanged():
-    # bb84 at q = 0.10: the two top alphas' bounds (0.097 and 0) lie below
-    # the best value (0.2655), so their rows retire; every other row must
-    # follow the unpruned batch bit for bit
-    alphas = (0.8, 0.85, 0.8929, 0.9)
-    rho = np.stack([op._conditional_stack(purified_state(BB84, 0.1, a)) for a in alphas])
-    group = np.tile(np.arange(len(alphas)), 6)
-    factors = np.stack([op._random_factors(np.random.default_rng(7 + r), 4, 4) for r in range(group.size)])
-    bound = holevo_chi(rho)
-    pruned, full = op._Batch(factors, _state_rows(rho, group), bound[group]), _batch(factors, rho, group)
-    while pruned.active.any() and pruned.iters < 600:
-        pruned.step_once()
-        full.step_once()
-        assert not (pruned.retired & pruned.converged).any()
-        assert not (pruned.active & pruned.retired).any()
-        retired_groups = np.unique(group[pruned.retired])
-        # a row retires only once the batch's best value has passed its bound
-        assert (bound[retired_groups] + 1e-9 < pruned.f.max()).all()
-        assert np.array_equal(pruned.retired, np.isin(group, retired_groups) & ~pruned.converged)
-    assert np.array_equal(np.unique(group[pruned.retired]), [2, 3])
-    full.run(600)
-    kept = ~np.isin(group, [2, 3])
-    for attr in ("f", "m", "converged", "row_iters"):
-        assert np.array_equal(getattr(pruned, attr)[kept], getattr(full, attr)[kept]), attr
-    assert (pruned.row_iters[~kept] < full.row_iters[~kept]).all()
-    assert (pruned.f[~kept] <= full.f[~kept]).all()
-
-
-def test_secant_never_reads_a_retired_neighbour(monkeypatch):
-    # sarg04's best grid point at q = 0.10 is interior, and the first secant
-    # step is the root of its slope and that of the neighbour on the rising
-    # side.  Retired in the grid ascent, that neighbour is an end
-    # without a slope: the first step is the cell's midpoint, and the
-    # neighbour is never read from the cache or run again
-    cfg = OptimizerConfig(restarts=8, alpha_grid_points=15, alpha_refine_iters=2)
-    _unpruned(monkeypatch)
-    _, ascents = _recording_alphas(monkeypatch)
-    optimize_attack(SARG04, 0.1, cfg)
-    (grid, values), ([first], _), *_ = ascents
-    best = int(np.argmax(values))
-    k = best + (1 if first > grid[best] else -1)
-    assert 0 < best < len(grid) - 1 and first != 0.5 * (grid[best] + grid[k])
-    ascents.clear()
-    monkeypatch.setattr(
-        op, "holevo_chi", lambda rho: np.where((len(rho) == len(grid)) & (np.arange(len(rho)) == k), -1.0, np.inf)
-    )
-    result = optimize_attack(SARG04, 0.1, cfg)
-    assert ascents[0][1][k] == -np.inf
-    assert ascents[1][0] == [0.5 * (grid[best] + grid[k])]
-    assert all(grid[k] not in alphas for alphas, _ in ascents[1:])
-    assert result.best_alpha != grid[k]
-
-
-def test_sharded_ascent_leaves_no_worker(monkeypatch):
-    # the pool lives for one ascent: its workers are joined before _ascend returns
-    monkeypatch.setattr(op, "_process_count", lambda: 2)
-    cfg = OptimizerConfig(restarts=32, max_iters=20)
-    assert len(op._shards(cfg.restarts, 2)) == 2
-    op._ascend([purified_state(BB84, 0.1, 0.8)], 4, cfg)
-    assert multiprocessing.active_children() == []
-
-
-def test_small_call_builds_no_pool(monkeypatch):
-    def no_pool(workers):
-        raise AssertionError("a call below the minimum shard size built the worker pool")
-
-    monkeypatch.setattr(op, "_process_count", lambda: 2)
-    monkeypatch.setattr(op, "_pool", no_pool)
-    assert op._shards(4, 2) == [(0, 4)]
-    # the benchmark's warm-up: two alphas of two restarts
-    cfg = OptimizerConfig(restarts=2, alpha_grid_points=2, alpha_refine_iters=0, max_iters=20)
-    assert optimize_attack(BB84, 0.1, cfg).i_ae > 0
-
-
-def _povm_value(seed: int) -> float:
-    cfg = OptimizerConfig(restarts=32, max_iters=50, seed=seed)
-    return _optimize_povm(purified_state(BB84, 0.1, 0.8), 4, cfg)[1]
-
-
-def test_ascent_in_a_daemonic_worker(monkeypatch):
-    # multiprocessing.Pool workers are daemonic and may not start processes,
-    # so a 32-row ascent, which two CPUs would shard, stays in the worker
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def test_ascent_in_a_daemonic_worker():
+    # multiprocessing.Pool workers are daemonic and may not start processes;
+    # an ascent runs in the process that calls it, so it runs in one too
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        assert pool.apply_async(_povm_value, (7,)).get(timeout=120) == _povm_value(7)
+        assert pool.apply_async(_ascent_value, (7,)).get(timeout=120) == _ascent_value(7)

@@ -114,6 +114,8 @@ def test_every_export_is_read_by_the_product():
 _IMPORT_PROBE = """
 import json, os, sys
 import qkdattack.cli
+from qkdattack import BB84, OptimizerConfig, optimize_attack
+optimize_attack(BB84, 0.1, OptimizerConfig(restarts=32, max_iters=50))
 try:
     os.waitpid(-1, os.WNOHANG)
     children = True
@@ -125,7 +127,8 @@ print(json.dumps({"loaded": loaded, "children": children}))
 
 
 def test_cli_import_loads_no_process_machinery():
-    # the worker pool and its modules come with the first sharded ascent, not with the import
+    # an attack runs in the calling process: neither the import nor a 32-row
+    # ascent loads process machinery or starts a child
     src = str(PACKAGE_DIR.parent)
     done = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE], env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}, capture_output=True, text=True,

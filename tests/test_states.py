@@ -9,7 +9,10 @@ from qkdattack.states import (
     SIX_STATE,
     BellDiagonalParams,
     PurifiedState,
+    alpha_at,
     alpha_range,
+    amplitude_map,
+    amplitudes,
     basis_projector,
     bell_basis,
     bob_bit_projector,
@@ -355,3 +358,19 @@ def test_state_layer_matches_its_textbook_definitions(proto):
                 assert np.max(np.abs(rho_e - expected_e)) <= 1e-15 and abs(p - expected_p) <= 1e-15
                 expected_be, _ = _textbook_conditioned(ps, x, theta, [1, 2])
                 assert np.max(np.abs(bob_eve_conditional_state(ps, x, theta) - expected_be)) <= 1e-15
+
+
+@pytest.mark.parametrize("proto", list(PROTOCOLS.values()), ids=lambda p: p.name)
+def test_amplitude_map_stays_in_the_family(proto):
+    # for every real u, alpha(u) = lo + (hi - lo) sin^2 u lies in [lo, hi]
+    # with no clamp, and the squared amplitudes are the family's Bell weights
+    # there, so they sum to 1; at q = 0.45 sarg04's lo is clipped to 0
+    u = np.concatenate([np.linspace(-20.0, 20.0, 801), np.pi / 2 * np.arange(-5, 6)])
+    for q in (0.0, 0.05, 0.1, 0.175, 0.3, 0.45):
+        lo, hi = alpha_range(proto, q)
+        s, _ = amplitudes(amplitude_map(proto, q), u)
+        for u_i, s_i in zip(u, s):
+            alpha = alpha_at(proto, q, u_i)
+            assert lo <= alpha <= hi, (q, u_i)
+            weights = purified_state(proto, q, alpha).params.weights
+            assert np.max(np.abs(s_i**2 - weights)) <= 1e-14, (q, u_i)
