@@ -1,6 +1,6 @@
 """Locate the zero of the key rate for each protocol and compare regimes.
 
-Run:  python3 demos/04_thresholds.py   (about 7 s on 2 CPUs)
+Run:  python3 demos/04_thresholds.py   (about 1.5 s on 2 CPUs)
 """
 
 from qkdattack import PROTOCOLS, OptimizerConfig, bb84_closed_form_iae, find_threshold, key_rate

@@ -138,15 +138,21 @@ def find_threshold(
 ) -> ThresholdReport:
     """The zero of r(q), bracketed to the tolerance inside [0.05, 0.30].
 
-    After the two end probes, each probe's sign replaces one bracket end.
-    It sits at _interpolated_probe, or at the midpoint where that gives None
-    or the previous interpolated probe failed to halve the bracket, so no
-    search takes more than twice bisection's probes.  r(q) is monotone
-    decreasing; an under-converged probe only inflates the rate, so a probe
+    r(q) is monotone decreasing.  The first probe sits at the midpoint.
+    Until a probe changes sign, the next sits tolerance / 4 past the root of
+    the last one's tangent, toward the unexplored end, but never past the
+    midpoint of the unexplored side; at that midpoint where the slope is not
+    finite and negative or fewer than half the probes so far halved that
+    side; and at its end once that side is within the tolerance.  An end of
+    the same sign raises NumericalFailure.  Then each probe's sign
+    replaces one bracket end; it sits at _interpolated_probe, or at the
+    midpoint where that gives None or the previous interpolated probe failed
+    to halve the bracket.  So every two probes at least halve the bracket or
+    the unexplored side, and no search takes more than twice bisection's
+    probes.  An under-converged probe only inflates the rate, so a probe
     that exceeds an earlier, smaller-q rate by more than 1e-4 is re-run once
     with four times the restarts.  The tolerance lies in [1e-4, 0.25): a
-    bracket-wide one would only probe the ends.  A bracket with no sign
-    change raises NumericalFailure.
+    bracket-wide one would end with half the bracket.
     """
     lo, hi = _BRACKET
     if not MIN_TOLERANCE <= tolerance < hi - lo:  # also rejects NaN
@@ -162,9 +168,26 @@ def find_threshold(
         probes.append(ThresholdProbe(q, key_rate(q, result.i_ae), _rate_slope(result), rerun))
         return probes[-1]
 
-    low, high = probe(lo), probe(hi)
-    if not (low.rate > 0.0 > high.rate):
-        raise NumericalFailure(f"no sign change on [{lo}, {hi}]: r({lo})={low.rate:.4g}, r({hi})={high.rate:.4g}")
+    near = probe(0.5 * (lo + hi))
+    end = hi if near.rate > 0.0 else lo
+    halvings = 1
+    while True:
+        mid = 0.5 * (near.q + end)
+        if abs(end - near.q) <= tolerance:
+            q = end
+        elif 2 * halvings < len(probes) or not -math.inf < near.slope < 0.0:
+            q = mid
+        else:
+            q = near.q - near.rate / near.slope + math.copysign(tolerance / 4, end - near.q)
+            q = min(q, mid) if end > near.q else max(q, mid)
+        nxt = probe(q)
+        if (nxt.rate > 0.0) != (near.rate > 0.0):
+            break
+        if q == end:
+            raise NumericalFailure(f"no sign change on [{lo}, {hi}]: r({probes[0].q:.4g})={probes[0].rate:.4g}, r({end})={nxt.rate:.4g}")
+        halvings += q == mid
+        near = nxt
+    low, high = (near, nxt) if near.rate > 0.0 else (nxt, near)
     halved = True
     while high.q - low.q > tolerance:
         width = high.q - low.q

@@ -5,5 +5,5 @@ from qkdattack.optimizer import OptimizerConfig
 
 @pytest.fixture(scope="session")
 def light_config() -> OptimizerConfig:
-    """Small restart/grid budget for tests that only need a decent optimum."""
-    return OptimizerConfig(restarts=8, alpha_grid_points=9, alpha_refine_iters=2)
+    """Small restart budget for tests that only need a decent optimum."""
+    return OptimizerConfig(restarts=8)

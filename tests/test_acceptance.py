@@ -33,12 +33,11 @@ from qkdattack.states import (
 C1_GRID = (0.02, 0.05, 0.08, 0.10, 0.12, 0.15, 0.20, 0.25)
 C6_GRID = (0.02, 0.05, 0.08, 0.10, 0.12)
 
-# the benchmark's restart budgets; alpha is a coordinate of every restart's
-# ascent, so the alpha grid fields, which the benchmark still passes, change
-# no result.  bb84's optimum sits at an interval endpoint (alpha_lo at
-# q=0.10), sarg04's inside the interval (alpha* ~ 0.7596 at q=0.10)
-ATTACK_CONFIG = OptimizerConfig(restarts=32, alpha_grid_points=15, alpha_refine_iters=3)
-THRESHOLD_CONFIG = OptimizerConfig(restarts=12, alpha_grid_points=15, alpha_refine_iters=3)
+# the benchmark's restart budgets and seed.  bb84's optimum sits at an
+# interval endpoint (alpha_lo at q=0.10), sarg04's inside the interval
+# (alpha* ~ 0.7596 at q=0.10)
+ATTACK_CONFIG = OptimizerConfig(restarts=32)
+THRESHOLD_CONFIG = OptimizerConfig(restarts=12)
 
 
 @pytest.fixture
@@ -227,7 +226,7 @@ def test_criterion_8_monte_carlo(bb84_attacks, report):
 
 
 def test_criterion_9_threshold_determinism(tmp_path, report):
-    cfg = OptimizerConfig(restarts=8, alpha_grid_points=9, alpha_refine_iters=2)
+    cfg = OptimizerConfig(restarts=8)
     a, _ = cli.run("threshold", SIX_STATE, cfg, str(tmp_path / "a.json"), tolerance=2e-3)
     b, _ = cli.run("threshold", SIX_STATE, cfg, str(tmp_path / "b.json"), tolerance=2e-3)
     a["manifest"].pop("duration_seconds")
@@ -304,6 +303,15 @@ def test_threshold_search_takes_at_most_six_probes(protocol, thresholds):
     rep, attacks = thresholds(protocol)
     assert len(attacks) <= 6, [a.q for a in attacks]
     assert all(p.slope < 0.0 for p in rep.probes), rep.probes
+
+
+@pytest.mark.parametrize("protocol", [BB84, SARG04, SIX_STATE], ids=lambda p: p.name)
+def test_threshold_search_probes_inside_the_bracket(protocol, thresholds):
+    # the search starts at the bracket's midpoint and walks to the root by
+    # the rate's slope, so it probes neither end: 4, 2 and 4 probes today
+    rep, attacks = thresholds(protocol)
+    assert len(attacks) <= 4, [a.q for a in attacks]
+    assert not {p.q for p in rep.probes} & set(keyrate._BRACKET), rep.probes
 
 
 def test_reported_attack_values_follow_rate_identity(bb84_attacks):

@@ -16,7 +16,7 @@ from qkdattack.information import Povm
 from qkdattack.keyrate import bb84_closed_form_iae
 from qkdattack.optimizer import AttackResult, OptimizerConfig
 
-LIGHT = ["--restarts", "8", "--alpha-grid-points", "9"]
+LIGHT = ["--restarts", "8"]
 
 
 def _load(path):
@@ -156,7 +156,7 @@ def test_simulate_sarg04_checks_round_averaged_qber(tmp_path):
     out = tmp_path / "sarg.json"
     rc = main(
         ["simulate", "--protocol", "sarg04", "--q", "0.1", "--n-rounds", str(n),
-         "--restarts", "4", "--alpha-grid-points", "5", "--out", str(out)]
+         "--restarts", "4", "--out", str(out)]
     )
     assert rc == 0
     report = _load(out)

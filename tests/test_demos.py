@@ -1,9 +1,9 @@
 """The demos run against the current API.
 
-Demo 01 is fast and runs in full; demos 02-05 run optimizers for 5-15 s
-each, so they are loaded, which checks their imports, and demo 02's
-``main`` and demo 05's ``run`` also run at a reduced restart budget (demo 05
-also at a reduced round count).
+Demos 01 and 04 are fast and run in full; demos 02, 03 and 05 run
+optimizers for 5-15 s each, so they are loaded, which checks their imports,
+and demo 02's ``main`` and demo 05's ``run`` also run at a reduced restart
+budget (demo 05 also at a reduced round count).
 """
 
 import runpy
@@ -40,6 +40,13 @@ def test_bb84_attack_demo_runs(capsys):
     assert "optimal POVM at q = 0.10 (4 outcomes on dim 4)" in out
     assert "in the basis it reads" in out
     assert "in the other: an exact tie" in out or "in the other: a near tie, not an exact one" in out
+
+
+def test_thresholds_demo_runs(capsys):
+    runpy.run_path(str(DEMOS / "04_thresholds.py"))["main"]()
+    out = capsys.readouterr().out
+    assert "every q* lies within +/-0.003 of its published value: yes;" in out
+    assert "every closed-form root lies inside its bracket: yes" in out
 
 
 def test_monte_carlo_demo_runs(capsys):

@@ -131,9 +131,8 @@ def test_find_threshold_sixstate(light_config):
 
 
 def test_find_threshold_stable_under_restart_doubling():
-    cfg = OptimizerConfig(restarts=6, alpha_grid_points=9, alpha_refine_iters=2)
-    a = find_threshold(SIX_STATE, 1e-3, cfg)
-    b = find_threshold(SIX_STATE, 1e-3, OptimizerConfig(restarts=12, alpha_grid_points=9, alpha_refine_iters=2))
+    a = find_threshold(SIX_STATE, 1e-3, OptimizerConfig(restarts=6))
+    b = find_threshold(SIX_STATE, 1e-3, OptimizerConfig(restarts=12))
     assert abs(a.threshold_q - b.threshold_q) <= 1e-3
 
 
@@ -153,7 +152,7 @@ def _central_difference(f, h=1e-6):
 )
 def test_rate_slope_matches_the_closed_form_derivative(protocol, q):
     # the envelope slope of an optimized attack against d/dq of the closed-form rate
-    attack = optimize_attack(protocol, q, OptimizerConfig(restarts=12, alpha_grid_points=15, alpha_refine_iters=3))
+    attack = optimize_attack(protocol, q, OptimizerConfig(restarts=12))
     exact = _central_difference(_closed_form_rate(protocol.closed_form_q_scale))(q)
     assert abs(keyrate._rate_slope(attack) - exact) <= 1e-6
 
@@ -185,11 +184,20 @@ _SYNTHETIC_RATES = {
 }
 
 
-def _synthetic_search(monkeypatch, rate, slope, tolerance):
-    """find_threshold on an attack stub whose key rate at q is rate(q) and whose slope is slope(q)."""
-    monkeypatch.setattr(
-        keyrate, "optimize_attack", lambda protocol, q, config: types.SimpleNamespace(q=q, i_ae=key_rate(q, rate(q)))
-    )
+def _synthetic_search(monkeypatch, rate, slope, tolerance, probed=None):
+    """find_threshold on an attack stub whose key rate at q is rate(q) and whose slope is slope(q).
+
+    Each probed q is appended to probed, if given; a search that does not
+    end fails at its 100th probe.
+    """
+    probed = [] if probed is None else probed
+
+    def attack(protocol, q, config):
+        probed.append(q)
+        assert len(probed) < 100, "the search does not end"
+        return types.SimpleNamespace(q=q, i_ae=key_rate(q, rate(q)))
+
+    monkeypatch.setattr(keyrate, "optimize_attack", attack)
     monkeypatch.setattr(keyrate, "_rate_slope", lambda result: slope(result.q))
     return find_threshold(BB84, tolerance, OptimizerConfig(restarts=1))
 
@@ -216,7 +224,7 @@ def test_search_brackets_the_root_within_bisections_probes(monkeypatch, name, to
     assert (rep.rate_low, rep.rate_high) == pytest.approx((rate(lo), rate(hi)), abs=1e-12)
     assert rep.threshold_q == 0.5 * (lo + hi)
     assert len(rep.probes) <= len(_bisection(rate, tolerance))
-    assert [p.q for p in rep.probes[:2]] == list(keyrate._BRACKET)
+    assert rep.probes[0].q == 0.5 * sum(keyrate._BRACKET)
     assert not any(p.rerun for p in rep.probes)
 
 
@@ -225,20 +233,99 @@ def test_search_without_a_usable_slope_is_bisection(monkeypatch, bad_slope):
     for rate, _ in _SYNTHETIC_RATES.values():
         for tolerance in (1e-4, 1e-3, 1e-2):
             rep = _synthetic_search(monkeypatch, rate, lambda q: bad_slope, tolerance)
-            assert [p.q for p in rep.probes] == _bisection(rate, tolerance)
+            # the ends are probed only when the search reaches them
+            assert [p.q for p in rep.probes] == _bisection(rate, tolerance)[2:]
 
 
 def test_rerun_probe_reports_the_rerun_attack(monkeypatch):
     # a probe whose rate exceeds the smaller-q rate is re-run at four times
-    # the restarts, and its rate and slope come from the re-run
+    # the restarts, and its rate and slope come from the re-run; the second
+    # probe sits at the midpoint of [0.175, 0.30], where the tangent of the
+    # first is capped
+    lo, hi = keyrate._BRACKET
+    second = 0.5 * (0.5 * (lo + hi) + hi)
+
     def attack(protocol, q, config):
-        rate = 0.2 - q + (1.0 if q == 0.30 and config.restarts == 3 else 0.0)
+        rate = 0.2 - q + (1.0 if q == second and config.restarts == 3 else 0.0)
         return types.SimpleNamespace(q=q, i_ae=key_rate(q, rate), restarts=config.restarts)
 
     monkeypatch.setattr(keyrate, "optimize_attack", attack)
     monkeypatch.setattr(keyrate, "_rate_slope", lambda result: -1.0 / result.restarts)
     rep = find_threshold(BB84, 1e-3, OptimizerConfig(restarts=3))
-    first, second = rep.probes[:2]
+    first, nxt = rep.probes[:2]
     assert (first.rerun, first.slope) == (False, -1.0 / 3)
-    assert second.rerun and second.slope == -1.0 / 12
-    assert second.rate == pytest.approx(0.2 - 0.30, abs=1e-12)
+    assert nxt.q == second
+    assert nxt.rerun and nxt.slope == -1.0 / 12
+    assert nxt.rate == pytest.approx(0.2 - second, abs=1e-12)
+
+
+def _linear(root):
+    return lambda q: root - q, lambda q: -1.0
+
+
+def _convex(root, k=20.0):
+    return lambda q: math.exp(-k * (q - root)) - 1.0, lambda q: -k * math.exp(-k * (q - root))
+
+
+def _no_slope(q):
+    return math.nan
+
+
+@pytest.mark.parametrize("usable_slope", [True, False], ids=["slope", "no_slope"])
+@pytest.mark.parametrize("shape", [_linear, _convex], ids=["linear", "convex"])
+@pytest.mark.parametrize("root", [0.0504, 0.2996])
+def test_search_finds_a_root_within_the_tolerance_of_an_end(monkeypatch, root, shape, usable_slope):
+    # the search walks to the end beside the root and probes it, unless a
+    # probe on the way already crosses the root
+    rate, slope = shape(root)
+    rep = _synthetic_search(monkeypatch, rate, slope if usable_slope else _no_slope, 1e-3)
+    lo, hi = rep.bracket
+    assert lo <= root <= hi and hi - lo <= 1e-3
+    assert len(rep.probes) <= len(_bisection(rate, 1e-3))
+
+
+@pytest.mark.parametrize("usable_slope", [True, False], ids=["slope", "no_slope"])
+@pytest.mark.parametrize("shape", [_linear, _convex], ids=["linear", "convex"])
+@pytest.mark.parametrize("root", [0.04, 0.31])
+@pytest.mark.parametrize("tolerance", [1e-4, 1e-3, 1e-2])
+def test_search_for_a_root_beyond_an_end_fails_within_bisections_probes(
+    monkeypatch, root, shape, usable_slope, tolerance
+):
+    rate, slope = shape(root)
+    probed = []
+    with pytest.raises(NumericalFailure, match=r"no sign change on \[0.05, 0.3\]"):
+        _synthetic_search(monkeypatch, rate, slope if usable_slope else _no_slope, tolerance, probed)
+    assert probed[-1] == (keyrate._BRACKET[0] if root < 0.05 else keyrate._BRACKET[1])
+    assert len(probed) <= len(_bisection(rate, tolerance))
+
+
+def test_tangent_step_stops_at_the_midpoint_of_the_unexplored_side(monkeypatch):
+    # bb84's convex closed-form rate: on [0.05, 0.45] the first probe, at
+    # 0.25, has a tangent whose root lies near 0.05, far past the root at
+    # 0.1534; the probe after it sits at the midpoint of [0.05, 0.25]
+    monkeypatch.setattr(keyrate, "_BRACKET", (0.05, 0.45))
+    rate, slope = _SYNTHETIC_RATES["bb84"]
+    assert 0.05 < 0.25 - rate(0.25) / slope(0.25) < 0.06
+    rep = _synthetic_search(monkeypatch, rate, slope, 1e-3)
+    assert [p.q for p in rep.probes[:2]] == [0.25, 0.15]
+    lo, hi = rep.bracket
+    assert rate(lo) > 0.0 > rate(hi) and hi - lo <= 1e-3
+    assert len(rep.probes) <= len(_bisection(rate, 1e-3))
+
+
+@pytest.mark.parametrize("tolerance", [1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("root", [0.29, 0.35])
+def test_short_tangent_steps_give_way_to_midpoints(monkeypatch, root, tolerance):
+    # a rate so convex that each tangent step from the first probe advances
+    # about 1/200 of the way; at least every other probe halves the gap to
+    # the unexplored end, so the search stays within twice bisection's
+    # probes, found root or not
+    probed = []
+    rate, slope = _convex(root, 200.0)
+    try:
+        rep = _synthetic_search(monkeypatch, rate, slope, tolerance, probed)
+    except NumericalFailure:
+        assert root > keyrate._BRACKET[1]
+    else:
+        assert rep.bracket[0] <= root <= rep.bracket[1]
+    assert len(probed) <= 2 * len(_bisection(rate, tolerance))

@@ -474,7 +474,7 @@ def test_alpha_grid_options_change_no_result(proto):
 def test_benchmark_monte_carlo_config_reaches_the_sarg04_reference():
     # the Monte Carlo workload's attack budget: 4 restarts of 400 steps.  The
     # alpha search it replaced read 0.19135 here, 8e-3 below the reference
-    cfg = OptimizerConfig(restarts=4, alpha_grid_points=3, alpha_refine_iters=1, max_iters=400)
+    cfg = OptimizerConfig(restarts=4, max_iters=400)
     assert optimize_attack(SARG04, 0.1, cfg).i_ae >= 0.1996329806 - 1e-4
 
 
@@ -585,7 +585,7 @@ def test_singular_slope_at_a_bound_certifies_nothing():
     best = int(np.argmax(batch.f))
     assert alpha_at(SARG04, 0.1, batch.u[best]) > lo + 1e-3
     assert batch.f[best] > 0.199
-    result = optimize_attack(SARG04, 0.1, OptimizerConfig(restarts=8, alpha_grid_points=3, alpha_refine_iters=3))
+    result = optimize_attack(SARG04, 0.1, OptimizerConfig(restarts=8))
     assert result.best_alpha > lo
     assert result.alpha_stop != "bound"
     assert result.i_ae > 0.199
