@@ -140,6 +140,8 @@ def test_sample_rounds_deterministic_and_typed():
     a = sample_rounds(jd, 1000, seed=42)
     b = sample_rounds(jd, 1000, seed=42)
     assert a.dtype == ROUND_DTYPE
+    assert ROUND_DTYPE.itemsize == 4
+    assert a.nbytes == 4 * len(a)
     assert np.array_equal(a, b)
     assert set(np.unique(sample_rounds(_jd("sixstate", 0.15), 5000, seed=8)["theta"])) <= {0, 1, 2}
     c = sample_rounds(jd, 1000, seed=43)
@@ -148,6 +150,20 @@ def test_sample_rounds_deterministic_and_typed():
     assert single.shape == (1,)
     with pytest.raises(ValueError):
         sample_rounds(jd, 0, seed=0)
+
+
+def test_sample_rounds_rejects_outcomes_k_cannot_label():
+    # numpy wraps a label past k's signed-byte range silently, so the sampler refuses the table instead
+    ps = purified_state(BB84, 0.1, 0.85)
+    too_many = joint_distribution(ps, random_povm(4, 128, 53))
+    with pytest.raises(ValueError, match="k labels at most 127 adversary outcomes, got 128"):
+        sample_rounds(too_many, 1000, seed=0)
+    with pytest.raises(ValueError, match="127"):
+        sampled_estimates(too_many, 1000, seed=0)
+    widest = joint_distribution(ps, random_povm(4, 127, 53))
+    s = sample_rounds(widest, 20_000, seed=59)
+    assert np.array_equal(s["k"], _one_shot_sample(widest, 20_000, seed=59)["k"])
+    assert s["k"].max() == 126
 
 
 _CHUNK_EDGES = [1, 999, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 1]
