@@ -41,10 +41,12 @@ gradient, stacked matmuls and eigh for the retraction) compute every row
 independently of the others, so each restart's trajectory depends only on
 its own start and its own map, and rows at different q can share a batch.
 
-The envelope theorem turns the optimized value's slope in q into a
-fixed-POVM difference through the same kernels (_fixed_povm_info), for
-info_slope, the slope dI_AE/dq that keyrate's threshold search steers by.  So
-only this module knows the kernels' state-row layout.
+The attack report reads states the way the ascent does, through T and an
+angle: optimize_attack scores the best POVM at its own angle and at both
+bounds in one kernel call, and info_slope, the slope dI_AE/dq that keyrate's
+threshold search steers by, differences the best POVM at its angle on the
+amplitude maps at q +/- 1e-6 (the envelope theorem).  So only this module
+knows the kernels' state-row layout.
 """
 
 from __future__ import annotations
@@ -387,63 +389,54 @@ def _ascend(protocol: Protocol, q: float, config: OptimizerConfig) -> _Batch:
     return batch
 
 
-def _fixed_povm_info(m: np.ndarray, states: list[PurifiedState]) -> np.ndarray:
-    """I(Key : K, Side) of each POVM in m (r, k, d, d), held fixed, at each state: an (r, len(states)) table.
-
-    One _probs and one _objective call over every (POVM, state) pair.
-    """
-    rho = np.stack([_conditional_stack(ps) for ps in states])
-    rows = np.tile(rho.reshape(*rho.shape[:3], -1), (len(m), 1, 1, 1))
-    f, _ = _objective(_probs(np.repeat(m, len(states), axis=0), rows))
-    return f.reshape(len(m), len(states))
-
-
 def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> AttackResult:
     """Maximize the adversary's information jointly over the source weight alpha and the POVM.
 
     One ascent (_ascend), in every restart's factors and angle at once, is
     the whole search; config.alpha_grid_points and alpha_refine_iters change
     no result.  The best row is reported once, in the frame every reader
-    rebuilds from best_alpha: its angle is mapped into [0, pi/2], where every
-    amplitude is non-negative like purified_state's, and its POVM through the
-    matching reflection D M D of the E register (D diagonal, +-1), which
-    scores the same on the mapped state.  alpha then snaps to a bound where
-    that POVM scores no lower, within _STEP_TOLERANCE (bb84 reports alpha_lo
-    exactly), and i_ae is the POVM's value at purified_state(best_alpha).
+    rebuilds from best_alpha: its angle u is mapped into [0, pi/2], where
+    every amplitude is non-negative like purified_state's, and its POVM
+    through the matching reflection D M D of the E register (D diagonal,
+    +-1), which scores the same on the mapped state.  One kernel call scores
+    that POVM at the angles (u, 0, pi/2), alpha and its two bounds, and
+    gives alpha_slope at u; alpha then snaps to a bound where the POVM scores
+    no lower, within _STEP_TOLERANCE (bb84 reports alpha_lo exactly), and
+    i_ae is the POVM's value at purified_state(best_alpha).
     """
     lo, hi = alpha_range(protocol, q)
     batch = _ascend(protocol, q, config)
     f = batch.f
     best = int(np.argmax(f))
-    m, alpha, slope = batch.m[best], lo, None
+    m, u = batch.m[best], 0.0
+    coeffs = amplitude_map(protocol, q)
     if lo != hi:
-        coeffs = amplitude_map(protocol, q)
         sin, cos = math.sin(batch.u[best]), math.cos(batch.u[best])
         # the signs sin u and cos u give the amplitudes that vanish at lo and at hi
         d = np.where(coeffs[:, 2] > 0.0, math.copysign(1.0, sin), 1.0)
         d *= np.where(coeffs[:, 3] > 0.0, math.copysign(1.0, cos), 1.0)
         m = m * np.outer(d, d)
         u = math.atan2(abs(sin), abs(cos))
-        rho, d_rho = _state_rows(_conditional_tensor(protocol), coeffs[None], np.array([u]))
-        slope = float(_angle_slope(m[None], _objective(_probs(m[None], rho))[1], d_rho)[0])
-        alpha = alpha_at(protocol, q, u)
-    candidates = (alpha, lo, hi)
-    values = _fixed_povm_info(m[None], [purified_state(protocol, q, a) for a in candidates])[0]
+    rho, d_rho = _state_rows(_conditional_tensor(protocol), np.stack([coeffs] * 3), np.array([u, 0.0, math.pi / 2]))
+    values, w = _objective(_probs(np.stack([m] * 3), rho))
+    candidates = (alpha_at(protocol, q, u), lo, hi)
     # within the ascent's resolution: a signed amplitude's linear term can lift a POVM by rounding-sized
     # amounts just inside a bound (bb84 at q = 0.25: 2.9e-12 at alpha_lo + 2.6e-13)
     snap = [i for i in (1, 2) if values[i] >= values[0] - _STEP_TOLERANCE]
     pick = snap[0] if snap else 0
+    rho_e = _conditional_stack(purified_state(protocol, q, candidates[pick]))
+    i_ae = float(_objective(_probs(m[None], rho_e.reshape(1, *rho_e.shape[:2], -1)))[0][0])
     agreeing = int(np.count_nonzero(f >= f[best] - _AGREE_TOL))
     return AttackResult(
         q=q,
         protocol=protocol,
-        i_ae=max(float(values[pick]), 0.0),
+        i_ae=max(i_ae, 0.0),
         best_alpha=candidates[pick],
         best_povm=Povm(m),
         restarts_agreeing=agreeing,
         converged=bool(batch.converged[best]),
         robust=4 * agreeing >= config.restarts,
-        alpha_slope=slope,
+        alpha_slope=None if lo == hi else float(_angle_slope(m[None], w[:1], d_rho[:1])[0]),
         alpha_stop="bound" if snap else "stationary" if batch.converged[best] else "budget",
     )
 
@@ -452,18 +445,19 @@ def info_slope(result: AttackResult) -> float:
     """dI_AE/dq at an optimized attack, by the envelope theorem (Milgrom and Segal, 2002).
 
     At the optimum, I_AE moves with q as I does with the attack's POVM held
-    fixed: a central difference at q +/- 1e-6 through the step kernels,
-    alpha held at an interior best_alpha or following its bound.  Holding
-    an interior alpha is exact only where dI/dalpha is 0; ``alpha_slope``,
-    the best row's dI/du, says how far from 0 the ascent stopped.
+    fixed: a central difference at q +/- 1e-6 through the step kernels, at
+    the angle u = asin sqrt((best_alpha - lo) / (hi - lo)) (0 at a point
+    interval) on both sides' amplitude maps.  A held angle follows a bound
+    by itself (u = 0 or pi/2) and moves an interior alpha with its interval.
+    Holding the angle is exact only where dI/du is 0; ``alpha_slope``, the
+    best row's dI/du, says how far from 0 the ascent stopped.
     """
-    protocol, q, alpha = result.protocol, result.q, result.best_alpha
+    protocol, q = result.protocol, result.q
     lo, hi = alpha_range(protocol, q)
-
-    def state(q_side: float) -> PurifiedState:
-        lo_side, hi_side = alpha_range(protocol, q_side)
-        a = lo_side if alpha <= lo else hi_side if alpha >= hi else min(max(alpha, lo_side), hi_side)
-        return purified_state(protocol, q_side, a)
-
-    up, down = _fixed_povm_info(result.best_povm.elements.real[None], [state(q + 1e-6), state(q - 1e-6)])[0]
+    # an alpha off its interval (a result built by hand) holds the nearer bound's angle
+    u = math.asin(math.sqrt(min(max((result.best_alpha - lo) / (hi - lo), 0.0), 1.0))) if lo != hi else 0.0
+    coeffs = np.stack([amplitude_map(protocol, q + 1e-6), amplitude_map(protocol, q - 1e-6)])
+    rho, _ = _state_rows(_conditional_tensor(protocol), coeffs, np.full(2, u))
+    m = result.best_povm.elements.real
+    (up, down), _ = _objective(_probs(np.stack([m, m]), rho))
     return (float(up) - float(down)) / 2e-6

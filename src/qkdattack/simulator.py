@@ -193,9 +193,12 @@ def empirical_stats(samples: np.ndarray, basis_count: int, key_on_basis: bool) -
     the errors and the (key, k side) table (information.key_side_table) are
     exact integer sums over the count table, so the estimates equal those of
     one pass over all rounds, and memory beyond ``samples`` is O(_CHUNK).
-    Fewer than MIN_ROUNDS rounds, a round with x or y outside {0, 1}, theta
-    outside [0, basis_count) or a negative k raises ValueError.
+    Fewer than MIN_ROUNDS rounds, a field that is not a one-byte integer as
+    in ROUND_DTYPE, a round with x or y outside {0, 1}, theta outside
+    [0, basis_count) or a negative k raises ValueError.
     """
+    if any(samples.dtype[f].kind not in "iu" or samples.dtype[f].itemsize != 1 for f in ROUND_DTYPE.names):
+        raise ValueError(f"rounds must have ROUND_DTYPE's one-byte integer fields {ROUND_DTYPE}, got {samples.dtype}")
     return _estimates(samples, basis_count, key_on_basis, basis_count)[:3]
 
 

@@ -157,6 +157,15 @@ def test_rate_slope_matches_the_closed_form_derivative(protocol, q):
     assert abs(keyrate._rate_slope(attack) - exact) <= 1e-6
 
 
+@pytest.mark.parametrize("q", [0.10, 0.175])
+def test_sarg04_info_slope_matches_the_optimized_difference(q):
+    # sarg04 has no closed form: the envelope slope against a central
+    # difference of optimized values, whose h^2 curvature term dominates the gap
+    config = OptimizerConfig(restarts=12)
+    up, down = (optimize_attack(SARG04, q + h, config).i_ae for h in (1e-3, -1e-3))
+    assert abs(optimizer.info_slope(optimize_attack(SARG04, q, config)) - (up - down) / 2e-3) <= 1e-4
+
+
 def test_rate_slope_calls_the_kernels_through_the_optimizer_module(monkeypatch, light_config):
     # the slope looks its kernels up as optimizer globals at call time, so a
     # wrapper installed there (as the benchmark's tracer does) sees its calls

@@ -527,6 +527,23 @@ def test_reported_attack_is_rescored_at_its_alpha(proto, light_config):
             assert r.alpha_stop == "bound", q
 
 
+@pytest.mark.parametrize("proto", [BB84, SARG04, SIX_STATE], ids=lambda p: p.name)
+def test_attack_report_builds_one_purified_state(proto, light_config, monkeypatch):
+    # the snap, alpha_slope and info_slope read states through T and an
+    # angle; only i_ae, rescored at best_alpha, builds a purified state
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return purified_state(*args)
+
+    monkeypatch.setattr(op, "purified_state", counted)
+    result = optimize_attack(proto, 0.1, light_config)
+    assert calls == [(proto, 0.1, result.best_alpha)]
+    op.info_slope(result)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("turn", [lambda u: u + math.pi, lambda u: -u, lambda u: math.pi - u], ids=["u+pi", "-u", "pi-u"])
 def test_reported_attack_is_the_same_from_every_quadrant(turn, light_config, monkeypatch):
     # turning an angle to another quadrant flips the signs of sarg04's

@@ -302,6 +302,15 @@ def test_empirical_stats_rejects_malformed_rounds(field, value):
         empirical_stats(s, 2, key_on_basis=False)
 
 
+@pytest.mark.parametrize("wide", [{"x": "i8", "theta": "i8", "y": "i8", "k": "i8"}, {"k": "i2"}], ids=["int64", "k-i2"])
+def test_empirical_stats_rejects_fields_wider_than_a_byte(wide):
+    # the counting loop reads each field through a one-byte unsigned view,
+    # which numpy cannot lay over a wider field
+    s = np.zeros(30_000, dtype=[(f, wide.get(f, "i1")) for f in ROUND_DTYPE.names])
+    with pytest.raises(ValueError, match="ROUND_DTYPE"):
+        empirical_stats(s, 2, key_on_basis=False)
+
+
 def test_empirical_stats_perfect_correlation():
     n = 4000
     s = np.zeros(n, dtype=ROUND_DTYPE)
