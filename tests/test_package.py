@@ -97,9 +97,11 @@ def _read_names(path: Path) -> set[str]:
 
 
 # mutual_info_ae is the reference estimator, kept as an independent check on the
-# optimizer's objective, and empirical_stats scores rounds the benchmark's
-# montecarlo workload draws itself: only tests and the benchmark read them
-_EXPORTED_FOR_CHECKS = {"mutual_info_ae", "empirical_stats"}
+# optimizer's objective; the benchmark's montecarlo workload draws its rounds
+# with sample_rounds and scores them with empirical_stats, while
+# sampled_estimates counts its draws without storing them: only tests and the
+# benchmark read these three
+_EXPORTED_FOR_CHECKS = {"mutual_info_ae", "empirical_stats", "sample_rounds"}
 
 
 def test_every_export_is_read_by_the_product():

@@ -139,7 +139,8 @@ def test_sample_rounds_deterministic_and_typed():
     jd = _jd("bb84", 0.1)
     a = sample_rounds(jd, 1000, seed=42)
     b = sample_rounds(jd, 1000, seed=42)
-    assert a.dtype == ROUND_DTYPE
+    # numpy also calls a bare uint32 equal to ROUND_DTYPE, so compare the fields too
+    assert a.dtype == ROUND_DTYPE and a.dtype.names == ROUND_DTYPE.names
     assert ROUND_DTYPE.itemsize == 4
     assert a.nbytes == 4 * len(a)
     assert np.array_equal(a, b)
@@ -204,7 +205,8 @@ _GUIDE_TABLES = {
 @pytest.mark.parametrize("table", sorted(_GUIDE_TABLES))
 def test_guide_table_equals_binary_search(table):
     cdf = _cdf(_GUIDE_TABLES[table]())
-    guide = _GuideTable(cdf)
+    # each cell's word is its index, so the draw is the cell
+    guide = _GuideTable(cdf, np.arange(cdf.size, dtype=np.uint32))
     edges = np.arange(_BUCKETS) / _BUCKETS
     u = np.concatenate(
         [
@@ -217,18 +219,86 @@ def test_guide_table_equals_binary_search(table):
         ]
     )
     u = u[(u >= 0.0) & (u < 1.0)]
-    assert np.array_equal(guide.cells(u), np.searchsorted(cdf, u, side="right"))
+    assert np.array_equal(guide.draw(u), np.searchsorted(cdf, u, side="right"))
     if table == "crowded-bucket":
-        assert guide.passes >= 5
+        assert np.flatnonzero(guide.edge).tolist() == [0]
     if table == "one-cell":
-        assert guide.passes == 0
+        assert not guide.edge.any()
 
 
-def test_theta_check_sees_the_last_chunk():
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    [
+        ("x", 2, "x must be 0 or 1, got 2"),
+        ("theta", 2, "theta must lie below basis_count=2; filter rounds to the attack bases, got 2"),
+        ("y", -1, "y must be 0 or 1, got -1"),
+        ("k", -3, "k must be non-negative, got -3"),
+    ],
+    ids=["x", "theta", "y", "k"],
+)
+def test_round_checks_see_the_last_chunk(field, value, message):
     s = sample_rounds(_jd("bb84", 0.1), 3 * _CHUNK + 1, seed=5)
-    s["theta"][-1] = 2
-    with pytest.raises(ValueError, match="theta must lie below basis_count=2; filter rounds to the attack bases"):
+    s[field][-1] = value
+    with pytest.raises(ValueError, match=f"^{message}$"):
         empirical_stats(s, 2, key_on_basis=False)
+
+
+def test_theta_check_below_four_bases():
+    # theta = 1 sets no bit a word may not set, so only the count table sees it at basis_count = 1
+    s = sample_rounds(_jd("bb84", 0.1), 3 * _CHUNK + 1, seed=5)
+    s["theta"][:-1] = 0
+    with pytest.raises(ValueError, match="^theta must lie below basis_count=1; filter rounds to the attack bases, got 1$"):
+        empirical_stats(s, 1, key_on_basis=False)
+    s["theta"][-1] = 0
+    assert empirical_stats(s, 1, key_on_basis=False)[0] == np.mean(s["y"] != s["x"])
+
+
+@pytest.mark.parametrize("basis_count", [0, 5])
+def test_empirical_stats_rejects_basis_counts_a_word_cannot_count(basis_count):
+    s = sample_rounds(_jd("bb84", 0.1), 2000, seed=0)
+    with pytest.raises(ValueError, match=rf"^basis_count must lie in \[1, 4\], got {basis_count}$"):
+        empirical_stats(s, basis_count, key_on_basis=False)
+
+
+def test_round_copies_keep_every_field():
+    s = sample_rounds(_jd("sixstate", 0.1), 20_000, seed=6)
+    mask = s["theta"] < 2
+    copies = {
+        "mask": (s[mask], mask),
+        "stride": (s[::3], slice(None, None, 3)),
+        "copy": (s.copy(), slice(None)),
+        "concatenate": (np.concatenate([s[:7], s[7:]], dtype=ROUND_DTYPE), slice(None)),
+    }
+    for name, (copy, index) in copies.items():
+        assert copy.dtype.names == ROUND_DTYPE.names, name
+        for field in ROUND_DTYPE.names:
+            assert np.array_equal(copy[field], s[field][index]), (name, field)
+    # np.concatenate without a dtype returns bare words, which carry no fields
+    bare = np.concatenate([s[:7], s[7:]])
+    assert bare.dtype.names is None
+    with pytest.raises(ValueError, match="ROUND_DTYPE"):
+        empirical_stats(bare, 3, key_on_basis=False)
+    assert np.array_equal(bare.view(ROUND_DTYPE), s)
+
+
+def test_empirical_stats_read_other_one_byte_layouts():
+    # np.save and np.load give the rounds back as a plain struct of four one-byte fields
+    s = sample_rounds(_jd("sixstate", 0.1), 3 * _CHUNK + 1, seed=9)
+    plain = np.dtype([(f, "i1") for f in ROUND_DTYPE.names])
+    reordered = np.dtype([(f, "i1") for f in ("k", "y", "x", "theta")])
+    flipped = np.empty(len(s), dtype=reordered)
+    for field in ROUND_DTYPE.names:
+        flipped[field] = s[field]
+    expected = empirical_stats(s, 3, key_on_basis=False)
+    assert empirical_stats(s.view(plain), 3, key_on_basis=False) == expected
+    assert empirical_stats(flipped, 3, key_on_basis=False) == expected
+    # unsigned bytes label up to 256 outcomes: k = 200 is a label, not a negative k
+    wide = np.empty(len(s), dtype=[(f, "u1") for f in ROUND_DTYPE.names])
+    for field in ROUND_DTYPE.names:
+        wide[field] = s[field]
+    wide["k"][wide["k"] == 3] = 200
+    assert empirical_stats(wide, 3, key_on_basis=False) == expected
+    assert empirical_stats(wide, 3, key_on_basis=True) == empirical_stats(s, 3, key_on_basis=True)
 
 
 def test_sampling_and_counting_memory_is_bounded():
@@ -246,6 +316,18 @@ def test_sampling_and_counting_memory_is_bounded():
         tracemalloc.stop()
     assert sample_peak < 16 * 2**20
     assert stats_peak < 16 * 2**20
+
+
+def test_sampled_estimates_never_hold_the_rounds():
+    # 1e7 rounds as 4-byte words would take 40 MB
+    jd = _jd("sixstate", 0.1)
+    tracemalloc.start()
+    try:
+        sampled_estimates(jd, 10**7, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_sample_rounds_zero_noise_no_errors():
