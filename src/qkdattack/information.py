@@ -80,8 +80,10 @@ class ConditionalDistribution:
 
 
 def lambda_fn(t):
-    """L(t) = -t log2(t) elementwise, with L(0) = 0."""
+    """L(t) = -t log2(t) elementwise, with L(0) = 0; NaN, infinite or negative t raises ValueError."""
     t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError(f"lambda_fn: non-finite argument {t[~np.isfinite(t)][0]}")
     if np.min(t) < 0:
         raise ValueError(f"lambda_fn: negative argument {np.min(t)}")
     out = np.zeros_like(t)

@@ -224,89 +224,73 @@ def empirical_stats(samples: np.ndarray, basis_count: int, key_on_basis: bool) -
       same rounds it is scored on biases it up, by at most sqrt(T/n)/2 for a
       binary key.
 
-    Each chunk of _CHUNK rounds is binned once, word by word, into the
-    (x, theta, y, k) count table; the errors and the (key, k side) table
-    (information.key_side_table) are exact integer sums over it, so the
-    estimates equal those of one pass over all rounds, and memory beyond
-    ``samples`` is O(_CHUNK).  Rounds in another layout of one-byte integer
-    fields x, theta, y and k, such as reordered fields or unsigned bytes
-    (where k may reach 255), are copied into ROUND_DTYPE's chunk by chunk.
-    Fewer than MIN_ROUNDS rounds, rounds without those fields, basis_count
+    The rounds are a 1-D array in ROUND_DTYPE's layout: four-byte records
+    with ROUND_DTYPE's fields at its offsets.  That is what sample_rounds
+    returns, its masks, slices and copies, and the plain struct np.load
+    gives back; they are read as words, without a copy.  Each chunk of
+    _CHUNK words is binned once into the (x, theta, y, k) count table; the
+    errors and the (key, k side) table (information.key_side_table) are
+    exact integer sums over it, so the estimates equal those of one pass
+    over all rounds, and memory beyond ``samples`` is O(_CHUNK).  Rounds in
+    any other layout or shape, fewer than MIN_ROUNDS rounds, basis_count
     outside [1, 4], a round with x or y outside {0, 1}, theta outside
     [0, basis_count) or a negative k raises ValueError.
     """
-    fields = samples.dtype
-    if fields.names is None or any(fields[f].kind not in "iu" or fields[f].itemsize != 1 for f in ROUND_DTYPE.names):
-        raise ValueError(f"rounds must have ROUND_DTYPE's one-byte integer fields {ROUND_DTYPE}, got {fields}")
-    return _estimates(_count(_stored_words(samples), basis_count, fields), key_on_basis, basis_count)[:3]
+    dtype = samples.dtype
+    if samples.ndim != 1 or dtype.fields != ROUND_DTYPE.fields or dtype.itemsize != ROUND_DTYPE.itemsize:
+        raise ValueError(f"rounds must be a 1-D array in ROUND_DTYPE's layout {ROUND_DTYPE}, got {samples.ndim}-D {dtype}")
+    words = samples.view(np.uint32)
+    chunks = (words[start : start + _CHUNK] for start in range(0, len(words), _CHUNK))
+    return _estimates(_count(chunks, basis_count), key_on_basis, basis_count)[:3]
 
 
-def _stored_words(samples: np.ndarray):
-    """samples' rounds as record words in chunks of at most _CHUNK: views where they lie as in ROUND_DTYPE, else copies."""
-    if samples.dtype.itemsize == ROUND_DTYPE.itemsize and all(
-        samples.dtype.fields[f][1] == offset for f, (_, offset) in ROUND_DTYPE.fields.items()
-    ):
-        words = samples.view(np.uint32)
-        return (words[start : start + _CHUNK] for start in range(0, len(samples), _CHUNK))
-    return (_copied_words(samples[start : start + _CHUNK]) for start in range(0, len(samples), _CHUNK))
-
-
-def _copied_words(chunk: np.ndarray) -> np.ndarray:
-    """A chunk of rounds in another one-byte layout, as ROUND_DTYPE's words."""
-    out = np.empty(len(chunk), dtype=ROUND_DTYPE)
-    for field in ROUND_DTYPE.names:
-        out[field] = chunk[field]  # a one-byte cast keeps the byte, so an unsigned k of 200 stays 200 as a word
-    return out.view(np.uint32)
-
-
-def _count(chunks, basis_count: int, fields: np.dtype) -> np.ndarray:
-    """Count table[x, theta, y, k] of record-word chunks, k up to the largest outcome counted.
+def _count(chunks, basis_count: int) -> np.ndarray:
+    """Count table[x, theta, y, k] of record-word chunks, over all 256 values of k's byte.
 
     A word read little-endian holds x in bits 0-7, theta in 8-15, y in 16-23
     and k in 24-31.  When every x and y is 0 or 1 and every theta below 4,
     none of _BAD_BITS is set, and x + 2 theta + 8 y + 16 k indexes the
     [k, y, theta, x] table _TABLE, so one OR over a chunk checks it and a
-    few shifts and masks bin it.  Counts at theta >= basis_count, or at
-    k >= 128 when ``fields`` holds a signed k, are rounds out of range; a
-    failing chunk is scanned field by field for the message.
+    few shifts and masks bin it.  Counts at theta >= basis_count, or at a k
+    byte above MAX_OUTCOMES (a negative k), are rounds out of range; a
+    failing chunk is scanned field by field for the message.  The k axis
+    has all 256 slots; the figures read no outcome column left at zero.
     """
     if not 1 <= basis_count <= _TABLE[2]:
         raise ValueError(f"basis_count must lie in [1, {_TABLE[2]}], got {basis_count}")
-    k_limit = 128 if fields["k"].kind == "i" else 256
     counts = np.zeros(_TABLE, dtype=np.int64)
     # reused, as fresh chunk-sized temporaries made counting take more than twice as long
     cells, spare = np.empty(_CHUNK, dtype=np.uint32), np.empty(_CHUNK, dtype=np.uint32)
     for words in chunks:
         w = words.view(_WORD)
         if np.bitwise_or.reduce(w) & _BAD_BITS:
-            _raise_bad_round(w, basis_count, k_limit, fields)
+            _raise_bad_round(w, basis_count)
         cell, shifted = cells[: len(w)], spare[: len(w)]
         np.bitwise_or(w, np.right_shift(w, 7, out=cell), out=cell)
         cell |= np.right_shift(w, 13, out=shifted)
         cell &= 0xF
         cell |= np.right_shift(w, 20, out=shifted)
         chunk = np.bincount(cell, minlength=counts.size).reshape(_TABLE)
-        if chunk[:, :, basis_count:].any() or chunk[k_limit:].any():
-            _raise_bad_round(w, basis_count, k_limit, fields)
+        if chunk[:, :, basis_count:].any() or chunk[MAX_OUTCOMES + 1 :].any():
+            _raise_bad_round(w, basis_count)
         counts += chunk
-    n_outcomes = 1 + int(np.max(np.flatnonzero(counts.any(axis=(1, 2, 3))), initial=0))
-    return counts[:n_outcomes, :, :basis_count].transpose(3, 2, 1, 0)
+    return counts[:, :, :basis_count].transpose(3, 2, 1, 0)
 
 
-def _raise_bad_round(words: np.ndarray, basis_count: int, k_limit: int, fields: np.dtype) -> None:
-    """Raise for the first value out of range, in field order x, theta, y, k, read as ``fields`` types it."""
+def _raise_bad_round(words: np.ndarray, basis_count: int) -> None:
+    """Raise for the first value out of range, in field order x, theta, y, k."""
     rules = {
         "x": (2, "must be 0 or 1"),
         "theta": (basis_count, f"must lie below basis_count={basis_count}; filter rounds to the attack bases"),
         "y": (2, "must be 0 or 1"),
-        "k": (k_limit, "must be non-negative"),
+        "k": (MAX_OUTCOMES + 1, "must be non-negative"),
     }
     rounds = words.view(ROUND_DTYPE)
     for field, (size, rule) in rules.items():
         # read unsigned, so a negative value lies above every size
         bad = rounds[field].view(np.uint8) >= size
         if bad.any():
-            raise ValueError(f"{field} {rule}, got {rounds[field].view(fields[field])[bad][0]}")
+            raise ValueError(f"{field} {rule}, got {rounds[field][bad][0]}")
 
 
 def _estimates(counts: np.ndarray, key_on_basis: bool, attack_basis_count: int) -> tuple:
@@ -347,5 +331,5 @@ def sampled_estimates(jd: JointDistribution, n: int, seed: int) -> tuple[float, 
     one empirical_stats reads.
     """
     protocol = jd.protocol
-    counts = _count(_drawn_words(jd, n, seed), jd.basis_count, ROUND_DTYPE)
+    counts = _count(_drawn_words(jd, n, seed), jd.basis_count)
     return _estimates(counts, protocol.key_on_basis, protocol.attack_basis_count)

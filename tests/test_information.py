@@ -28,6 +28,13 @@ def test_lambda_fn_anchor_values():
         lambda_fn(-0.1)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, [0.5, np.nan]], ids=["nan", "inf", "-inf", "nan-in-array"])
+def test_lambda_fn_rejects_non_finite_arguments(t):
+    # unchecked, NaN read as 0.0 and inf as -inf
+    with pytest.raises(ValueError, match="^lambda_fn: non-finite argument"):
+        lambda_fn(t)
+
+
 def test_binary_entropy_values():
     assert binary_entropy(0.5) == 1.0
     assert binary_entropy(0.0) == 0.0

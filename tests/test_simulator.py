@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -281,24 +282,29 @@ def test_round_copies_keep_every_field():
     assert np.array_equal(bare.view(ROUND_DTYPE), s)
 
 
-def test_empirical_stats_read_other_one_byte_layouts():
-    # np.save and np.load give the rounds back as a plain struct of four one-byte fields
+def test_empirical_stats_read_loaded_rounds_and_reject_other_layouts():
     s = sample_rounds(_jd("sixstate", 0.1), 3 * _CHUNK + 1, seed=9)
-    plain = np.dtype([(f, "i1") for f in ROUND_DTYPE.names])
-    reordered = np.dtype([(f, "i1") for f in ("k", "y", "x", "theta")])
-    flipped = np.empty(len(s), dtype=reordered)
-    for field in ROUND_DTYPE.names:
-        flipped[field] = s[field]
-    expected = empirical_stats(s, 3, key_on_basis=False)
-    assert empirical_stats(s.view(plain), 3, key_on_basis=False) == expected
-    assert empirical_stats(flipped, 3, key_on_basis=False) == expected
-    # unsigned bytes label up to 256 outcomes: k = 200 is a label, not a negative k
-    wide = np.empty(len(s), dtype=[(f, "u1") for f in ROUND_DTYPE.names])
-    for field in ROUND_DTYPE.names:
-        wide[field] = s[field]
-    wide["k"][wide["k"] == 3] = 200
-    assert empirical_stats(wide, 3, key_on_basis=False) == expected
-    assert empirical_stats(wide, 3, key_on_basis=True) == empirical_stats(s, 3, key_on_basis=True)
+    # np.save and np.load give the rounds back as a plain struct of the same four one-byte fields
+    buffer = io.BytesIO()
+    np.save(buffer, s)
+    buffer.seek(0)
+    loaded = np.load(buffer)
+    assert loaded.dtype.fields == ROUND_DTYPE.fields
+    for key_on_basis in (False, True):
+        assert empirical_stats(loaded, 3, key_on_basis) == empirical_stats(s, 3, key_on_basis)
+    # reordered fields and unsigned bytes lie differently in the word, and nothing makes them
+    reordered = np.zeros(len(s), dtype=[(f, "i1") for f in ("k", "y", "x", "theta")])
+    unsigned = np.zeros(len(s), dtype=[(f, "u1") for f in ROUND_DTYPE.names])
+    for other in (reordered, unsigned):
+        with pytest.raises(ValueError, match="ROUND_DTYPE"):
+            empirical_stats(other, 3, key_on_basis=False)
+
+
+def test_empirical_stats_rejects_rounds_that_are_not_one_dimensional():
+    s = sample_rounds(_jd("bb84", 0.1), 2000, seed=0)
+    for shaped in (s.reshape(-1, 2), s[0:1].reshape(())):
+        with pytest.raises(ValueError, match=f"^rounds must be a 1-D array in ROUND_DTYPE's layout .*, got {shaped.ndim}-D"):
+            empirical_stats(shaped, 2, key_on_basis=False)
 
 
 def test_sampling_and_counting_memory_is_bounded():
@@ -386,8 +392,7 @@ def test_empirical_stats_rejects_malformed_rounds(field, value):
 
 @pytest.mark.parametrize("wide", [{"x": "i8", "theta": "i8", "y": "i8", "k": "i8"}, {"k": "i2"}], ids=["int64", "k-i2"])
 def test_empirical_stats_rejects_fields_wider_than_a_byte(wide):
-    # the counting loop reads each field through a one-byte unsigned view,
-    # which numpy cannot lay over a wider field
+    # a wider field does not fit a round's four-byte word, which the counting loop reads
     s = np.zeros(30_000, dtype=[(f, wide.get(f, "i1")) for f in ROUND_DTYPE.names])
     with pytest.raises(ValueError, match="ROUND_DTYPE"):
         empirical_stats(s, 2, key_on_basis=False)
