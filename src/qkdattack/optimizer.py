@@ -35,29 +35,35 @@ and W are the gradient weights of _objective.  A point interval of alpha
 (six-state's, and every protocol's at q = 0) carries no u.
 
 Restarts advance in lockstep through stacked (rows, n_outcomes, d, d) arrays,
-in the calling process.  Every row carries its own amplitude map, and the
-step kernels (batched per-row matmuls for the probabilities and the
-gradient, stacked matmuls and eigh for the retraction) compute every row
-independently of the others, so each restart's trajectory depends only on
-its own start and its own map, and rows at different q can share a batch.
+in the calling process.  The kernels work in T's flat frame: a cell's state
+is T_cell * s s^T, so p[k, cell] = <M_k * s s^T, T_cell>, dI/dM_k =
+G_k * s s^T with G = w @ T, and dI/du = sum_k <M_k * G_k, d(s s^T)/du>.  A
+row carries s s^T, its derivative in u and G, never its states, and the
+value is read as I = sum p w from the weights w the gradient needs, the
+plug-in form of information.plugin_mutual_info.  Every row carries its own
+amplitude map, and the step kernels (batched per-row matmuls for the
+probabilities and G, stacked matmuls and eigh for the retraction) compute
+every row independently of the others, so each restart's trajectory
+depends only on its own start and its own map, and rows at different q can
+share a batch.
 
 The attack report reads states the way the ascent does, through T and an
 angle: optimize_attack scores the best POVM at its own angle and at both
 bounds in one kernel call, and info_slope, the slope dI_AE/dq that keyrate's
 threshold search steers by, differences the best POVM at its angle on the
 amplitude maps at q +/- 1e-6 (the envelope theorem).  So only this module
-knows the kernels' state-row layout.
+knows the kernels' flat-frame layout.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .information import Povm
-from .linalg import TOL
 from .states import (
     Protocol,
     PurifiedState,
@@ -96,6 +102,10 @@ class OptimizerConfig:
     alpha_refine_iters: int = 3
 
     def __post_init__(self) -> None:
+        for field in ("restarts", "max_iters", "seed", "alpha_grid_points", "alpha_refine_iters"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{field} must be an integer, got {value!r}")
         if self.restarts < 1 or self.max_iters < 1 or self.alpha_grid_points < 2:
             raise ValueError("restarts and max_iters must be positive, and alpha_grid_points at least 2")
         if self.seed < 0:
@@ -123,11 +133,6 @@ class AttackResult:
     alpha_stop: str
 
 
-def _lam(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
-    """-t log2 t from t and its floored log, zero at probabilities below the floor."""
-    return np.where(t > TOL.probability_floor, -t * log_t, 0.0)
-
-
 def _key_side(stack: np.ndarray, protocol: Protocol) -> np.ndarray:
     """An (x, theta, ...) stack over the attack bases, in (key, side) order and real.
 
@@ -153,17 +158,23 @@ def _conditional_tensor(protocol: Protocol) -> np.ndarray:
     return t.reshape(*t.shape[:2], -1)
 
 
-def _state_rows(tensor: np.ndarray, coeffs: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """State rows (r, key, side, d^2) at each row's angle, and their derivative in it.
+def _outer(coeffs: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s s^T (r, d^2) at each row's angle, each flattened, and its derivative s' s^T + s s'^T in it.
 
-    Row i is T * s s^T at the amplitudes s = amplitudes(coeffs[i], u[i]),
-    and its derivative T * (s' s^T + s s'^T).
+    Row i's amplitudes are s = amplitudes(coeffs[i], u[i]); its conditional
+    states are T * s s^T, which no kernel builds.
     """
     s, ds = amplitudes(coeffs, u)
-    r = len(s)
+    r, d = s.shape
+    outer = s[:, :, None] * s[:, None, :]
     d_outer = ds[:, :, None] * s[:, None, :]
     d_outer += d_outer.mT
-    return tensor * (s[:, :, None] * s[:, None, :]).reshape(r, 1, 1, -1), tensor * d_outer.reshape(r, 1, 1, -1)
+    return outer.reshape(r, d * d), d_outer.reshape(r, d * d)
+
+
+def _planar(coeffs: np.ndarray) -> np.ndarray:
+    """Amplitude maps (r, 4, 4) as a view whose coefficient planes coeffs[..., i] are contiguous, as amplitudes reads them."""
+    return np.ascontiguousarray(np.moveaxis(coeffs, -1, 0)).transpose(1, 2, 0)
 
 
 def _renormalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,23 +187,27 @@ def _renormalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r, k, d = a.shape[0], a.shape[1], a.shape[-1]
     stacked = a.reshape(r, k * d, d)
     w, v = np.linalg.eigh(stacked.mT @ stacked)
-    inv_sqrt = 1.0 / np.sqrt(np.clip(w, _EIG_FLOOR, None))
-    a_n = (stacked @ ((v * inv_sqrt[:, None, :]) @ v.mT)).reshape(a.shape)
-    return a_n, a_n.mT @ a_n
+    np.maximum(w, _EIG_FLOOR, out=w)
+    np.sqrt(w, out=w)
+    np.divide(1.0, w, out=w)
+    v_scaled = v * w[:, None, :]
+    a_n = (stacked @ (v_scaled @ v.mT)).reshape(a.shape)
+    return a_n, np.ascontiguousarray(a_n.mT) @ a_n
 
 
-def _probs(m: np.ndarray, rho_rows: np.ndarray) -> np.ndarray:
+def _probs(m: np.ndarray, outer: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """p[r, k, key, side] = p(k | key, side) for POVM stacks m (r, k, d, d).
 
-    ``rho_rows`` holds each row's state rows (see _Batch).  Tr(M rho) is
-    the dot product of M and rho^T, which is rho for these symmetric stacks,
-    so each row is one (k, d^2) @ (d^2, key * side) product, batched over the
-    rows.
+    ``outer`` holds each row's s s^T (r, d^2) from _outer and ``tensor`` is
+    T (key, side, d^2).  A cell's state is T_cell * s s^T and symmetric, so
+    Tr(M rho) = <M * s s^T, T_cell>, and each row is one
+    (k, d^2) @ (d^2, key * side) product, batched over the rows.
     """
     r, k = m.shape[:2]
-    n_key, n_side, width = rho_rows.shape[1:]
-    p = m.reshape(r, k, width) @ rho_rows.reshape(r, -1, width).mT
-    return np.clip(p.reshape(r, k, n_key, n_side), 0.0, 1.0)
+    p = (m.reshape(r, k, -1) * outer[:, None, :]) @ tensor.reshape(-1, tensor.shape[-1]).T
+    np.maximum(p, 0.0, out=p)
+    np.minimum(p, 1.0, out=p)
+    return p.reshape(r, k, *tensor.shape[:2])
 
 
 def _key_marginal(p: np.ndarray) -> np.ndarray:
@@ -202,79 +217,79 @@ def _key_marginal(p: np.ndarray) -> np.ndarray:
     stacks costs about three times as much for the same bits.
     """
     n_key = p.shape[2]
-    return sum(p[:, :, i] for i in range(n_key)) / n_key
+    return sum((p[:, :, i] for i in range(1, n_key)), p[:, :, 0]) / n_key
 
 
 def _objective(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """I(Key : K, Side) per restart, and its gradient weights, from probability stacks p[r, k, key, side].
 
-    Key and side values are uniform and independent, so the information is
-    H(K | Side) - H(K | Key, Side); the first term marginalizes the key axis.
-    The derivative d I / d M_k is the sum over (key, side) of
-    (log2 p - log2 pbar) rho / n, with pbar the key-marginal of p and n the
-    number of (key, side) cells; the weights w[r, k, (key, side)] are its
-    coefficients.  Each log is taken once, floored at 1e-18: the entropy
-    terms read it only where p exceeds the probability floor, far above
-    1e-18, so the floor changes no entropy.
+    Key and side values are uniform and independent.  The derivative
+    d I / d p[k, key, side] is w = (log2 p - log2 pbar) / n, with pbar the
+    key-marginal of p and n the number of (key, side) cells, and I itself
+    is sum p w: that is H(K | Side) - H(K | Key, Side), the plug-in form
+    of information.plugin_mutual_info.  Each log is floored at 1e-18, where
+    p log2 p is below 1e-16, so the floor changes no value beyond rounding.
+    Returns (I, w) with w[r, k, (key, side)].
     """
     r, k, n_key, n_side = p.shape
-    n = n_key * n_side
     pbar = _key_marginal(p)
-    log_p = np.log2(np.maximum(p, 1e-18))
-    log_pbar = np.log2(np.maximum(pbar, 1e-18))
-    h_k_key_side = _lam(p, log_p).sum(axis=(1, 2, 3)) / n
-    h_marg = _lam(pbar, log_pbar).sum(axis=(1, 2)) / n_side
-    w = ((log_p - log_pbar[:, :, None, :]) / n).reshape(r, k, n)
-    return h_marg - h_k_key_side, w
+    np.maximum(pbar, 1e-18, out=pbar)
+    np.log2(pbar, out=pbar)
+    w = np.maximum(p, 1e-18)
+    np.log2(w, out=w)
+    w -= pbar[:, :, None, :]
+    w /= n_key * n_side
+    w = w.reshape(r, k, -1)
+    return np.vecdot(p.reshape(r, -1), w.reshape(r, -1)), w
 
 
-def _gradient(w: np.ndarray, rho_rows: np.ndarray) -> np.ndarray:
-    """d I / d M_k (r, k, d, d) from the gradient weights w[r, k, (key, side)] of _objective.
+def _gradient(w: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """G = w @ T (r, k, d^2) from the gradient weights w[r, k, (key, side)] of _objective.
 
-    ``rho_rows`` holds each row's state rows (see _Batch); each row is
-    one (k, n) @ (n, d^2) product, batched over the rows.
+    d I / d M_k = G_k * s s^T: the weighted sum of the cells' states, each
+    T_cell * s s^T, is G_k * s s^T, so G is what a row carries between
+    steps.  Each row is one (k, n) @ (n, d^2) product, batched over the rows.
     """
-    r, k, n = w.shape
-    d = math.isqrt(rho_rows.shape[-1])
-    return (w @ rho_rows.reshape(r, n, -1)).reshape(r, k, d, d)
+    return w @ tensor.reshape(-1, tensor.shape[-1])
 
 
-def _angle_slope(m: np.ndarray, w: np.ndarray, d_rows: np.ndarray) -> np.ndarray:
+def _angle_slope(m: np.ndarray, g: np.ndarray, d_outer: np.ndarray) -> np.ndarray:
     """dI/du of each row: the sum over (k, cell) of w[r, k, cell] <M_k, d rho_cell/du>.
 
-    ``w`` are the gradient weights of _objective, dI/dp exactly, and
-    ``d_rows`` the state rows' derivatives from _state_rows.
+    d rho_cell/du = T_cell * d(s s^T)/du, so with G = _gradient(w, T) that is
+    sum_k <M_k * G_k, d(s s^T)/du>; ``d_outer`` is the derivative from _outer.
     """
-    r, k, n = w.shape
-    dp = m.reshape(r, k, -1) @ d_rows.reshape(r, n, -1).mT
-    return (w * dp).sum(axis=(1, 2))
+    r, k = g.shape[:2]
+    return np.vecdot(m.reshape(r, k, -1) * g, d_outer[:, None, :]).sum(axis=1)
 
 
 class _Batch:
     """Lockstep state of several independent local searches.
 
     Row i ascends from ``factors[i]`` and, unless ``u`` is None, from the
-    angle ``u[i]``.  Its state rows, its conditional states in (key, side)
-    order with each matrix flattened, are those of _state_rows at its
-    amplitude map ``coeffs[i]`` and its angle, on the shared ``tensor``
-    (key, side, d^2); with ``u`` None they stay at angle 0, a point
-    interval's one state.  A step works on dense arrays of the rows still
-    running, the live rows: their accepted factors and angles, the state
-    rows, gradient weights, value and dI/du there, velocities, step sizes and
-    stall counts.  These are compacted only on a step where rows finish; a
-    finished row's factors, angle and value are kept in full-length arrays.
-    ``f``, ``m``, ``u`` and ``row_iters`` give every row in the batch's
-    order, like ``active`` and ``converged``.
+    angle ``u[i]``.  Its conditional states are T * s s^T on the shared
+    ``tensor`` T (key, side, d^2), at the amplitudes of its amplitude map
+    ``coeffs[i]`` and its angle; with ``u`` None they stay at angle 0, a
+    point interval's one state.  A row carries s s^T and its derivative in
+    the angle (see _outer), never the states.  A step works on dense arrays
+    of the rows still running, the live rows: their accepted factors and
+    angles, s s^T and its derivative, G = w @ T of their gradient weights,
+    value and dI/du there, velocities, step sizes and stall counts.  These
+    are compacted only on a step where rows finish; a finished row's
+    factors, angle and value are kept in full-length arrays.  ``f``, ``m``,
+    ``u`` and ``row_iters`` give every row in the batch's order, like
+    ``active`` and ``converged``.
     """
 
     def __init__(self, factors: np.ndarray, tensor: np.ndarray, coeffs: np.ndarray, u: np.ndarray | None = None):
         n = factors.shape[0]
-        self._tensor, self._moves, self._coeffs = tensor, u is not None, coeffs
+        self._tensor, self._moves, self._coeffs = tensor, u is not None, _planar(coeffs)
         self._u = np.zeros(n) if u is None else np.array(u, dtype=float)
-        self._rho, self._drho = _state_rows(tensor, coeffs, self._u)
+        self._s, self._ds = _outer(coeffs, self._u)
         self._a, m = _renormalize(factors)
-        self._f, self._w = _objective(_probs(m, self._rho))
-        self._dfdu = _angle_slope(m, self._w, self._drho)
+        self._f, w = _objective(_probs(m, self._s, tensor))
+        self._g = _gradient(w, tensor)
+        self._dfdu = _angle_slope(m, self._g, self._ds)
         self._rows = np.arange(n)
         self._v = np.zeros_like(self._a)
         self._vu = np.zeros(n)
@@ -316,36 +331,42 @@ class _Batch:
     def step_once(self) -> None:
         if self._rows.size == 0:
             return
-        a, v = self._a, self._v
-        cand = a @ _gradient(self._w, self._rho)
-        cand *= self._step[:, None, None, None]
+        a, v, h = self._a, self._v, self._step
+        cand = a @ (self._g * self._s[:, None, :]).reshape(a.shape)
+        cand *= h[:, None, None, None]
         cand += a
         cand += v
         a_n, m_n = _renormalize(cand)
-        u_n, rho_n, drho_n = self._u, self._rho, self._drho
+        u_n, s_n, ds_n = self._u, self._s, self._ds
         if self._moves:
-            u_n = self._u + self._step * self._dfdu + self._vu
-            rho_n, drho_n = _state_rows(self._tensor, self._coeffs, u_n)
-        f_n, w_n = _objective(_probs(m_n, rho_n))
+            u_n = h * self._dfdu
+            u_n += self._u
+            u_n += self._vu
+            s_n, ds_n = _outer(self._coeffs, u_n)
+        f_n, w_n = _objective(_probs(m_n, s_n, self._tensor))
+        g_n = _gradient(w_n, self._tensor)
         improved = f_n > self._f
         # small improvements do not reset the stall window, otherwise
         # asymptotic creep keeps slow restarts alive to max_iters
         significant = f_n > self._f + _STEP_TOLERANCE + 1e-7 * np.abs(f_n)
         # the next step's momentum: the accepted move, and none after a rejection
+        scale = np.where(improved, _MOMENTUM, 0.0)
         np.subtract(a_n, a, out=v)
-        v *= _MOMENTUM
-        v[~improved] = 0.0
+        v *= scale[:, None, None, None]
         np.copyto(a, a_n, where=improved[:, None, None, None])
-        np.copyto(self._w, w_n, where=improved[:, None, None])
+        np.copyto(self._g, g_n, where=improved[:, None, None])
         np.copyto(self._f, f_n, where=improved)
         if self._moves:
-            self._vu = np.where(improved, _MOMENTUM * (u_n - self._u), 0.0)
-            self._u = np.where(improved, u_n, self._u)
-            np.copyto(self._rho, rho_n, where=improved[:, None, None, None])
-            np.copyto(self._drho, drho_n, where=improved[:, None, None, None])
-            self._dfdu = np.where(improved, _angle_slope(m_n, w_n, drho_n), self._dfdu)
-        self._step = np.maximum(np.where(improved, self._step * 1.2, self._step * 0.5), _STEP_FLOOR)
-        self._stall = np.where(significant, 0, self._stall + 1)
+            np.subtract(u_n, self._u, out=self._vu)
+            self._vu *= scale
+            np.copyto(self._u, u_n, where=improved)
+            np.copyto(self._s, s_n, where=improved[:, None])
+            np.copyto(self._ds, ds_n, where=improved[:, None])
+            np.copyto(self._dfdu, _angle_slope(m_n, g_n, ds_n), where=improved)
+        h *= np.where(improved, 1.2, 0.5)
+        np.maximum(h, _STEP_FLOOR, out=h)
+        self._stall += 1
+        self._stall[significant] = 0
         self.iters += 1
         done = self._stall >= _STALL_LIMIT
         if done.any():
@@ -358,9 +379,9 @@ class _Batch:
         self._done_iters[rows] = self.iters
         self.converged[rows] = True
         live = ~done
-        self._rows, self._coeffs, self._u, self._vu = self._rows[live], self._coeffs[live], self._u[live], self._vu[live]
-        self._rho, self._drho, self._dfdu = self._rho[live], self._drho[live], self._dfdu[live]
-        self._a, self._v, self._w, self._f = self._a[live], self._v[live], self._w[live], self._f[live]
+        self._rows, self._coeffs, self._u, self._vu = self._rows[live], _planar(self._coeffs[live]), self._u[live], self._vu[live]
+        self._s, self._ds, self._g, self._dfdu = self._s[live], self._ds[live], self._g[live], self._dfdu[live]
+        self._a, self._v, self._f = self._a[live], self._v[live], self._f[live]
         self._step, self._stall = self._step[live], self._stall[live]
 
     def run(self, max_iters: int) -> None:
@@ -417,15 +438,17 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
         d *= np.where(coeffs[:, 3] > 0.0, math.copysign(1.0, cos), 1.0)
         m = m * np.outer(d, d)
         u = math.atan2(abs(sin), abs(cos))
-    rho, d_rho = _state_rows(_conditional_tensor(protocol), np.stack([coeffs] * 3), np.array([u, 0.0, math.pi / 2]))
-    values, w = _objective(_probs(np.stack([m] * 3), rho))
+    tensor = _conditional_tensor(protocol)
+    outer, d_outer = _outer(np.stack([coeffs] * 3), np.array([u, 0.0, math.pi / 2]))
+    values, w = _objective(_probs(np.stack([m] * 3), outer, tensor))
     candidates = (alpha_at(protocol, q, u), lo, hi)
     # within the ascent's resolution: a signed amplitude's linear term can lift a POVM by rounding-sized
     # amounts just inside a bound (bb84 at q = 0.25: 2.9e-12 at alpha_lo + 2.6e-13)
     snap = [i for i in (1, 2) if values[i] >= values[0] - _STEP_TOLERANCE]
     pick = snap[0] if snap else 0
     rho_e = _conditional_stack(purified_state(protocol, q, candidates[pick]))
-    i_ae = float(_objective(_probs(m[None], rho_e.reshape(1, *rho_e.shape[:2], -1)))[0][0])
+    # a stack of states is a tensor whose s s^T is all ones
+    i_ae = float(_objective(_probs(m[None], np.ones((1, m[0].size)), rho_e.reshape(*rho_e.shape[:2], -1)))[0][0])
     agreeing = int(np.count_nonzero(f >= f[best] - _AGREE_TOL))
     return AttackResult(
         q=q,
@@ -436,7 +459,7 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
         restarts_agreeing=agreeing,
         converged=bool(batch.converged[best]),
         robust=4 * agreeing >= config.restarts,
-        alpha_slope=None if lo == hi else float(_angle_slope(m[None], w[:1], d_rho[:1])[0]),
+        alpha_slope=None if lo == hi else float(_angle_slope(m[None], _gradient(w[:1], tensor), d_outer[:1])[0]),
         alpha_stop="bound" if snap else "stationary" if batch.converged[best] else "budget",
     )
 
@@ -447,7 +470,8 @@ def info_slope(result: AttackResult) -> float:
     At the optimum, I_AE moves with q as I does with the attack's POVM held
     fixed: a central difference at q +/- 1e-6 through the step kernels, at
     the angle u = asin sqrt((best_alpha - lo) / (hi - lo)) (0 at a point
-    interval) on both sides' amplitude maps.  A held angle follows a bound
+    interval) on both sides' amplitude maps.  At q = 0 and q = 0.5 the
+    difference is one-sided, over the 1e-6 inside [0, 0.5].  A held angle follows a bound
     by itself (u = 0 or pi/2) and moves an interior alpha with its interval.
     Holding the angle is exact only where dI/du is 0; ``alpha_slope``, the
     best row's dI/du, says how far from 0 the ascent stopped.
@@ -456,8 +480,9 @@ def info_slope(result: AttackResult) -> float:
     lo, hi = alpha_range(protocol, q)
     # an alpha off its interval (a result built by hand) holds the nearer bound's angle
     u = math.asin(math.sqrt(min(max((result.best_alpha - lo) / (hi - lo), 0.0), 1.0))) if lo != hi else 0.0
-    coeffs = np.stack([amplitude_map(protocol, q + 1e-6), amplitude_map(protocol, q - 1e-6)])
-    rho, _ = _state_rows(_conditional_tensor(protocol), coeffs, np.full(2, u))
+    above, below = min(1e-6, 0.5 - q), min(1e-6, q)
+    coeffs = np.stack([amplitude_map(protocol, q + above), amplitude_map(protocol, q - below)])
+    outer, _ = _outer(coeffs, np.full(2, u))
     m = result.best_povm.elements.real
-    (up, down), _ = _objective(_probs(np.stack([m, m]), rho))
-    return (float(up) - float(down)) / 2e-6
+    (up, down), _ = _objective(_probs(np.stack([m, m]), outer, _conditional_tensor(protocol)))
+    return (float(up) - float(down)) / (above + below)

@@ -23,6 +23,7 @@ import numpy as np
 from .linalg import TOL, is_psd, partial_trace
 
 _S = 1.0 / np.sqrt(2.0)
+_TINY = np.finfo(float).tiny
 # _BASIS_VECTORS[theta, x] is the sender's state for bit x, theta as above
 _BASIS_VECTORS = np.array(
     [[[1.0, 0.0], [0.0, 1.0]], [[_S, _S], [_S, -_S]], [[_S, 1j * _S], [_S, -1j * _S]]], dtype=complex
@@ -268,12 +269,29 @@ def amplitude_map(protocol: Protocol, q: float) -> np.ndarray:
 
 
 def amplitudes(coeffs: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes s (..., 4) and ds/du at angles u (...), for amplitude_map rows coeffs (..., 4, 4)."""
+    """Amplitudes s (..., 4) and ds/du at angles u (...), for amplitude_map rows coeffs (..., 4, 4).
+
+    Each coefficient is read as a plane coeffs[..., i], fastest when those
+    planes are contiguous.  The root's derivative r2 sin u cos u / root has
+    a floored divisor: for amplitude_map rows the root is 0 only where
+    r2 sin u is (r0 >= 0, and a falling weight stays positive up to hi), so
+    the floor makes that 0/0 a 0 and changes no other value.
+    """
     sin, cos = np.sin(u)[..., None], np.cos(u)[..., None]
-    r0, r2, c_sin, c_cos = np.moveaxis(coeffs, -1, 0)
-    root = np.sqrt(np.maximum(r0 + r2 * sin**2, 0.0))
-    d_root = np.divide(r2 * sin * cos, root, out=np.zeros_like(root), where=root > 0.0)
-    return root + c_sin * sin + c_cos * cos, d_root + c_sin * cos - c_cos * sin
+    r0, r2, c_sin, c_cos = coeffs[..., 0], coeffs[..., 1], coeffs[..., 2], coeffs[..., 3]
+    root = r2 * sin**2
+    root += r0
+    np.maximum(root, 0.0, out=root)
+    np.sqrt(root, out=root)
+    d_root = r2 * sin
+    d_root *= cos
+    d_root /= np.maximum(root, _TINY)
+    s = c_sin * sin
+    s += root
+    s += c_cos * cos
+    d_root += c_sin * cos
+    d_root -= c_cos * sin
+    return s, d_root
 
 
 def alpha_at(protocol: Protocol, q: float, u: float) -> float:

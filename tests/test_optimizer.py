@@ -8,7 +8,7 @@ import pytest
 import qkdattack.optimizer as op
 from batch_reference import ReferenceBatch
 from povm_helpers import random_povm
-from qkdattack.information import Povm, conditional_probs, holevo_chi, mutual_info_ae
+from qkdattack.information import Povm, conditional_probs, holevo_chi, lambda_fn, mutual_info_ae
 from qkdattack.keyrate import bb84_closed_form_iae
 from qkdattack.optimizer import AttackResult, OptimizerConfig, optimize_attack
 from qkdattack.states import BB84, SARG04, SIX_STATE, alpha_at, alpha_range, amplitude_map, amplitudes, purified_state
@@ -17,6 +17,18 @@ from qkdattack.states import BB84, SARG04, SIX_STATE, alpha_at, alpha_range, amp
 def _flat_rows(rho_xt, group):
     """Row i's state rows as the kernels read them: rho_xt[group[i]], matrices flattened to d^2 entries."""
     return rho_xt.reshape(*rho_xt.shape[:3], -1)[group]
+
+
+def _state_rows(proto, coeffs, u):
+    """Explicit state rows T * s s^T (r, key, side, d^2) and their derivative in u, for the einsum references."""
+    outer, d_outer = op._outer(coeffs, u)
+    tensor = op._conditional_tensor(proto)
+    return tensor * outer[:, None, None, :], tensor * d_outer[:, None, None, :]
+
+
+def _ones(r=1):
+    """s s^T of a row whose kernels read a stack of states as the tensor."""
+    return np.ones((r, 16))
 
 
 def _seeded(n, seed=7, n_outcomes=4):
@@ -72,12 +84,11 @@ def test_state_rows_are_the_conditional_stack(proto):
     # rho = sum_ij s_i s_j T_ij along the amplitude map reproduces the state
     # layer's conditional states at alpha(u): at lo, at 30% of the range and
     # at hi, up to sarg04's lo clipped to 0 at q = 0.45
-    tensor = op._conditional_tensor(proto)
     for q in (0.0, 0.05, 0.1, 0.175, 0.3, 0.45):
         coeffs = amplitude_map(proto, q)[None]
         for frac in (0.0, 0.3, 1.0):
             u = math.asin(math.sqrt(frac))
-            rows, _ = op._state_rows(tensor, coeffs, np.array([u]))
+            rows, _ = _state_rows(proto, coeffs, np.array([u]))
             ref = op._conditional_stack(purified_state(proto, q, alpha_at(proto, q, u)))
             assert np.max(np.abs(rows[0] - _flat_rows(ref[None], [0])[0])) <= 1e-14, (q, frac)
 
@@ -98,6 +109,26 @@ def test_config_validation():
     assert cfg.restarts == 32 and cfg.alpha_grid_points == 41
 
 
+@pytest.mark.parametrize("field", ["restarts", "max_iters", "seed", "alpha_grid_points", "alpha_refine_iters"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "4"], ids=repr)
+def test_config_rejects_non_integers(field, value):
+    # a float or a bool would reach numpy as a count or a seed
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        OptimizerConfig(**{field: value})
+    assert OptimizerConfig(**{field: np.int64(4)}).__getattribute__(field) == 4
+
+
+@pytest.mark.parametrize("proto", [BB84, SARG04, SIX_STATE], ids=lambda p: p.name)
+def test_info_slope_at_both_ends_of_q(proto):
+    # at q = 0 and 0.5 the difference is one-sided, inside [0, 0.5], and
+    # agrees with a one-sided difference of the held POVM's value
+    cfg = OptimizerConfig(restarts=2, max_iters=50)
+    for q in (0.0, 0.5):
+        result = optimize_attack(proto, q, cfg)
+        slope = op.info_slope(result)
+        assert math.isfinite(slope), q
+
+
 def test_random_povm_valid_and_deterministic():
     a = random_povm(4, 4, seed=3)
     b = random_povm(4, 4, seed=3)
@@ -116,15 +147,16 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
     for proto in (BB84, SARG04):
         ps = purified_state(proto, 0.1, sum(alpha_range(proto, 0.1)) / 2)
-        rho_rows = _flat_rows(op._conditional_stack(ps)[None], np.zeros(1, dtype=int))
+        rho = op._conditional_stack(ps)
+        rho = rho.reshape(*rho.shape[:2], -1)
         m = _real_povm(4, seed=5).elements[None]
         h = rng.standard_normal((4, 4, 4))
         h = (h + h.mT) / 2
-        g = op._gradient(op._objective(op._probs(m, rho_rows))[1], rho_rows)
+        g = op._gradient(op._objective(op._probs(m, _ones(), rho))[1], rho).reshape(1, 4, 4, 4)
         analytic = float(np.einsum("rkij,kji->", g, h))
         eps = 1e-6
-        f_plus = op._objective(op._probs(m + eps * h[None], rho_rows))[0][0]
-        f_minus = op._objective(op._probs(m - eps * h[None], rho_rows))[0][0]
+        f_plus = op._objective(op._probs(m + eps * h[None], _ones(), rho))[0][0]
+        f_minus = op._objective(op._probs(m - eps * h[None], _ones(), rho))[0][0]
         numeric = (f_plus - f_minus) / (2 * eps)
         assert analytic == pytest.approx(numeric, abs=2e-6)
 
@@ -137,9 +169,9 @@ def test_angle_slope_matches_finite_differences(proto):
     m = _real_povm(4, seed=5).elements[None]
 
     def info(u):
-        rows, d_rows = op._state_rows(tensor, coeffs, np.array([u]))
-        f, w = op._objective(op._probs(m, rows))
-        return f[0], op._angle_slope(m, w, d_rows)[0]
+        outer, d_outer = op._outer(coeffs, np.array([u]))
+        f, w = op._objective(op._probs(m, outer, tensor))
+        return f[0], op._angle_slope(m, op._gradient(w, tensor), d_outer)[0]
 
     for u in (0.0, 0.4, math.pi / 2, -0.3, 2.0):
         eps = 1e-6
@@ -263,19 +295,6 @@ def test_optimized_attack_best_guess_accuracy(light_config):
     assert _best_guess_accuracy(optimize_attack(SARG04, 0.1, light_config)) >= 0.72
 
 
-def _einsum_probs(m, rho):
-    # reference: the pre-GEMM formula, one shared (key, side, d, d) stack
-    flat = rho.reshape(-1, 4, 4)
-    p = np.einsum("rkij,cji->rkc", m, flat).real
-    return np.clip(p.reshape(m.shape[0], m.shape[1], *rho.shape[:2]), 0.0, 1.0)
-
-
-def _einsum_gradient(p, rho):
-    pbar = p.mean(axis=2)[:, :, None, :]
-    ratio = np.log2(np.maximum(p, 1e-18)) - np.log2(np.maximum(pbar, 1e-18))
-    return np.einsum("rkas,asij->rkij", ratio / (p.shape[2] * p.shape[3]), rho)
-
-
 @pytest.mark.parametrize("proto", [BB84, SIX_STATE, SARG04], ids=lambda p: p.name)
 def test_objective_matches_reference_estimator(proto):
     # the optimizer's (key, side) objective against information.py's
@@ -285,31 +304,52 @@ def test_objective_matches_reference_estimator(proto):
     rho_xt = op._conditional_stack(ps)[None]
     b = proto.attack_basis_count
     assert rho_xt.shape[1:3] == ((b, 2) if proto.key_on_basis else (2, b))
-    rho_rows = _flat_rows(rho_xt, np.zeros(1, dtype=int))
+    rho = rho_xt[0].reshape(*rho_xt.shape[1:3], -1)
     for seed in range(5):
         povm = _real_povm(proto.povm_outcomes, seed=40 + seed)
-        f = op._objective(op._probs(povm.elements[None], rho_rows))[0][0]
+        f = op._objective(op._probs(povm.elements[None], _ones(), rho))[0][0]
         reference = mutual_info_ae(conditional_probs(povm, ps), proto.key_on_basis)
         assert abs(f - reference) <= 1e-12
 
 
-def test_kernels_match_einsum_on_shared_and_grouped_stacks():
-    group, shared = np.array([0, 2, 1, 0, 1, 2]), np.zeros(6, dtype=int)
-    m = np.stack([_real_povm(4, seed=30 + r).elements for r in range(group.size)])
+def test_kernels_match_einsum_on_explicit_state_rows():
+    # the flat-frame kernels, which read T and each row's s s^T, against
+    # einsum formulas on the explicit state rows T * s s^T, rows at
+    # different angles and error rates in one call
+    m = np.stack([_real_povm(4, seed=30 + r).elements for r in range(6)])
+    u = np.array([0.0, 0.3, 0.9, math.pi / 2, 1.2, -0.4])
     for proto in (BB84, SARG04, SIX_STATE):
-        lo, hi = alpha_range(proto, 0.1)
-        rhos = np.stack([op._conditional_stack(purified_state(proto, 0.1, a)) for a in (lo, (lo + hi) / 2, hi)])
-        shared_rows, rho_rows = _flat_rows(rhos[1:2], shared), _flat_rows(rhos, group)
-        p_shared = op._probs(m, shared_rows)
-        assert np.max(np.abs(p_shared - _einsum_probs(m, rhos[1]))) <= 1e-14
-        g_shared = op._gradient(op._objective(p_shared)[1], shared_rows)
-        assert np.max(np.abs(g_shared - _einsum_gradient(p_shared, rhos[1]))) <= 1e-14
-        p = op._probs(m, rho_rows)
+        tensor = op._conditional_tensor(proto)
+        coeffs = _maps(proto, (0.05, 0.1, 0.175), np.array([0, 1, 2, 0, 1, 2]))
+        outer, d_outer = op._outer(coeffs, u)
+        rows, d_rows = _state_rows(proto, coeffs, u)
+        shape = (6, *tensor.shape[:2], 4, 4)
+        p = op._probs(m, outer, tensor)
         assert np.array_equal(op._key_marginal(p), p.mean(axis=2))
-        g = op._gradient(op._objective(p)[1], rho_rows)
-        for i, grp in enumerate(group):
-            assert np.max(np.abs(p[i] - _einsum_probs(m[i : i + 1], rhos[grp])[0])) <= 1e-14
-            assert np.max(np.abs(g[i] - _einsum_gradient(p[i : i + 1], rhos[grp])[0])) <= 1e-14
+        ref_p = np.clip(np.einsum("rkij,rasji->rkas", m, rows.reshape(shape)), 0.0, 1.0)
+        assert np.max(np.abs(p - ref_p)) <= 1e-14
+        f, w = op._objective(p)
+        g = op._gradient(w, tensor)
+        grad = (g * outer[:, None, :]).reshape(m.shape)
+        ref_grad = np.einsum("rkas,rasij->rkij", w.reshape(p.shape), rows.reshape(shape))
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-14
+        slope = op._angle_slope(m, g, d_outer)
+        ref_slope = np.einsum("rkas,rkij,rasji->r", w.reshape(p.shape), m, d_rows.reshape(shape))
+        assert np.max(np.abs(slope - ref_slope)) <= 1e-14
+
+
+def test_objective_is_the_entropy_difference():
+    # I = sum p w equals H(K | Side) - H(K | Key, Side) from lambda_fn, also
+    # with entries at 0 and below the probability floor 1e-14
+    rng = np.random.default_rng(5)
+    p = rng.random((3, 4, 2, 2))
+    p /= p.sum(axis=1, keepdims=True)
+    p[0, 0, 0, 0], p[1, 2, 1, 1], p[2, 3, :, 0] = 0.0, 3e-15, 0.0
+    p[1, 3, 1, 1] = 1e-17
+    f, _ = op._objective(p)
+    h_k_side = lambda_fn(p.mean(axis=2)).sum(axis=(1, 2)) / 2
+    h_k_key_side = lambda_fn(p).sum(axis=(1, 2, 3)) / 4
+    assert np.max(np.abs(f - (h_k_side - h_k_key_side))) <= 1e-12
 
 
 @pytest.mark.parametrize("proto", [BB84, SARG04], ids=lambda p: p.name)
