@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .information import binary_entropy, lambda_fn
-from .optimizer import AttackResult, OptimizerConfig, info_slope, optimize_attack
+from .optimizer import AttackResult, OptimizerConfig, optimize_attack
 from .states import Protocol, alpha_range
 
 _BRACKET = (0.05, 0.30)
@@ -109,8 +109,8 @@ def reference_thresholds(protocol: Protocol) -> dict[str, float]:
 
 
 def _rate_slope(result: AttackResult) -> float:
-    """dr/dq = -h'(q) - dI_AE/dq at an optimized attack, with dI_AE/dq from optimizer.info_slope."""
-    return -math.log2((1.0 - result.q) / result.q) - info_slope(result)
+    """dr/dq = -h'(q) - dI_AE/dq at an optimized attack, with dI_AE/dq the report's info_slope."""
+    return -math.log2((1.0 - result.q) / result.q) - result.info_slope
 
 
 def _interpolated_probe(low: ThresholdProbe, high: ThresholdProbe, tolerance: float) -> float | None:
@@ -138,21 +138,21 @@ def find_threshold(
 ) -> ThresholdReport:
     """The zero of r(q), bracketed to the tolerance inside [0.05, 0.30].
 
-    r(q) is monotone decreasing.  The first probe sits at the midpoint.
-    Until a probe changes sign, the next sits tolerance / 4 past the root of
-    the last one's tangent, toward the unexplored end, but never past the
-    midpoint of the unexplored side; at that midpoint where the slope is not
-    finite and negative or fewer than half the probes so far halved that
-    side; and at its end once that side is within the tolerance.  An end of
-    the same sign raises NumericalFailure.  Then each probe's sign
-    replaces one bracket end; it sits at _interpolated_probe, or at the
-    midpoint where that gives None or the previous interpolated probe failed
-    to halve the bracket.  So every two probes at least halve the bracket or
-    the unexplored side, and no search takes more than twice bisection's
-    probes.  An under-converged probe only inflates the rate, so a probe
-    that exceeds an earlier, smaller-q rate by more than 1e-4 is re-run once
-    with four times the restarts.  The tolerance lies in [1e-4, 0.25): a
-    bracket-wide one would end with half the bracket.
+    r(q) is monotone decreasing, so each probe's sign replaces one end of
+    the bracket [a, b], where an end of [0.05, 0.30] stands in for a side
+    with no probe yet.  The next probe sits, in this order: at the unprobed
+    end once [a, b] is within the tolerance (an end of the probed side's sign
+    raises NumericalFailure); at the midpoint where fewer than half the
+    probes so far halved the bracket (a midpoint probe counts as halving);
+    at _interpolated_probe once both sides are probed, or the midpoint where
+    that gives None; else tolerance / 4 past the root of the probed side's
+    tangent, toward the unprobed end but never past the midpoint, which the
+    first probe and a slope not finite and negative take instead.  So at
+    least every other probe halves [a, b], and no search takes more than
+    twice bisection's probes.  An under-converged probe only inflates the
+    rate, so a probe that exceeds an earlier, smaller-q rate by more than
+    1e-4 is re-run once with four times the restarts.  The tolerance lies in
+    [1e-4, 0.25): a bracket-wide one would end with half the bracket.
     """
     lo, hi = _BRACKET
     if not MIN_TOLERANCE <= tolerance < hi - lo:  # also rejects NaN
@@ -168,32 +168,30 @@ def find_threshold(
         probes.append(ThresholdProbe(q, key_rate(q, result.i_ae), _rate_slope(result), rerun))
         return probes[-1]
 
-    near = probe(0.5 * (lo + hi))
-    end = hi if near.rate > 0.0 else lo
-    halvings = 1
-    while True:
-        mid = 0.5 * (near.q + end)
-        if abs(end - near.q) <= tolerance:
-            q = end
-        elif 2 * halvings < len(probes) or not -math.inf < near.slope < 0.0:
+    # the probes nearest the root on each side; the end of a side not yet probed stands in for it in [a, b]
+    low = high = None
+    a, b, halvings = lo, hi, 0
+    while low is None or high is None or b - a > tolerance:
+        width, mid = b - a, 0.5 * (a + b)
+        if width <= tolerance:
+            q = lo if low is None else hi
+        elif 2 * halvings < len(probes):
             q = mid
+        elif low is not None and high is not None:
+            q = _interpolated_probe(low, high, tolerance)
+            q = mid if q is None else q
         else:
-            q = near.q - near.rate / near.slope + math.copysign(tolerance / 4, end - near.q)
-            q = min(q, mid) if end > near.q else max(q, mid)
+            near, q = high if low is None else low, mid
+            if near is not None and -math.inf < near.slope < 0.0:
+                step = near.q - near.rate / near.slope + math.copysign(tolerance / 4, mid - near.q)
+                q = min(step, mid) if mid > near.q else max(step, mid)
         nxt = probe(q)
-        if (nxt.rate > 0.0) != (near.rate > 0.0):
-            break
-        if q == end:
-            raise NumericalFailure(f"no sign change on [{lo}, {hi}]: r({probes[0].q:.4g})={probes[0].rate:.4g}, r({end})={nxt.rate:.4g}")
-        halvings += q == mid
-        near = nxt
-    low, high = (near, nxt) if near.rate > 0.0 else (nxt, near)
-    halved = True
-    while high.q - low.q > tolerance:
-        width = high.q - low.q
-        q = _interpolated_probe(low, high, tolerance) if halved else None
-        nxt = probe(0.5 * (low.q + high.q) if q is None else q)
-        low, high = (nxt, high) if nxt.rate > 0.0 else (low, nxt)
-        halved = q is None or high.q - low.q <= 0.5 * width
+        if nxt.rate > 0.0:
+            low, a = nxt, q
+        else:
+            high, b = nxt, q
+        if q in (lo, hi) and (low is None or high is None):
+            raise NumericalFailure(f"no sign change on [{lo}, {hi}]: r({probes[0].q:.4g})={probes[0].rate:.4g}, r({q})={nxt.rate:.4g}")
+        halvings += q == mid or b - a <= 0.5 * width
     bracket = (low.q, high.q)
     return ThresholdReport(0.5 * sum(bracket), bracket, low.rate, high.rate, reference_thresholds(protocol), tuple(probes))

@@ -49,10 +49,10 @@ share a batch.
 
 The attack report reads states the way the ascent does, through T and an
 angle: optimize_attack scores the best POVM at its own angle and at both
-bounds in one kernel call, and info_slope, the slope dI_AE/dq that keyrate's
-threshold search steers by, differences the best POVM at its angle on the
-amplitude maps at q +/- 1e-6 (the envelope theorem).  So only this module
-knows the kernels' flat-frame layout.
+bounds on the amplitude maps at q and q +/- 1e-6 in one 9-row kernel call.
+The rows at q pick alpha; the rows at q +/- 1e-6 give, at the picked angle,
+the slope dI_AE/dq (the envelope theorem) that keyrate's threshold search
+steers by.  So only this module knows the kernels' flat-frame layout.
 """
 
 from __future__ import annotations
@@ -131,6 +131,9 @@ class AttackResult:
     # "bound" (alpha at an interval end, or a point interval), "stationary" (interior, the best row
     # converged) or "budget" (interior, the best row ran to max_iters)
     alpha_stop: str
+    # dI_AE/dq by the envelope theorem (Milgrom and Segal, 2002): best_povm's value differenced at q +/- 1e-6
+    # (one-sided inside [0, 0.5]) at best_alpha's angle on both sides' maps, exact where dI/du is 0
+    info_slope: float
 
 
 def _key_side(stack: np.ndarray, protocol: Protocol) -> np.ndarray:
@@ -419,11 +422,14 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
     rebuilds from best_alpha: its angle u is mapped into [0, pi/2], where
     every amplitude is non-negative like purified_state's, and its POVM
     through the matching reflection D M D of the E register (D diagonal,
-    +-1), which scores the same on the mapped state.  One kernel call scores
-    that POVM at the angles (u, 0, pi/2), alpha and its two bounds, and
-    gives alpha_slope at u; alpha then snaps to a bound where the POVM scores
-    no lower, within _STEP_TOLERANCE (bb84 reports alpha_lo exactly), and
-    i_ae is the POVM's value at purified_state(best_alpha).
+    +-1), which scores the same on the mapped state.  One 9-row kernel call
+    scores that POVM at the angles (u, 0, pi/2), alpha and its two bounds, on
+    the amplitude maps at q, q + 1e-6 and q - 1e-6 (one-sided inside
+    [0, 0.5]), and gives alpha_slope at u; alpha then snaps to a bound where
+    the POVM scores no lower at q, within _STEP_TOLERANCE (bb84 reports
+    alpha_lo exactly).  info_slope is the difference of the q +/- 1e-6 rows
+    at the picked angle, and i_ae the POVM's value at
+    purified_state(best_alpha).
     """
     lo, hi = alpha_range(protocol, q)
     batch = _ascend(protocol, q, config)
@@ -439,8 +445,11 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
         m = m * np.outer(d, d)
         u = math.atan2(abs(sin), abs(cos))
     tensor = _conditional_tensor(protocol)
-    outer, d_outer = _outer(np.stack([coeffs] * 3), np.array([u, 0.0, math.pi / 2]))
-    values, w = _objective(_probs(np.stack([m] * 3), outer, tensor))
+    # the slope's difference is one-sided at q = 0 and q = 0.5, over the 1e-6 inside [0, 0.5]
+    above, below = min(1e-6, 0.5 - q), min(1e-6, q)
+    maps = np.stack([coeffs, amplitude_map(protocol, q + above), amplitude_map(protocol, q - below)])
+    outer, d_outer = _outer(np.repeat(maps, 3, axis=0), np.tile([u, 0.0, math.pi / 2], 3))
+    values, w = _objective(_probs(np.stack([m] * 9), outer, tensor))
     candidates = (alpha_at(protocol, q, u), lo, hi)
     # within the ascent's resolution: a signed amplitude's linear term can lift a POVM by rounding-sized
     # amounts just inside a bound (bb84 at q = 0.25: 2.9e-12 at alpha_lo + 2.6e-13)
@@ -461,28 +470,6 @@ def optimize_attack(protocol: Protocol, q: float, config: OptimizerConfig) -> At
         robust=4 * agreeing >= config.restarts,
         alpha_slope=None if lo == hi else float(_angle_slope(m[None], _gradient(w[:1], tensor), d_outer[:1])[0]),
         alpha_stop="bound" if snap else "stationary" if batch.converged[best] else "budget",
+        info_slope=(float(values[3 + pick]) - float(values[6 + pick])) / (above + below),
     )
 
-
-def info_slope(result: AttackResult) -> float:
-    """dI_AE/dq at an optimized attack, by the envelope theorem (Milgrom and Segal, 2002).
-
-    At the optimum, I_AE moves with q as I does with the attack's POVM held
-    fixed: a central difference at q +/- 1e-6 through the step kernels, at
-    the angle u = asin sqrt((best_alpha - lo) / (hi - lo)) (0 at a point
-    interval) on both sides' amplitude maps.  At q = 0 and q = 0.5 the
-    difference is one-sided, over the 1e-6 inside [0, 0.5].  A held angle follows a bound
-    by itself (u = 0 or pi/2) and moves an interior alpha with its interval.
-    Holding the angle is exact only where dI/du is 0; ``alpha_slope``, the
-    best row's dI/du, says how far from 0 the ascent stopped.
-    """
-    protocol, q = result.protocol, result.q
-    lo, hi = alpha_range(protocol, q)
-    # an alpha off its interval (a result built by hand) holds the nearer bound's angle
-    u = math.asin(math.sqrt(min(max((result.best_alpha - lo) / (hi - lo), 0.0), 1.0))) if lo != hi else 0.0
-    above, below = min(1e-6, 0.5 - q), min(1e-6, q)
-    coeffs = np.stack([amplitude_map(protocol, q + above), amplitude_map(protocol, q - below)])
-    outer, _ = _outer(coeffs, np.full(2, u))
-    m = result.best_povm.elements.real
-    (up, down), _ = _objective(_probs(np.stack([m, m]), outer, _conditional_tensor(protocol)))
-    return (float(up) - float(down)) / (above + below)

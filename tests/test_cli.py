@@ -261,7 +261,7 @@ def _result(protocol, q, trusted):
     return AttackResult(
         q=q, protocol=protocol, i_ae=0.0, best_alpha=1.0, best_povm=random_povm(4, 4, 0),
         restarts_agreeing=8 if trusted else 1, converged=trusted, robust=trusted,
-        alpha_slope=None, alpha_stop="bound",
+        alpha_slope=None, alpha_stop="bound", info_slope=0.0,
     )
 
 

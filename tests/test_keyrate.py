@@ -163,25 +163,34 @@ def test_sarg04_info_slope_matches_the_optimized_difference(q):
     # difference of optimized values, whose h^2 curvature term dominates the gap
     config = OptimizerConfig(restarts=12)
     up, down = (optimize_attack(SARG04, q + h, config).i_ae for h in (1e-3, -1e-3))
-    assert abs(optimizer.info_slope(optimize_attack(SARG04, q, config)) - (up - down) / 2e-3) <= 1e-4
+    assert abs(optimize_attack(SARG04, q, config).info_slope - (up - down) / 2e-3) <= 1e-4
 
 
-def test_rate_slope_calls_the_kernels_through_the_optimizer_module(monkeypatch, light_config):
-    # the slope looks its kernels up as optimizer globals at call time, so a
-    # wrapper installed there (as the benchmark's tracer does) sees its calls
-    attack = optimize_attack(BB84, 0.10, light_config)
-    unpatched = keyrate._rate_slope(attack)
-    calls = dict.fromkeys(("_probs", "_objective"), 0)
+def test_attack_report_calls_the_slopes_kernels_through_the_optimizer_module(monkeypatch, light_config):
+    # the report looks its kernels up as optimizer globals at call time, so a
+    # wrapper installed there (as the benchmark's tracer does) sees the
+    # slope's calls: past the ascent, one call on T scores the best POVM at
+    # its angle and both bounds on the maps at q and q +/- 1e-6, and one
+    # rescores i_ae on the states at best_alpha
+    batch = optimizer._ascend(BB84, 0.10, light_config)
+    plain = optimize_attack(BB84, 0.10, light_config)
+    monkeypatch.setattr(optimizer, "_ascend", lambda *args: batch)
+    calls = {"_probs": [], "_objective": []}
     for name in calls:
 
         def counted(*args, name=name, kernel=getattr(optimizer, name)):
-            calls[name] += 1
+            calls[name].append(args)
             return kernel(*args)
 
         monkeypatch.setattr(optimizer, name, counted)
-    assert keyrate._rate_slope(attack) == unpatched
-    # both sides of the difference in one batched call
-    assert calls == {"_probs": 1, "_objective": 1}
+    attack = optimize_attack(BB84, 0.10, light_config)
+    assert attack.info_slope == plain.info_slope
+    assert keyrate._rate_slope(attack) == -math.log2(0.9 / 0.1) - plain.info_slope
+    assert [len(c) for c in calls.values()] == [2, 2]
+    (m, _, tensor), (_, ones, _) = calls["_probs"]
+    assert m.shape[0] == 9 and np.array_equal(tensor, optimizer._conditional_tensor(BB84))
+    # the rescoring reads a stack of states as a tensor whose s s^T is all ones
+    assert ones.shape[0] == 1 and np.all(ones == 1.0)
 
 
 # closed-form rates r(q) and slopes r'(q), each with one root in [0.05, 0.30]
@@ -235,6 +244,42 @@ def test_search_brackets_the_root_within_bisections_probes(monkeypatch, name, to
     assert len(rep.probes) <= len(_bisection(rate, tolerance))
     assert rep.probes[0].q == 0.5 * sum(keyrate._BRACKET)
     assert not any(p.rerun for p in rep.probes)
+
+
+# the probes, as float.hex, of the search before its sign hunt and its bracket
+# narrowing were folded into one loop, at tolerances 1e-4, 1e-3 and 1e-2
+_FIRST = "0x1.6666666666666p-3"
+_RECORDED_PROBES = {
+    "bb84": (
+        [_FIRST, "0x1.378fe8a5fbba6p-3", "0x1.3a4bf8d958679p-3", "0x1.3a31c430ee684p-3"],
+        [_FIRST, "0x1.3719f1a8d9bb3p-3", "0x1.3ac1ef02630aap-3", "0x1.39bbcd33b3931p-3"],
+        [_FIRST, "0x1.327e4bc585c36p-3", "0x1.3f5d8585b0ba1p-3"],
+    ),
+    "linear": (
+        [_FIRST, "0x1.99a6b50b0f27cp-3", "0x1.998c7e28240b8p-3"],
+        [_FIRST, "0x1.9a1cac083126fp-3", "0x1.9916872b020c6p-3"],
+        [_FIRST, "0x1.9eb851eb851ecp-3", "0x1.947ae147ae148p-3"],
+    ),
+    "sixstate": (
+        [_FIRST, "0x1.9f00c32328af8p-3", "0x1.a1c5a84171a31p-3", "0x1.a1ad00169660cp-3"],
+        [_FIRST, "0x1.9f76ba204aaebp-3", "0x1.a23c1aa0e4036p-3", "0x1.a137091971154p-3"],
+        [_FIRST, "0x1.a41260039ea68p-3", "0x1.9c9b625acfc27p-3"],
+    ),
+    "steep_convex": (
+        [_FIRST, "0x1.4d8faee6db8a3p-3", "0x1.523bc6f3c2966p-3", "0x1.52222df0eec4ep-3"],
+        [_FIRST, "0x1.4d19b7e9b98b0p-3", "0x1.52b19c338f75ep-3", "0x1.51ac36cfe7b35p-3"],
+        [_FIRST, "0x1.487e120665933p-3", "0x1.574b2f0a9ae4fp-3"],
+    ),
+}
+
+
+@pytest.mark.parametrize("tolerance", [1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("name", sorted(_SYNTHETIC_RATES))
+def test_search_makes_the_recorded_probes(monkeypatch, name, tolerance):
+    rate, slope = _SYNTHETIC_RATES[name]
+    probed = []
+    _synthetic_search(monkeypatch, rate, slope, tolerance, probed)
+    assert [q.hex() for q in probed] == _RECORDED_PROBES[name][(1e-4, 1e-3, 1e-2).index(tolerance)]
 
 
 @pytest.mark.parametrize("bad_slope", [0.0, 1.0, math.nan])

@@ -118,15 +118,19 @@ def test_config_rejects_non_integers(field, value):
     assert OptimizerConfig(**{field: np.int64(4)}).__getattribute__(field) == 4
 
 
+@pytest.mark.parametrize("q", [0.0, 0.05, 0.1, 0.175, 0.25, 0.5])
 @pytest.mark.parametrize("proto", [BB84, SARG04, SIX_STATE], ids=lambda p: p.name)
-def test_info_slope_at_both_ends_of_q(proto):
-    # at q = 0 and 0.5 the difference is one-sided, inside [0, 0.5], and
-    # agrees with a one-sided difference of the held POVM's value
-    cfg = OptimizerConfig(restarts=2, max_iters=50)
-    for q in (0.0, 0.5):
-        result = optimize_attack(proto, q, cfg)
-        slope = op.info_slope(result)
-        assert math.isfinite(slope), q
+def test_info_slope_matches_the_reference_estimators_difference(proto, q, light_config):
+    # the report's dI_AE/dq against the information.py estimator's difference
+    # of the best POVM at q +/- 1e-6, one-sided inside [0, 0.5], with the
+    # angle of best_alpha held on both sides' intervals
+    result = optimize_attack(proto, q, light_config)
+    lo, hi = alpha_range(proto, q)
+    u = math.asin(math.sqrt((result.best_alpha - lo) / (hi - lo))) if lo != hi else 0.0
+    above, below = min(1e-6, 0.5 - q), min(1e-6, q)
+    states = (purified_state(proto, x, alpha_at(proto, x, u)) for x in (q + above, q - below))
+    up, down = (mutual_info_ae(conditional_probs(result.best_povm, ps), proto.key_on_basis) for ps in states)
+    assert abs(result.info_slope - (up - down) / (above + below)) <= 1e-8
 
 
 def test_random_povm_valid_and_deterministic():
@@ -580,8 +584,6 @@ def test_attack_report_builds_one_purified_state(proto, light_config, monkeypatc
     monkeypatch.setattr(op, "purified_state", counted)
     result = optimize_attack(proto, 0.1, light_config)
     assert calls == [(proto, 0.1, result.best_alpha)]
-    op.info_slope(result)
-    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("turn", [lambda u: u + math.pi, lambda u: -u, lambda u: math.pi - u], ids=["u+pi", "-u", "pi-u"])
