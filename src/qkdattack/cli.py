@@ -82,6 +82,7 @@ def _threshold(protocol: Protocol, config: OptimizerConfig, tolerance: float) ->
         "bracket": list(rep.bracket),
         "rate_low": rep.rate_low,
         "rate_high": rep.rate_high,
+        "closed_form_root": rep.closed_form_root,
         "estimator": "basis-keyed" if protocol.key_on_basis else "bit-keyed",
         "references": rep.references,
         "probes": [asdict(p) for p in rep.probes],

@@ -61,11 +61,21 @@ class ThresholdProbe:
 
 @dataclass(frozen=True)
 class ThresholdReport:
+    """The bracketed zero of the key rate, with every probe of the search.
+
+    ``closed_form_root`` is the zero of the closed-form rate that placed
+    the first two probes, or None.  Where their optimized rates differ in
+    sign, threshold_q equals it to rounding: the optimizer certifies the sign
+    change across a bracket of width tolerance / 2, and the closed form only
+    placed that bracket.
+    """
+
     threshold_q: float
     bracket: tuple[float, float]
     rate_low: float
     rate_high: float
     references: dict[str, float]
+    closed_form_root: float | None
     probes: tuple[ThresholdProbe, ...]
 
 
@@ -108,6 +118,28 @@ def reference_thresholds(protocol: Protocol) -> dict[str, float]:
     return dict(_REFERENCES[protocol.name])
 
 
+def closed_form_root(protocol: Protocol) -> float | None:
+    """The q in [0.05, 0.30] where 1 - h(q) = bb84_closed_form_iae(s q), s the protocol's closed_form_q_scale.
+
+    Bisection to the last bit over the part of the bracket where s q <= 1/4.
+    None where the protocol has no closed form or that rate keeps its sign
+    there.
+    """
+    scale = protocol.closed_form_q_scale
+    if scale is None:
+        return None
+
+    def rate(q: float) -> float:
+        return key_rate(q, bb84_closed_form_iae(min(scale * q, 0.25)))
+
+    lo, hi = _BRACKET[0], min(_BRACKET[1], 0.25 / scale)
+    if not (lo < hi and rate(lo) > 0.0 > rate(hi)):
+        return None
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if rate(mid) > 0.0 else (lo, mid)
+    return mid
+
+
 def _rate_slope(result: AttackResult) -> float:
     """dr/dq = -h'(q) - dI_AE/dq at an optimized attack, with dI_AE/dq the report's info_slope."""
     return -math.log2((1.0 - result.q) / result.q) - result.info_slope
@@ -140,19 +172,24 @@ def find_threshold(
 
     r(q) is monotone decreasing, so each probe's sign replaces one end of
     the bracket [a, b], where an end of [0.05, 0.30] stands in for a side
-    with no probe yet.  The next probe sits, in this order: at the unprobed
+    with no probe yet.  The next probe sits, in this order: tolerance / 4
+    below, then above, closed_form_root, each while it lies inside (a, b), so
+    that two probes end a search whose closed form holds; at the unprobed
     end once [a, b] is within the tolerance (an end of the probed side's sign
     raises NumericalFailure); at the midpoint where fewer than half the
-    probes so far halved the bracket (a midpoint probe counts as halving);
-    at _interpolated_probe once both sides are probed, or the midpoint where
-    that gives None; else tolerance / 4 past the root of the probed side's
-    tangent, toward the unprobed end but never past the midpoint, which the
-    first probe and a slope not finite and negative take instead.  So at
-    least every other probe halves [a, b], and no search takes more than
-    twice bisection's probes.  An under-converged probe only inflates the
-    rate, so a probe that exceeds an earlier, smaller-q rate by more than
-    1e-4 is re-run once with four times the restarts.  The tolerance lies in
-    [1e-4, 0.25): a bracket-wide one would end with half the bracket.
+    probes after that pair halved the bracket (a midpoint probe counts as
+    halving); at _interpolated_probe once both sides are probed, or the
+    midpoint where that gives None; else tolerance / 4 past the root of the
+    probed side's tangent, toward the unprobed end but never past the
+    midpoint, which the first probe and a slope not finite and negative take
+    instead.  So at least every other probe after the pair halves [a, b],
+    and no search takes more than two probes plus twice bisection's.  The
+    closed form only places probes: every reported rate is an optimized
+    one, and sarg04, with no closed form, starts at the midpoint.  An
+    under-converged probe only inflates the rate, so a probe that exceeds an
+    earlier, smaller-q rate by more than 1e-4 is re-run once with four times
+    the restarts.  The tolerance lies in [1e-4, 0.25): a bracket-wide one
+    would end with half the bracket.
     """
     lo, hi = _BRACKET
     if not MIN_TOLERANCE <= tolerance < hi - lo:  # also rejects NaN
@@ -168,14 +205,19 @@ def find_threshold(
         probes.append(ThresholdProbe(q, key_rate(q, result.i_ae), _rate_slope(result), rerun))
         return probes[-1]
 
+    # the pair around the closed-form root, lower first: two probes of opposite sign there end the search
+    root = closed_form_root(protocol)
+    pair = [] if root is None else [root - tolerance / 4, root + tolerance / 4]
     # the probes nearest the root on each side; the end of a side not yet probed stands in for it in [a, b]
     low = high = None
-    a, b, halvings = lo, hi, 0
+    a, b, halvings, seeded = lo, hi, 0, 0
     while low is None or high is None or b - a > tolerance:
         width, mid = b - a, 0.5 * (a + b)
-        if width <= tolerance:
+        if seeded < len(pair) and a < pair[seeded] < b:
+            q, seeded = pair[seeded], seeded + 1
+        elif width <= tolerance:
             q = lo if low is None else hi
-        elif 2 * halvings < len(probes):
+        elif 2 * halvings < len(probes) - seeded:
             q = mid
         elif low is not None and high is not None:
             q = _interpolated_probe(low, high, tolerance)
@@ -192,6 +234,9 @@ def find_threshold(
             high, b = nxt, q
         if q in (lo, hi) and (low is None or high is None):
             raise NumericalFailure(f"no sign change on [{lo}, {hi}]: r({probes[0].q:.4g})={probes[0].rate:.4g}, r({q})={nxt.rate:.4g}")
-        halvings += q == mid or b - a <= 0.5 * width
+        # the pair's probes, always the first, are left out of the halving rule
+        halvings += len(probes) > seeded and (q == mid or b - a <= 0.5 * width)
     bracket = (low.q, high.q)
-    return ThresholdReport(0.5 * sum(bracket), bracket, low.rate, high.rate, reference_thresholds(protocol), tuple(probes))
+    return ThresholdReport(
+        0.5 * sum(bracket), bracket, low.rate, high.rate, reference_thresholds(protocol), root, tuple(probes)
+    )

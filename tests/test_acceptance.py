@@ -294,6 +294,8 @@ def test_threshold_bracket_holds_the_closed_form_root(protocol, thresholds):
     rep, _ = thresholds(protocol)
     root = _closed_form_root(protocol.closed_form_q_scale)
     assert rep.bracket[0] <= root <= rep.bracket[1], (root, rep.bracket)
+    # the search reports the root it placed its first probes around
+    assert abs(rep.closed_form_root - root) <= 1e-12
 
 
 @pytest.mark.parametrize("protocol", [BB84, SARG04, SIX_STATE], ids=lambda p: p.name)
@@ -307,10 +309,11 @@ def test_threshold_search_takes_at_most_six_probes(protocol, thresholds):
 
 @pytest.mark.parametrize("protocol", [BB84, SARG04, SIX_STATE], ids=lambda p: p.name)
 def test_threshold_search_probes_inside_the_bracket(protocol, thresholds):
-    # the search starts at the bracket's midpoint and walks to the root by
-    # the rate's slope, so it probes neither end: 4, 2 and 4 probes today
+    # bb84 and six-state start tolerance / 4 on either side of the
+    # closed-form root and sarg04 at the bracket's midpoint, whose positive
+    # rate sends its tangent step across the root: 2 probes each, neither an end
     rep, attacks = thresholds(protocol)
-    assert len(attacks) <= 4, [a.q for a in attacks]
+    assert len(attacks) <= 2, [a.q for a in attacks]
     assert not {p.q for p in rep.probes} & set(keyrate._BRACKET), rep.probes
 
 

@@ -15,6 +15,7 @@ from qkdattack.cli import main
 from qkdattack.information import Povm
 from qkdattack.keyrate import bb84_closed_form_iae
 from qkdattack.optimizer import AttackResult, OptimizerConfig
+from qkdattack.states import PROTOCOLS
 
 LIGHT = ["--restarts", "8"]
 
@@ -250,6 +251,8 @@ def test_threshold_deterministic_reruns(tmp_path):
     assert a == b
     assert abs(a["threshold_q"] - 0.204) <= 0.003
     assert a["rate_low"] > 0 > a["rate_high"]
+    # the probes straddle six-state's closed-form root, whose bracket midpoint it is to rounding
+    assert abs(a["threshold_q"] - a["closed_form_root"]) <= 1e-15
     # each probe is reported with its q, rate, slope and re-run flag; the bracket ends are probes
     probes = {p["q"]: p for p in a["probes"]}
     assert all(list(p) == ["q", "rate", "slope", "rerun"] for p in a["probes"])
@@ -385,6 +388,18 @@ def test_manifest_of_each_command(tmp_path, monkeypatch, argv, params):
     assert list(manifest["params"].items()) == list(params.items())
     assert (manifest["command"], manifest["protocol"]) == (argv[0], "bb84")
     assert manifest["config"] == dataclasses.asdict(OptimizerConfig(restarts=8))
+
+
+@pytest.mark.parametrize("protocol", ["bb84", "sarg04"])
+def test_threshold_json_carries_the_closed_form_root(tmp_path, monkeypatch, protocol):
+    # i_ae = 0.5 moves the rate's zero to q = 0.110, away from bb84's closed-form root at 0.1534
+    monkeypatch.setattr(keyrate, "optimize_attack", lambda protocol, q, config: dataclasses.replace(_result(protocol, q, True), i_ae=0.5))
+    out = tmp_path / "t.json"
+    assert main(["threshold", "--protocol", protocol, "--restarts", "8", "--out", str(out)]) == 0
+    report = _load(out)
+    assert report["closed_form_root"] == keyrate.closed_form_root(PROTOCOLS[protocol])
+    assert (report["closed_form_root"] is None) == (protocol == "sarg04")
+    assert report["rate_low"] > 0 > report["rate_high"]
 
 
 def test_module_entry_point_exit_code(tmp_path):

@@ -115,9 +115,19 @@ def test_find_threshold_rejects_bracket_wide_tolerance(monkeypatch, tolerance):
 
 
 def test_find_threshold_without_sign_change(monkeypatch):
+    # six-state's closed-form root, 0.204, lies outside the narrowed bracket,
+    # so it places no probe, and every probe stays inside
     monkeypatch.setattr(keyrate, "_BRACKET", (0.05, 0.10))
+    probed = []
+
+    def recording(protocol, q, config):
+        probed.append(q)
+        return optimize_attack(protocol, q, config)
+
+    monkeypatch.setattr(keyrate, "optimize_attack", recording)
     with pytest.raises(NumericalFailure, match=r"no sign change on \[0.05, 0.1\]"):
         find_threshold(SIX_STATE, 1e-3, OptimizerConfig(restarts=4))
+    assert probed and all(0.05 <= q <= 0.10 for q in probed), probed
 
 
 def test_find_threshold_sixstate(light_config):
@@ -143,6 +153,24 @@ def _closed_form_rate(scale):
 
 def _central_difference(f, h=1e-6):
     return lambda q: (f(q + h) - f(q - h)) / (2 * h)
+
+
+@pytest.mark.parametrize(("protocol", "published"), [(BB84, 0.153440), (SIX_STATE, 0.203968)], ids=["bb84", "sixstate"])
+def test_closed_form_root_is_the_zero_of_the_closed_form_rate(protocol, published):
+    root = keyrate.closed_form_root(protocol)
+    rate = _closed_form_rate(protocol.closed_form_q_scale)
+    assert abs(root - published) <= 1e-6
+    assert abs(rate(root)) <= 1e-12 and rate(root - 1e-9) > 0.0 > rate(root + 1e-9)
+
+
+def test_closed_form_root_needs_a_closed_form_and_a_sign_change(monkeypatch):
+    assert keyrate.closed_form_root(SARG04) is None
+    for bracket in ((0.05, 0.10), (0.21, 0.45)):
+        monkeypatch.setattr(keyrate, "_BRACKET", bracket)
+        assert keyrate.closed_form_root(BB84) is None and keyrate.closed_form_root(SIX_STATE) is None
+    # bb84's closed form ends at q = 1/4, so the root is sought on [0.05, 0.25] only
+    monkeypatch.setattr(keyrate, "_BRACKET", (0.05, 0.45))
+    assert abs(keyrate.closed_form_root(BB84) - 0.153440) <= 1e-6
 
 
 @pytest.mark.parametrize(
@@ -202,22 +230,26 @@ _SYNTHETIC_RATES = {
 }
 
 
-def _synthetic_search(monkeypatch, rate, slope, tolerance, probed=None):
+def _synthetic_search(monkeypatch, rate, slope, tolerance, probed=None, protocol=SARG04):
     """find_threshold on an attack stub whose key rate at q is rate(q) and whose slope is slope(q).
 
-    Each probed q is appended to probed, if given; a search that does not
-    end fails at its 100th probe.
+    The protocol only picks the closed-form root, if any, that places the
+    first probes; sarg04 has none.  Each probed q is appended to probed, if
+    given; a probe outside the bracket fails, and so does a search that does
+    not end by its 100th probe.
     """
     probed = [] if probed is None else probed
 
     def attack(protocol, q, config):
         probed.append(q)
         assert len(probed) < 100, "the search does not end"
+        lo, hi = keyrate._BRACKET
+        assert lo <= q <= hi, f"probe {q} outside [{lo}, {hi}]"
         return types.SimpleNamespace(q=q, i_ae=key_rate(q, rate(q)))
 
     monkeypatch.setattr(keyrate, "optimize_attack", attack)
     monkeypatch.setattr(keyrate, "_rate_slope", lambda result: slope(result.q))
-    return find_threshold(BB84, tolerance, OptimizerConfig(restarts=1))
+    return find_threshold(protocol, tolerance, OptimizerConfig(restarts=1))
 
 
 def _bisection(rate, tolerance):
@@ -244,6 +276,7 @@ def test_search_brackets_the_root_within_bisections_probes(monkeypatch, name, to
     assert len(rep.probes) <= len(_bisection(rate, tolerance))
     assert rep.probes[0].q == 0.5 * sum(keyrate._BRACKET)
     assert not any(p.rerun for p in rep.probes)
+    assert rep.closed_form_root is None
 
 
 # the probes, as float.hex, of the search before its sign hunt and its bracket
@@ -282,6 +315,20 @@ def test_search_makes_the_recorded_probes(monkeypatch, name, tolerance):
     assert [q.hex() for q in probed] == _RECORDED_PROBES[name][(1e-4, 1e-3, 1e-2).index(tolerance)]
 
 
+@pytest.mark.parametrize("tolerance", [1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("protocol", [BB84, SIX_STATE], ids=lambda p: p.name)
+def test_closed_form_rate_takes_the_two_probes_around_its_root(monkeypatch, protocol, tolerance):
+    # the first two probes sit tolerance / 4 below and above the closed-form
+    # root, and their opposite signs end the search
+    rate, slope = _SYNTHETIC_RATES[protocol.name]
+    probed = []
+    rep = _synthetic_search(monkeypatch, rate, slope, tolerance, probed, protocol)
+    root = keyrate.closed_form_root(protocol)
+    assert probed == [root - tolerance / 4, root + tolerance / 4]
+    assert rep.bracket == tuple(probed) and rep.closed_form_root == root
+    assert rep.threshold_q == pytest.approx(root, abs=1e-15)
+
+
 @pytest.mark.parametrize("bad_slope", [0.0, 1.0, math.nan])
 def test_search_without_a_usable_slope_is_bisection(monkeypatch, bad_slope):
     for rate, _ in _SYNTHETIC_RATES.values():
@@ -305,7 +352,7 @@ def test_rerun_probe_reports_the_rerun_attack(monkeypatch):
 
     monkeypatch.setattr(keyrate, "optimize_attack", attack)
     monkeypatch.setattr(keyrate, "_rate_slope", lambda result: -1.0 / result.restarts)
-    rep = find_threshold(BB84, 1e-3, OptimizerConfig(restarts=3))
+    rep = find_threshold(SARG04, 1e-3, OptimizerConfig(restarts=3))
     first, nxt = rep.probes[:2]
     assert (first.rerun, first.slope) == (False, -1.0 / 3)
     assert nxt.q == second
@@ -323,6 +370,35 @@ def _convex(root, k=20.0):
 
 def _no_slope(q):
     return math.nan
+
+
+# rates whose roots the bb84 and six-state closed forms miss
+_MISSED_RATES = {f"linear_{r}": _linear(r) for r in (0.06, 0.10, 0.15, 0.16, 0.20, 0.25, 0.29)}
+_MISSED_RATES["steep_convex"] = _SYNTHETIC_RATES["steep_convex"]
+
+
+@pytest.mark.parametrize("tolerance", [1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("name", sorted(_MISSED_RATES))
+@pytest.mark.parametrize("protocol", [BB84, SIX_STATE], ids=lambda p: p.name)
+def test_search_past_a_missed_closed_form_root_stays_within_bisections_probes(monkeypatch, protocol, name, tolerance):
+    rate, slope = _MISSED_RATES[name]
+    rep = _synthetic_search(monkeypatch, rate, slope, tolerance, protocol=protocol)
+    lo, hi = rep.bracket
+    assert rate(lo) > 0.0 > rate(hi) and hi - lo <= tolerance
+    assert len(rep.probes) <= len(_bisection(rate, tolerance))
+
+
+@pytest.mark.parametrize(
+    "bracket", [lambda root: (0.05, root + 1e-4), lambda root: (root - 1e-4, 0.30)], ids=["root_near_high", "root_near_low"]
+)
+def test_closed_form_probes_stay_inside_a_bracket_that_cuts_the_pair(monkeypatch, bracket):
+    # with the root within tolerance / 4 of an end, a probe of the pair that
+    # would land outside the bracket is not made; the stub fails any such probe
+    rate, slope = _SYNTHETIC_RATES["bb84"]
+    monkeypatch.setattr(keyrate, "_BRACKET", bracket(keyrate.closed_form_root(BB84)))
+    rep = _synthetic_search(monkeypatch, rate, slope, 1e-3, protocol=BB84)
+    lo, hi = rep.bracket
+    assert rate(lo) > 0.0 > rate(hi) and hi - lo <= 1e-3
 
 
 @pytest.mark.parametrize("usable_slope", [True, False], ids=["slope", "no_slope"])
